@@ -14,7 +14,8 @@ FlashController::FlashController(EventQueue &events, Channel &channel,
                                  Tick decision_window,
                                  CompletionFn on_complete,
                                  const FaultModel *faults,
-                                 SoftDecoder *decoder)
+                                 SoftDecoder *decoder,
+                                 ChipOccupancy *occupancy)
     : events_(events),
       channel_(channel),
       chips_(std::move(chips)),
@@ -24,6 +25,7 @@ FlashController::FlashController(EventQueue &events, Channel &channel,
       onComplete_(std::move(on_complete)),
       faults_(faults),
       decoder_(decoder),
+      occupancy_(occupancy),
       state_(chips_.size())
 {
     if (chips_.empty())
@@ -33,12 +35,26 @@ FlashController::FlashController(EventQueue &events, Channel &channel,
 void
 FlashController::reserveSteadyState(std::uint32_t queue_depth)
 {
+    // Host tags 0..depth-1 land on slots 1..depth (slot 0 is GC).
+    growTagSlots(std::size_t{queue_depth} + 1);
     for (auto &cs : state_) {
-        // Host tags 0..depth-1 land on slots 1..depth (slot 0 is GC).
-        cs.perTag.resize(std::size_t{queue_depth} + 1, 0);
         cs.pending.reserve(queue_depth);
         cs.executing.reserve(queue_depth);
     }
+}
+
+void
+FlashController::growTagSlots(std::size_t slots)
+{
+    if (slots <= tagSlots_)
+        return;
+    std::vector<std::uint32_t> wider(state_.size() * slots, 0);
+    for (std::size_t chip = 0; chip < state_.size(); ++chip) {
+        std::copy_n(perTag_.begin() + chip * tagSlots_, tagSlots_,
+                    wider.begin() + chip * slots);
+    }
+    perTag_ = std::move(wider);
+    tagSlots_ = slots;
 }
 
 void
@@ -53,10 +69,10 @@ FlashController::commit(MemoryRequest *req, bool front)
     req->committedAt = events_.now();
     auto &chip_state = state_[offset];
     const std::size_t slot = tagSlot(req->tag);
-    if (slot >= chip_state.perTag.size())
-        chip_state.perTag.resize(slot + 1, 0);
-    chip_state.perTag[slot]++;
-    chip_state.tagTotal++;
+    if (slot >= tagSlots_)
+        growTagSlots(slot + 1);
+    if (perTag_[offset * tagSlots_ + slot]++ == 0 && occupancy_)
+        occupancy_->addOwner(chips_[offset]->index(), slot);
     if (front)
         chip_state.pending.push_front(req);
     else
@@ -78,16 +94,12 @@ FlashController::pendingCount(std::uint32_t chip_offset) const
 }
 
 std::uint32_t
-FlashController::outstandingOthers(std::uint32_t chip_offset,
-                                   TagId tag) const
+FlashController::tagOutstanding(std::uint32_t chip_offset,
+                                std::size_t slot) const
 {
-    // Every outstanding request is accounted in perTag and tagTotal,
-    // so the foreign-I/O count is one subtraction.
-    const auto &cs = state_.at(chip_offset);
-    const std::size_t slot = tagSlot(tag);
-    const std::uint32_t mine =
-        slot < cs.perTag.size() ? cs.perTag[slot] : 0;
-    return cs.tagTotal - mine;
+    if (chip_offset >= state_.size())
+        panic("FlashController::tagOutstanding chip offset out of range");
+    return slot < tagSlots_ ? perTag_[chip_offset * tagSlots_ + slot] : 0;
 }
 
 bool
@@ -228,8 +240,8 @@ FlashController::finishTransaction(std::uint32_t chip_offset, Tick end)
     const bool faulty = faults_ && faults_->enabled();
     for (auto *req : cs.executing) {
         if (faulty && applyFaults(chip_offset, req, end))
-            continue; // retrying or decoding; stays in perTag
-        completeRequest(cs, req, end);
+            continue; // retrying or decoding; stays in perTag_
+        completeRequest(chip_offset, req, end);
     }
     cs.executing.clear();
     // More pending work? Start the next decision window.
@@ -237,13 +249,14 @@ FlashController::finishTransaction(std::uint32_t chip_offset, Tick end)
 }
 
 void
-FlashController::completeRequest(PerChip &cs, MemoryRequest *req,
-                                 Tick end)
+FlashController::completeRequest(std::uint32_t chip_offset,
+                                 MemoryRequest *req, Tick end)
 {
     const std::size_t slot = tagSlot(req->tag);
-    if (slot < cs.perTag.size() && cs.perTag[slot] > 0) {
-        cs.perTag[slot]--;
-        cs.tagTotal--;
+    if (slot < tagSlots_) {
+        std::uint32_t &count = perTag_[chip_offset * tagSlots_ + slot];
+        if (count > 0 && --count == 0 && occupancy_)
+            occupancy_->removeOwner(chips_[chip_offset]->index(), slot);
     }
     req->finishedAt = end;
     onComplete_(req);
@@ -268,7 +281,7 @@ FlashController::applyFaults(std::uint32_t chip_offset,
             return false;
         if (out == ReadOutcome::Retry) {
             // Re-book the chip for the next ladder step. The request
-            // keeps its perTag/tagTotal accounting (it is still
+            // keeps its perTag_ accounting (it is still
             // outstanding from the scheduler's point of view) and
             // jumps the pending queue: a read mid-ladder blocks its
             // I/O until it resolves.
@@ -335,7 +348,7 @@ FlashController::finishSoftDecode(std::uint32_t chip_offset,
         ++stats_.uncorrectableReads;
         req->faultFailed = true;
     }
-    completeRequest(state_[chip_offset], req, done);
+    completeRequest(chip_offset, req, done);
 }
 
 } // namespace spk

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "controller/channel.hh"
+#include "controller/chip_occupancy.hh"
 #include "controller/soft_decoder.hh"
 #include "flash/chip.hh"
 #include "flash/fault_model.hh"
@@ -77,13 +78,16 @@ class FlashController
      * @param decoder device-shared soft decoder; nullptr (or soft
      *        decode disabled in @p faults) keeps ladder exhaustion
      *        terminal as before
+     * @param occupancy device-wide occupancy bitmaps, indexed by each
+     *        chip's global index(); nullptr keeps none
      */
     FlashController(EventQueue &events, Channel &channel,
                     std::vector<FlashChip *> chips,
                     const FlashTiming &timing, std::uint32_t page_bytes,
                     Tick decision_window, CompletionFn on_complete,
                     const FaultModel *faults = nullptr,
-                    SoftDecoder *decoder = nullptr);
+                    SoftDecoder *decoder = nullptr,
+                    ChipOccupancy *occupancy = nullptr);
 
     /**
      * Commit a memory request to its chip's pending queue.
@@ -102,13 +106,12 @@ class FlashController
     std::uint32_t outstanding(std::uint32_t chip_offset) const;
 
     /**
-     * Committed-but-unfinished requests on a chip that belong to a
-     * different I/O than @p tag. PAS-style schedulers use this: a
-     * chip whose queue only holds the same I/O's requests is not a
-     * conflict (per-chip flash queues, Section 5.1).
+     * Outstanding requests of tag slot @p slot (tagSlot()) on a chip:
+     * committed and not yet completed, including reads held for a
+     * retry or a soft decode. The occupancy bitmaps mirror these.
      */
-    std::uint32_t outstandingOthers(std::uint32_t chip_offset,
-                                    TagId tag) const;
+    std::uint32_t tagOutstanding(std::uint32_t chip_offset,
+                                 std::size_t slot) const;
 
     /** Committed-but-unstarted requests on a chip. */
     std::uint32_t pendingCount(std::uint32_t chip_offset) const;
@@ -127,19 +130,6 @@ class FlashController
         RingDeque<MemoryRequest *> pending;
         std::uint32_t inFlight = 0;
         bool launchScheduled = false;
-        /**
-         * Outstanding request count per owning I/O tag, flat-indexed
-         * by tagSlot(). Tags recycle within the NVMHC queue depth, so
-         * the vector reaches a small steady-state size and stays there.
-         */
-        std::vector<std::uint32_t> perTag;
-        /**
-         * Running sum of perTag. Decremented request-by-request during
-         * transaction completion (inFlight drops transaction-at-once),
-         * so mid-completion scheduler queries see each request leave
-         * individually.
-         */
-        std::uint32_t tagTotal = 0;
         /** Requests of the in-flight transaction (reused storage). */
         std::vector<MemoryRequest *> executing;
     };
@@ -170,9 +160,13 @@ class FlashController
     void finishSoftDecode(std::uint32_t chip_offset, MemoryRequest *req,
                           Tick done);
 
-    /** Shared completion tail: drop perTag accounting and hand the
-     *  request back to its owner. */
-    void completeRequest(PerChip &cs, MemoryRequest *req, Tick end);
+    /** Shared completion tail: drop the per-tag accounting and hand
+     *  the request back to its owner. */
+    void completeRequest(std::uint32_t chip_offset, MemoryRequest *req,
+                         Tick end);
+
+    /** Widen the per-tag table to @p slots slots per chip. */
+    void growTagSlots(std::size_t slots);
 
     EventQueue &events_;
     Channel &channel_;
@@ -183,7 +177,17 @@ class FlashController
     CompletionFn onComplete_;
     const FaultModel *faults_ = nullptr;
     SoftDecoder *decoder_ = nullptr;
+    ChipOccupancy *occupancy_ = nullptr;
     std::vector<PerChip> state_;
+    /**
+     * Outstanding request count per (chip, owning tag slot), row-major
+     * with tagSlots_ slots per chip. Counts drop request by request
+     * during transaction completion (inFlight drops transaction at
+     * once), so mid-completion scheduler queries see each request
+     * leave individually. Sized for the NVMHC queue depth up front.
+     */
+    std::vector<std::uint32_t> perTag_;
+    std::size_t tagSlots_ = 0;
     ControllerStats stats_;
 };
 

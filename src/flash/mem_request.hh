@@ -27,6 +27,10 @@ enum class FlashOp : std::uint8_t { Read, Program, Erase };
 inline constexpr std::uint32_t kInvalidGcBatch =
     std::numeric_limits<std::uint32_t>::max();
 
+/** Sentinel ending a per-chip run (MemoryRequest::chipNext). */
+inline constexpr std::uint32_t kEndOfRun =
+    std::numeric_limits<std::uint32_t>::max();
+
 /** Printable name of a flash operation. */
 const char *flashOpName(FlashOp op);
 
@@ -43,6 +47,11 @@ struct MemoryRequest
     std::uint64_t id = 0;       //!< globally unique, assigned by NVMHC
     TagId tag = kInvalidTag;    //!< owning host I/O; kInvalidTag for GC
     std::uint32_t idxInIo = 0;  //!< page index within the owning I/O
+
+    /** idxInIo of the next page of the same I/O on the same chip, in
+     *  page-index order (PAS's per-chip runs); kEndOfRun ends it. */
+    std::uint32_t chipNext = kEndOfRun;
+
     FlashOp op = FlashOp::Read;
     Lpn lpn = kInvalidPage;
     Ppn ppn = kInvalidPage;

@@ -35,8 +35,10 @@ Ftl::Ftl(const FlashGeometry &geo, const FtlConfig &cfg,
       faults_(faults)
 {
     geo_.validate();
-    if (die_parity)
+    if (die_parity) {
         parityMap_ = std::make_unique<StripeParityMap>(geo_);
+        roundBatches_.assign(blocks_.numPlanes(), 0);
+    }
     // One batch per plane per collection round (plus one wear-level
     // slot), at most a block's worth of migrations each: pre-carving
     // the scratch here makes steady-state collection allocation-free.
@@ -181,7 +183,7 @@ Ftl::collectGcImpl(bool respect_admission)
             continue;
         if (blocks_.freeBlocks(plane) >= cfg_.gcFreeBlockThreshold)
             continue;
-        if (respect_admission && gcAdmit_ && !gcAdmit_(plane)) {
+        if (respect_admission && gcAdmit_ && !gcAdmit_(plane, 0)) {
             // Live-batch bound reached: defer this plane's collection
             // until a batch retires (the device retries then).
             ++stats_.gcDeferrals;
@@ -227,7 +229,8 @@ Ftl::collectGcGroups(bool respect_admission)
         bool deferred = false;
         if (respect_admission && gcAdmit_) {
             for (std::uint32_t d = 0; d < dies && !deferred; ++d) {
-                if (!blocks_.planeDead(group[d]) && !gcAdmit_(group[d]))
+                if (!blocks_.planeDead(group[d]) &&
+                    !gcAdmit_(group[d], roundBatches_[group[d]]))
                     deferred = true;
             }
         }
@@ -284,14 +287,18 @@ Ftl::collectGcGroups(bool respect_admission)
             if (blocks_.block(group[d], *best).state != BlockState::Full)
                 continue;
             GcBatch &batch = batchScratch_.append();
-            if (migrateAndErase(group[d], *best, batch))
+            if (migrateAndErase(group[d], *best, batch)) {
                 collected = true;
-            else
+                ++roundBatches_[group[d]];
+            } else {
                 batchScratch_.dropLast();
+            }
         }
         if (collected)
             ++stats_.gcInvocations;
     }
+    for (const GcBatch &batch : batchScratch_)
+        roundBatches_[batch.planeIdx] = 0;
     return batchScratch_;
 }
 
@@ -327,7 +334,7 @@ Ftl::collectWearLevel()
     const auto victim = blocks_.pickColdestFull();
     if (!victim)
         return batchScratch_;
-    if (gcAdmit_ && !gcAdmit_(victim->first)) {
+    if (gcAdmit_ && !gcAdmit_(victim->first, 0)) {
         ++stats_.gcDeferrals;
         return batchScratch_;
     }

@@ -270,8 +270,13 @@ class Ftl
      * wires this to the GC engine's live-batch bound so the flat
      * batch table stays statically sizable. Deferred planes are
      * retried when a batch retires (GcManager's retirement hook).
+     * @p pending counts the batches this collection round has already
+     * produced for the plane and not yet launched: with parity, a
+     * plane collected as a sibling of an earlier group can come up
+     * again under its own index in the same round.
      */
-    using GcAdmission = std::function<bool(std::uint64_t plane)>;
+    using GcAdmission =
+        std::function<bool(std::uint64_t plane, std::uint32_t pending)>;
     void setGcAdmission(GcAdmission admit)
     {
         gcAdmit_ = std::move(admit);
@@ -435,6 +440,9 @@ class Ftl
     /** Scratch for fault-driven block retirement; separate from
      *  batchScratch_ because retirement can interleave with GC. */
     GcBatchList retireScratch_;
+    /** Per plane: batches the running collectGcGroups round has put
+     *  in batchScratch_ (sized only with parity; zero between rounds). */
+    std::vector<std::uint32_t> roundBatches_;
 };
 
 } // namespace spk

@@ -9,7 +9,7 @@ namespace spk
 
 Nvmhc::Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
              std::vector<FlashController *> controllers,
-             Slab<MemoryRequest> &arena,
+             Slab<MemoryRequest> &arena, const ChipOccupancy &occupancy,
              std::unique_ptr<IoScheduler> sched, const NvmhcConfig &cfg,
              IoCompleteFn on_io_complete)
     : events_(events),
@@ -19,7 +19,8 @@ Nvmhc::Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
       sched_(std::move(sched)),
       cfg_(cfg),
       onIoComplete_(std::move(on_io_complete)),
-      arena_(arena)
+      arena_(arena),
+      occupancy_(occupancy)
 {
     if (controllers_.size() != geo_.numChannels)
         fatal("Nvmhc: need one flash controller per channel");
@@ -91,12 +92,6 @@ std::uint32_t
 Nvmhc::outstanding(std::uint32_t chip) const
 {
     return ctrlByChip_[chip]->outstanding(offsetByChip_[chip]);
-}
-
-std::uint32_t
-Nvmhc::outstandingOthers(std::uint32_t chip, TagId tag) const
-{
-    return ctrlByChip_[chip]->outstandingOthers(offsetByChip_[chip], tag);
 }
 
 FlashController &
@@ -219,6 +214,8 @@ Nvmhc::enqueue(const PendingSubmission &sub)
 
     IoRequest *raw = io;
     queue_.push_back(raw);
+    if (io->fua)
+        ++fuaQueued_;
     sched_->onEnqueue(*raw);
     if (afterEnqueue_)
         afterEnqueue_();
@@ -263,6 +260,8 @@ Nvmhc::hazardFree(const MemoryRequest &req) const
     // FUA barrier: an FUA I/O is served strictly in order -- nothing
     // younger starts before it finishes, and it waits for everything
     // older (Section 4.4, hazard control).
+    if (fuaQueued_ == 0)
+        return true;
     for (const IoRequest *io : queue_) {
         if (io->tag == req.tag)
             return !io->fua || io == queue_.front();
@@ -449,6 +448,8 @@ Nvmhc::finishRequestTail(MemoryRequest *req, IoRequest *io)
         if (qit == queue_.end())
             panic("Nvmhc: completed I/O missing from queue");
         queue_.erase(qit);
+        if (io->fua)
+            --fuaQueued_;
         const TagId tag = io->tag;
         // Recycle the entry in place: pages return to the slab, the
         // slot keeps its vector/bitmap capacity for the next I/O.

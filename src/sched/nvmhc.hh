@@ -95,7 +95,8 @@ struct NvmhcStats
  *
  * The NVMHC is the SchedulerView: outstanding counts come from flat
  * per-chip controller lookup tables and the controllers' incremental
- * counters, so a scheduler poll never allocates or walks a map.
+ * counters, and the occupancy bitmaps are the controllers' own, so a
+ * scheduler poll never allocates or walks a map.
  */
 class Nvmhc : private SchedulerView
 {
@@ -110,13 +111,15 @@ class Nvmhc : private SchedulerView
      * @param controllers one per channel, indexed by channel
      * @param arena device-wide MemoryRequest arena (shared with the
      *        GC engine; must outlive the NVMHC)
+     * @param occupancy device-wide chip occupancy the controllers
+     *        maintain (must outlive the NVMHC)
      * @param sched scheduling strategy
      * @param cfg tuning knobs
      * @param on_io_complete invoked once per completed host I/O
      */
     Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
           std::vector<FlashController *> controllers,
-          Slab<MemoryRequest> &arena,
+          Slab<MemoryRequest> &arena, const ChipOccupancy &occupancy,
           std::unique_ptr<IoScheduler> sched, const NvmhcConfig &cfg,
           IoCompleteFn on_io_complete);
 
@@ -229,8 +232,7 @@ class Nvmhc : private SchedulerView
   private:
     // SchedulerView: flat-indexed, allocation-free device queries.
     std::uint32_t outstanding(std::uint32_t chip) const override;
-    std::uint32_t outstandingOthers(std::uint32_t chip,
-                                    TagId tag) const override;
+    const ChipOccupancy &occupancy() const override { return occupancy_; }
     bool schedulable(const MemoryRequest &req) const override
     {
         return hazardFree(req);
@@ -298,6 +300,8 @@ class Nvmhc : private SchedulerView
     /** Recycled tag ids (LIFO); tags stay in [0, queueDepth). */
     std::vector<TagId> freeTags_;
     RingDeque<IoRequest *> queue_; //!< arrival order, live entries
+    /** FUA I/Os in queue_; the barrier walk is skipped while 0. */
+    std::uint32_t fuaQueued_ = 0;
 
     /** Per-stream tag-wait queues (NVMe submission queues), indexed
      *  by stream id; sized by configureStreams (default: one). */
@@ -321,6 +325,7 @@ class Nvmhc : private SchedulerView
     /** Per-global-chip controller / chip-offset lookup tables. */
     std::vector<FlashController *> ctrlByChip_;
     std::vector<std::uint32_t> offsetByChip_;
+    const ChipOccupancy &occupancy_;
 
     /** Per-LPN pending requests, oldest first (hazard ordering);
      *  intrusive chains, allocation-free at steady state. */

@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 
+#include "controller/chip_occupancy.hh"
 #include "controller/io_request.hh"
 #include "flash/geometry.hh"
 #include "flash/mem_request.hh"
@@ -42,12 +43,22 @@ class SchedulerView
     virtual std::uint32_t outstanding(std::uint32_t chip) const = 0;
 
     /**
-     * Same, excluding requests that belong to I/O @p tag (a chip whose
-     * per-chip queue only holds one's own I/O is not a conflict for a
-     * PAS-style scheduler).
+     * Which chips hold another I/O's work, for every chip at once.
+     *
+     * A request of tag T may commit to global chip c without queueing
+     * behind a different I/O exactly when c's bit is set in
+     * idle | ownedBy(tagSlot(T)): the chip has no outstanding request,
+     * or all of them belong to T (a chip whose per-chip queue only
+     * holds one's own I/O is no conflict for a PAS-style scheduler).
+     * GC and parity requests own slot 0, so they block every host
+     * tag. "Outstanding" means committed and not yet completed,
+     * including reads held for a retry or a soft decode. The bitmaps
+     * change request by request at commit and completion, so a query
+     * made during a transaction's completion sees the requests that
+     * have left it so far. The reference stays valid for the view's
+     * lifetime.
      */
-    virtual std::uint32_t outstandingOthers(std::uint32_t chip,
-                                            TagId tag) const = 0;
+    virtual const ChipOccupancy &occupancy() const = 0;
 
     /**
      * Hazard gate: false while an older request on the same logical

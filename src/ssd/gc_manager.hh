@@ -98,10 +98,13 @@ class GcManager
      */
     void launch(const GcBatchList &batches, bool urgent = false);
 
-    /** True when @p plane is at its live-batch admission bound. */
-    bool planeSaturated(std::uint64_t plane) const
+    /**
+     * True when @p plane is at its live-batch admission bound, counting
+     * @p pending batches collected for it but not yet launched.
+     */
+    bool planeSaturated(std::uint64_t plane, std::uint32_t pending = 0) const
     {
-        return livePerPlane_[plane] >= maxLivePerPlane_;
+        return livePerPlane_[plane] + pending >= maxLivePerPlane_;
     }
 
     /** Live batches currently executing against @p plane. */

@@ -9,7 +9,8 @@ namespace spk
 
 Ssd::Ssd(const SsdConfig &cfg)
     : cfg_(cfg), rng_(cfg.seed),
-      faults_(cfg.fault, cfg.seed, cfg.geometry)
+      faults_(cfg.fault, cfg.seed, cfg.geometry),
+      occupancy_(cfg.geometry.numChips(), cfg.nvmhc.queueDepth + 1)
 {
     cfg_.validate();
     const FlashGeometry &geo = cfg_.geometry;
@@ -31,7 +32,7 @@ Ssd::Ssd(const SsdConfig &cfg)
             events_, *channels_[c], std::move(channel_chips),
             cfg_.timing, geo.pageSizeBytes, cfg_.decisionWindow,
             [this](MemoryRequest *req) { onRequestFinished(req); },
-            &faults_, &decoder_));
+            &faults_, &decoder_, &occupancy_));
         controllers_.back()->reserveSteadyState(cfg_.nvmhc.queueDepth);
     }
 
@@ -49,7 +50,7 @@ Ssd::Ssd(const SsdConfig &cfg)
                                       cfg_.gcMaxLiveBatchesPerPlane);
 
     nvmhc_ = std::make_unique<Nvmhc>(
-        events_, geo, *ftl_, raw_controllers, requestArena_,
+        events_, geo, *ftl_, raw_controllers, requestArena_, occupancy_,
         makeScheduler(cfg_.scheduler, cfg_.faroWindow), cfg_.nvmhc,
         [this](const IoRequest &io) {
             results_.push_back(IoResult{io.arrival, io.completed,
@@ -74,8 +75,8 @@ Ssd::Ssd(const SsdConfig &cfg)
         gc_->launch(batches, /*urgent=*/true);
         return true;
     });
-    ftl_->setGcAdmission([this](std::uint64_t plane) {
-        return !gc_->planeSaturated(plane);
+    ftl_->setGcAdmission([this](std::uint64_t plane, std::uint32_t pending) {
+        return !gc_->planeSaturated(plane, pending);
     });
     gc_->setBatchRetiredHook([this] {
         // Retry only when the admission bound actually deferred work;

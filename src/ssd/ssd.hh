@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "controller/channel.hh"
+#include "controller/chip_occupancy.hh"
 #include "controller/flash_controller.hh"
 #include "controller/soft_decoder.hh"
 #include "flash/chip.hh"
@@ -178,6 +179,10 @@ class Ssd
     /** Device-shared (serialized) LDPC soft decoder; declared before
      *  the controllers that hold a pointer to it. */
     SoftDecoder decoder_;
+
+    /** Which chips each I/O tag may commit to without queueing behind
+     *  another I/O; kept by the controllers, read by the scheduler. */
+    ChipOccupancy occupancy_;
 
     /**
      * Device-wide MemoryRequest arena: host-composed requests and GC

@@ -12,6 +12,7 @@
 #include "controller/flash_controller.hh"
 #include "flash/chip.hh"
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 
 namespace spk
 {
@@ -196,6 +197,104 @@ TEST(FlashController, OutstandingCountsLifecycle)
     EXPECT_EQ(f.ctrl->outstanding(0), 1u); // in flight
     f.events.run();
     EXPECT_EQ(f.ctrl->outstanding(0), 0u);
+}
+
+/**
+ * The occupancy bitmaps mirror the per-tag counts after every commit
+ * and event, and mid-completion (checked from the completion upcall,
+ * where the NVMHC re-polls its scheduler): a chip is idle exactly when
+ * it has no outstanding request, and owned by slot s exactly when all
+ * of its outstanding requests belong to s. GC requests and several
+ * host tags share chips, and transient read faults hold reads for
+ * retries and soft decodes.
+ */
+TEST(FlashController, OccupancyMirrorsPerTagCounts)
+{
+    constexpr std::uint32_t kTags = 5; // host tags 0..4, slots 1..5
+    FlashGeometry geo;
+    geo.numChannels = 1;
+    geo.chipsPerChannel = 3;
+    geo.diesPerChip = 2;
+    geo.planesPerDie = 2;
+    FaultConfig fc;
+    fc.readTransientRate = 0.3;
+    fc.softDecodeEnabled = true;
+    const FaultModel faults(fc, 7, geo);
+    SoftDecoder decoder;
+    ChipOccupancy occ(geo.numChips(), kTags + 1);
+    EventQueue events;
+    Channel channel{0};
+    std::vector<std::unique_ptr<FlashChip>> chips;
+    std::vector<FlashChip *> raw;
+    for (std::uint32_t i = 0; i < geo.chipsPerChannel; ++i) {
+        chips.push_back(std::make_unique<FlashChip>(i, geo));
+        raw.push_back(chips.back().get());
+    }
+
+    std::unique_ptr<FlashController> ctrl;
+    std::uint64_t checks = 0;
+    const auto check = [&] {
+        ++checks;
+        for (std::uint32_t c = 0; c < geo.chipsPerChannel; ++c) {
+            std::uint32_t total = 0;
+            for (std::size_t s = 0; s <= kTags; ++s)
+                total += ctrl->tagOutstanding(c, s);
+            EXPECT_EQ(occ.idle(c), total == 0) << "chip " << c;
+            for (std::size_t s = 0; s <= kTags; ++s) {
+                const std::uint32_t mine = ctrl->tagOutstanding(c, s);
+                EXPECT_EQ(occ.ownedBy(c, s), mine > 0 && mine == total)
+                    << "chip " << c << " slot " << s;
+            }
+        }
+    };
+    std::uint64_t completed = 0;
+    ctrl = std::make_unique<FlashController>(
+        events, channel, raw, FlashTiming{}, geo.pageSizeBytes, 500,
+        [&](MemoryRequest *) {
+            ++completed;
+            check();
+        },
+        &faults, &decoder, &occ);
+    ctrl->reserveSteadyState(kTags);
+
+    Rng rng(11);
+    std::vector<std::unique_ptr<MemoryRequest>> pool;
+    for (int step = 0; step < 3000; ++step) {
+        if (rng.nextBool(0.5)) {
+            auto req = std::make_unique<MemoryRequest>();
+            req->id = pool.size();
+            req->op = rng.nextBool(0.7) ? FlashOp::Read : FlashOp::Program;
+            req->addr.channel = 0;
+            req->addr.chipInChannel =
+                static_cast<std::uint32_t>(rng.nextBelow(geo.chipsPerChannel));
+            req->addr.die =
+                static_cast<std::uint32_t>(rng.nextBelow(geo.diesPerChip));
+            req->addr.plane =
+                static_cast<std::uint32_t>(rng.nextBelow(geo.planesPerDie));
+            req->addr.block = static_cast<std::uint32_t>(rng.nextBelow(8));
+            req->addr.page = static_cast<std::uint32_t>(rng.nextBelow(8));
+            req->ppn = geo.compose(req->addr);
+            req->chip = geo.chipIndex(0, req->addr.chipInChannel);
+            const auto t = rng.nextBelow(kTags + 1);
+            req->tag = t == kTags ? kInvalidTag : static_cast<TagId>(t);
+            req->isGc = req->tag == kInvalidTag;
+            req->translated = true;
+            req->composed = true;
+            pool.push_back(std::move(req));
+            ctrl->commit(pool.back().get(), pool.back()->isGc);
+        } else {
+            events.step();
+        }
+        check();
+    }
+    events.run();
+    check();
+    EXPECT_EQ(completed, pool.size());
+    for (std::uint32_t c = 0; c < geo.chipsPerChannel; ++c)
+        EXPECT_TRUE(occ.idle(c));
+    EXPECT_GT(ctrl->stats().readRetries, 0u);
+    EXPECT_GT(decoder.stats.invocations, 0u);
+    EXPECT_GT(checks, pool.size());
 }
 
 TEST(FlashController, UntranslatedCommitDies)

@@ -104,7 +104,8 @@ TEST_P(ControllerStress, InvariantsHold)
     EXPECT_TRUE(ctrl.drained());
     for (std::uint32_t c = 0; c < sc.chipsPerChannel; ++c) {
         EXPECT_EQ(ctrl.outstanding(c), 0u);
-        EXPECT_EQ(ctrl.outstandingOthers(c, kInvalidTag), 0u);
+        for (std::size_t slot = 0; slot <= 8; ++slot) // GC + tags 0..7
+            EXPECT_EQ(ctrl.tagOutstanding(c, slot), 0u);
     }
 
     // 3. Per-request timestamps are ordered.

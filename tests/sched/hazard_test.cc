@@ -114,6 +114,37 @@ TEST_P(HazardSweep, BackToBackFuaSerializes)
                   ssd.results()[i - 1].completed);
 }
 
+TEST_P(HazardSweep, YoungerIoWaitsForQueuedFuaThenRuns)
+{
+    // Disjoint pages: only the FUA barrier orders these I/Os. While
+    // the FUA write is queued nothing of the younger read may be
+    // composed; once it completes the barrier lifts.
+    Ssd ssd(config(GetParam()));
+    ssd.submitAt(0, true, 0, 32768, true);     // FUA write, 16 pages
+    ssd.submitAt(1, false, 1 << 20, 16384);    // younger read
+    bool saw_both = false;
+    while (ssd.events().step()) {
+        const auto &queue = ssd.nvmhc().queue();
+        const IoRequest *fua = nullptr;
+        const IoRequest *younger = nullptr;
+        for (const IoRequest *io : queue)
+            (io->fua ? fua : younger) = io;
+        if (fua && younger) {
+            saw_both = true;
+            EXPECT_EQ(younger->composedCount, 0u);
+        }
+    }
+    EXPECT_TRUE(saw_both);
+    ASSERT_EQ(ssd.results().size(), 2u);
+    EXPECT_TRUE(ssd.results()[0].isWrite);
+    EXPECT_GE(ssd.results()[1].completed, ssd.results()[0].completed);
+
+    // The FUA count is back to zero: a later read is not held back.
+    ssd.submitAt(ssd.events().now() + 1, false, 2 << 20, 4096);
+    ssd.run();
+    EXPECT_EQ(ssd.results().size(), 3u);
+}
+
 TEST_P(HazardSweep, OverlappingRangesPartialConflict)
 {
     // Two 4-page writes overlapping by 2 pages: every page's updates

@@ -261,7 +261,8 @@ TEST(GcAdmission, FtlDefersRejectedPlanesAndCountsThem)
     }
 
     bool admit = false;
-    ftl.setGcAdmission([&admit](std::uint64_t) { return admit; });
+    ftl.setGcAdmission(
+        [&admit](std::uint64_t, std::uint32_t) { return admit; });
 
     // Rejected: nothing collected, the deferral is counted.
     EXPECT_TRUE(ftl.collectGc().empty());
@@ -325,6 +326,39 @@ TEST(GcAdmission, DeviceRespectsAdmissionBoundUnderPressure)
     const MetricsSnapshot m = ssd.metrics();
     EXPECT_EQ(m.iosCompleted, 400u);
     EXPECT_GT(m.gcBatches, 0u);
+}
+
+/**
+ * With parity on, GC collects whole sibling block groups, so one round
+ * can reach a plane twice: as a sibling of an earlier group, then under
+ * its own index. Admission must count the batches the round already
+ * holds for the plane; checking live batches alone let the second
+ * collection through and launch() panicked past the bound (seen on a
+ * preconditioned 4-chip device under 1 MB writes at cap 1).
+ */
+TEST(GcAdmission, ParityGroupsCountTheRoundsOwnBatches)
+{
+    SsdConfig cfg = SsdConfig::withChips(4);
+    cfg.geometry.blocksPerPlane = 16;
+    cfg.geometry.pagesPerBlock = 32;
+    cfg.ftl.overprovision = 0.15;
+    cfg.parity.enabled = true;
+    cfg.gcMaxLiveBatchesPerPlane = 1;
+
+    Ssd ssd(cfg);
+    ssd.preconditionForGc();
+    const std::uint64_t span = static_cast<std::uint64_t>(
+        static_cast<double>(cfg.geometry.totalPages()) *
+        (1.0 - cfg.ftl.overprovision) *
+        static_cast<double>(cfg.geometry.pageSizeBytes) * 0.6);
+    ssd.replay(
+        fixedSizeStream(8, 1 << 20, 0.9, span, 5 * kMicrosecond, 1));
+    ssd.run();
+
+    const MetricsSnapshot m = ssd.metrics();
+    EXPECT_EQ(m.iosCompleted, 8u);
+    EXPECT_GT(m.gcBatches, 0u);
+    EXPECT_GT(ssd.ftl().stats().gcDeferrals, 0u);
 }
 
 } // namespace
