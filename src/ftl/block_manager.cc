@@ -22,9 +22,10 @@ allocationPolicyName(AllocationPolicy policy)
 
 BlockManager::BlockManager(const FlashGeometry &geo,
                            std::uint32_t endurance,
-                           AllocationPolicy policy, bool parity_reserve)
+                           AllocationPolicy policy, bool parity_reserve,
+                           std::uint32_t gc_threshold)
     : geo_(geo), endurance_(endurance), policy_(policy),
-      parityReserve_(parity_reserve)
+      parityReserve_(parity_reserve), gcThreshold_(gc_threshold)
 {
     const std::uint64_t n_planes = std::uint64_t{geo.numChips()} *
                                    geo.diesPerChip * geo.planesPerDie;
@@ -34,20 +35,37 @@ BlockManager::BlockManager(const FlashGeometry &geo,
     for (std::uint64_t p = 0; p < n_planes; ++p) {
         for (std::uint32_t b = 0; b < geo.blocksPerPlane; ++b)
             freeSlots_[p * geo.blocksPerPlane + b] = b;
-        planes_[p].freeCount = geo.blocksPerPlane;
+        planes_[p].ringLen = geo.blocksPerPlane;
+        planes_[p].freeBlocks = geo.blocksPerPlane;
     }
+    if (geo.blocksPerPlane < gcThreshold_)
+        belowGc_ = n_planes;
+}
+
+void
+BlockManager::setFreeBlocks(Plane &plane, std::uint32_t n)
+{
+    const bool was_below = plane.freeBlocks < gcThreshold_;
+    const bool is_below = n < gcThreshold_;
+    plane.freeBlocks = n;
+    if (plane.dead || was_below == is_below)
+        return;
+    if (is_below)
+        ++belowGc_;
+    else
+        --belowGc_;
 }
 
 void
 BlockManager::freePushBack(std::uint64_t plane_idx, std::uint32_t blk)
 {
     Plane &plane = planes_[plane_idx];
-    if (plane.freeCount >= geo_.blocksPerPlane)
+    if (plane.ringLen >= geo_.blocksPerPlane)
         panic("BlockManager free list overflow");
     const std::uint32_t pos =
-        (plane.freeHead + plane.freeCount) % geo_.blocksPerPlane;
+        (plane.freeHead + plane.ringLen) % geo_.blocksPerPlane;
     freeSlots_[plane_idx * geo_.blocksPerPlane + pos] = blk;
-    ++plane.freeCount;
+    ++plane.ringLen;
 }
 
 std::uint32_t
@@ -57,7 +75,7 @@ BlockManager::freePopFront(std::uint64_t plane_idx)
     const std::uint32_t blk =
         freeSlots_[plane_idx * geo_.blocksPerPlane + plane.freeHead];
     plane.freeHead = (plane.freeHead + 1) % geo_.blocksPerPlane;
-    --plane.freeCount;
+    --plane.ringLen;
     return blk;
 }
 
@@ -120,14 +138,15 @@ BlockManager::ensureActive(std::uint64_t plane_idx, bool gc_reserve)
             BlockState::Full;
         plane.activeBlock = -1;
     }
-    while (plane.freeCount != 0) {
+    while (plane.ringLen != 0) {
         // Host writes must not consume the last free block: garbage
         // collection needs a migration destination (GC reserve).
-        if (!gc_reserve && plane.freeCount <= 1)
+        if (!gc_reserve && plane.ringLen <= 1)
             return false;
         const std::uint32_t b = freePopFront(plane_idx);
         if (blocks[b].state != BlockState::Free)
             continue;
+        setFreeBlocks(plane, plane.freeBlocks - 1);
         blocks[b].state = BlockState::Active;
         blocks[b].writtenPages = 0;
         plane.activeBlock = static_cast<std::int32_t>(b);
@@ -173,19 +192,6 @@ BlockManager::allocatePage(std::uint64_t plane_idx, bool gc_reserve)
     }
 }
 
-std::uint32_t
-BlockManager::freeBlocks(std::uint64_t plane_idx) const
-{
-    const Plane &plane = planes_.at(plane_idx);
-    const BlockInfo *blocks = planeBlocks(plane_idx);
-    std::uint32_t n = 0;
-    for (std::uint32_t i = 0; i < plane.freeCount; ++i) {
-        if (blocks[freeSlotAt(plane_idx, i)].state == BlockState::Free)
-            ++n;
-    }
-    return n;
-}
-
 const BlockInfo &
 BlockManager::block(std::uint64_t plane_idx, std::uint32_t blk) const
 {
@@ -221,6 +227,7 @@ BlockManager::eraseBlock(std::uint64_t plane_idx, std::uint32_t blk)
         panic("BlockManager::eraseBlock on a bad block");
     if (info.validPages != 0)
         panic("BlockManager::eraseBlock with live pages");
+    const bool was_free = info.state == BlockState::Free;
 
     ++info.eraseCount;
     maxErase_ = std::max(maxErase_, info.eraseCount);
@@ -233,10 +240,16 @@ BlockManager::eraseBlock(std::uint64_t plane_idx, std::uint32_t blk)
         // Bad block replacement: retire; capacity shrinks.
         info.state = BlockState::Bad;
         ++badBlocks_;
+        if (was_free)
+            setFreeBlocks(plane, plane.freeBlocks - 1);
         return false;
     }
-    info.state = BlockState::Free;
-    freePushBack(plane_idx, blk);
+    if (!was_free) {
+        // An already-Free block keeps its one free-list entry.
+        info.state = BlockState::Free;
+        freePushBack(plane_idx, blk);
+        setFreeBlocks(plane, plane.freeBlocks + 1);
+    }
     return true;
 }
 
@@ -253,6 +266,8 @@ BlockManager::retireBlock(std::uint64_t plane_idx, std::uint32_t blk)
         plane.activeBlock = -1;
     // A retired block may still sit in the free list (fault while
     // Free); ensureActive skips non-Free entries, so it is harmless.
+    if (info.state == BlockState::Free)
+        setFreeBlocks(plane, plane.freeBlocks - 1);
     info.state = BlockState::Bad;
     ++badBlocks_;
 }
@@ -263,6 +278,9 @@ BlockManager::markPlaneDead(std::uint64_t plane_idx)
     Plane &plane = planes_.at(plane_idx);
     if (plane.dead)
         return;
+    // Dead planes are not GC candidates: drop out of the count.
+    if (plane.freeBlocks < gcThreshold_)
+        --belowGc_;
     plane.dead = true;
     ++deadPlanes_;
 }
@@ -274,7 +292,7 @@ BlockManager::revivePlane(std::uint64_t plane_idx)
     if (!plane.dead)
         panic("BlockManager::revivePlane on a live plane");
     plane.freeHead = 0;
-    plane.freeCount = 0;
+    plane.ringLen = 0;
     plane.activeBlock = -1;
     for (std::uint32_t b = 0; b < geo_.blocksPerPlane; ++b) {
         auto &info = planeBlocks(plane_idx)[b];
@@ -286,8 +304,12 @@ BlockManager::revivePlane(std::uint64_t plane_idx)
         info.writtenPages = 0;
         freePushBack(plane_idx, b);
     }
+    // Every entry of the rebuilt list is a Free block.
+    plane.freeBlocks = plane.ringLen;
     plane.dead = false;
     --deadPlanes_;
+    if (plane.freeBlocks < gcThreshold_)
+        ++belowGc_;
 }
 
 std::optional<std::uint32_t>
@@ -315,11 +337,18 @@ BlockManager::eraseSpread() const
 {
     std::uint32_t lo = std::numeric_limits<std::uint32_t>::max();
     std::uint32_t hi = 0;
-    for (const auto &info : blocks_) {
-        if (info.state == BlockState::Bad)
+    for (std::uint64_t p = 0; p < planes_.size(); ++p) {
+        // A dead plane's frozen erase counts are not wear the leveler
+        // can act on (pickColdestFull skips it too).
+        if (planes_[p].dead)
             continue;
-        lo = std::min(lo, info.eraseCount);
-        hi = std::max(hi, info.eraseCount);
+        const BlockInfo *blocks = planeBlocks(p);
+        for (std::uint32_t b = 0; b < geo_.blocksPerPlane; ++b) {
+            if (blocks[b].state == BlockState::Bad)
+                continue;
+            lo = std::min(lo, blocks[b].eraseCount);
+            hi = std::max(hi, blocks[b].eraseCount);
+        }
     }
     if (lo > hi)
         lo = hi;
@@ -356,15 +385,11 @@ std::uint64_t
 BlockManager::freePages(std::uint64_t plane_idx) const
 {
     const Plane &plane = planes_.at(plane_idx);
-    const BlockInfo *blocks = planeBlocks(plane_idx);
-    std::uint64_t pages = 0;
-    for (std::uint32_t b = 0; b < geo_.blocksPerPlane; ++b) {
-        if (blocks[b].state == BlockState::Free)
-            pages += geo_.pagesPerBlock;
-    }
+    std::uint64_t pages =
+        std::uint64_t{plane.freeBlocks} * geo_.pagesPerBlock;
     if (plane.activeBlock >= 0) {
-        const auto &info =
-            blocks[static_cast<std::uint32_t>(plane.activeBlock)];
+        const auto &info = planeBlocks(
+            plane_idx)[static_cast<std::uint32_t>(plane.activeBlock)];
         pages += geo_.pagesPerBlock - info.writtenPages;
     }
     return pages;

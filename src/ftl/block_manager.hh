@@ -68,6 +68,16 @@ struct BlockInfo
  * Planes are identified by a dense global plane index:
  * ((die * planesPerDie + plane) * numChips + chip). That ordering is
  * what makes consecutive allocations stripe across chips first.
+ *
+ * Free-count invariant: each plane keeps the number of its blocks in
+ * state Free, and the manager keeps the number of live planes whose
+ * free count is below the GC threshold. Both are adjusted wherever a
+ * block enters or leaves Free (allocation opening a block, erase,
+ * retirement, plane revival) or a plane dies, so the per-I/O GC
+ * trigger reads them in O(1) instead of walking free lists. Every
+ * Free block has exactly one entry in its plane's free list; the
+ * list's only other entries are blocks retired while Free, which
+ * allocation skips.
  */
 class BlockManager
 {
@@ -80,10 +90,14 @@ class BlockManager
      *        the frontier skips offsets where (block + page) %
      *        diesPerChip equals the plane's die, leaving them for the
      *        parity engine
+     * @param gc_threshold a live plane with fewer free blocks than
+     *        this counts towards planesBelowGcThreshold(); 0 never
+     *        counts one
      */
     BlockManager(const FlashGeometry &geo, std::uint32_t endurance,
                  AllocationPolicy policy = AllocationPolicy::ChannelStripe,
-                 bool parity_reserve = false);
+                 bool parity_reserve = false,
+                 std::uint32_t gc_threshold = 0);
 
     AllocationPolicy policy() const { return policy_; }
 
@@ -108,8 +122,22 @@ class BlockManager
     std::optional<Ppn> allocatePage(std::uint64_t plane_idx,
                                     bool gc_reserve = false);
 
-    /** Free blocks remaining in a plane (not counting the active one). */
-    std::uint32_t freeBlocks(std::uint64_t plane_idx) const;
+    /**
+     * Blocks in state Free in a plane (the active block is not free).
+     * O(1): a count kept in step with every state change, equal to
+     * the number of b with block(plane_idx, b).state == Free.
+     */
+    std::uint32_t freeBlocks(std::uint64_t plane_idx) const
+    {
+        return planes_.at(plane_idx).freeBlocks;
+    }
+
+    /**
+     * Live (not dead) planes whose freeBlocks() is below the GC
+     * threshold given at construction. O(1), kept in step with the
+     * per-plane counts and markPlaneDead()/revivePlane().
+     */
+    std::uint64_t planesBelowGcThreshold() const { return belowGc_; }
 
     /** Block metadata (block addressed by plane + block-in-plane). */
     const BlockInfo &block(std::uint64_t plane_idx,
@@ -165,7 +193,8 @@ class BlockManager
     /** Highest erase count across all blocks (wear indicator). */
     std::uint32_t maxEraseCount() const { return maxErase_; }
 
-    /** (min, max) erase counts over non-bad blocks. */
+    /** (min, max) erase counts over non-bad blocks of live planes
+     *  (the planes pickColdestFull() can choose from). */
     std::pair<std::uint32_t, std::uint32_t> eraseSpread() const;
 
     /**
@@ -193,12 +222,14 @@ class BlockManager
          * FIFO free list: erased blocks go to the back and new active
          * blocks come from the front, so every block cycles through
          * the rotation (LIFO would re-erase the same few blocks and
-         * defeat wear leveling). freeHead/freeCount address a ring
+         * defeat wear leveling). freeHead/ringLen address a ring
          * inside the plane's fixed freeSlots_ segment -- a plane can
-         * never have more than blocksPerPlane free blocks.
+         * never have more than blocksPerPlane free blocks. ringLen
+         * also counts stale entries (blocks retired while Free).
          */
         std::uint32_t freeHead = 0;
-        std::uint32_t freeCount = 0;
+        std::uint32_t ringLen = 0;
+        std::uint32_t freeBlocks = 0;  //!< blocks in state Free
         std::int32_t activeBlock = -1; //!< -1: none
         bool dead = false; //!< whole plane offline (die failure)
     };
@@ -213,15 +244,8 @@ class BlockManager
         return blocks_.data() + plane_idx * geo_.blocksPerPlane;
     }
 
-    /** i-th oldest entry of a plane's free-list ring. */
-    std::uint32_t freeSlotAt(std::uint64_t plane_idx,
-                             std::uint32_t i) const
-    {
-        const Plane &plane = planes_[plane_idx];
-        const std::uint32_t pos =
-            (plane.freeHead + i) % geo_.blocksPerPlane;
-        return freeSlots_[plane_idx * geo_.blocksPerPlane + pos];
-    }
+    /** Set a plane's free-block count, keeping belowGc_ in step. */
+    void setFreeBlocks(Plane &plane, std::uint32_t n);
 
     void freePushBack(std::uint64_t plane_idx, std::uint32_t blk);
     std::uint32_t freePopFront(std::uint64_t plane_idx);
@@ -239,6 +263,8 @@ class BlockManager
     std::uint32_t maxErase_ = 0;
     std::uint64_t badBlocks_ = 0;
     std::uint64_t deadPlanes_ = 0;
+    std::uint32_t gcThreshold_ = 0;
+    std::uint64_t belowGc_ = 0; //!< live planes with freeBlocks < gcThreshold_
 };
 
 } // namespace spk

@@ -31,7 +31,8 @@ Ftl::Ftl(const FlashGeometry &geo, const FtlConfig &cfg,
     : geo_(geo),
       cfg_(cfg),
       mapping_(geo, logicalCapacity(geo, cfg.overprovision, die_parity)),
-      blocks_(geo, cfg.endurance, cfg.allocation, die_parity),
+      blocks_(geo, cfg.endurance, cfg.allocation, die_parity,
+              cfg.gcFreeBlockThreshold),
       faults_(faults)
 {
     geo_.validate();
@@ -86,19 +87,6 @@ Ftl::allocateWrite(Lpn lpn)
     noteValidated(*ppn);
     ++stats_.hostWrites;
     return *ppn;
-}
-
-bool
-Ftl::gcNeeded() const
-{
-    const std::uint64_t n_planes = blocks_.numPlanes();
-    for (std::uint64_t p = 0; p < n_planes; ++p) {
-        if (blocks_.planeDead(p))
-            continue; // nothing left to reclaim on a dead plane
-        if (blocks_.freeBlocks(p) < cfg_.gcFreeBlockThreshold)
-            return true;
-    }
-    return false;
 }
 
 bool

@@ -261,8 +261,11 @@ class Ftl
      */
     Ppn allocateWrite(Lpn lpn);
 
-    /** True when at least one plane is below the GC threshold. */
-    bool gcNeeded() const;
+    /**
+     * True when at least one live plane is below the GC threshold.
+     * O(1): the block manager keeps the count of such planes.
+     */
+    bool gcNeeded() const { return blocks_.planesBelowGcThreshold() != 0; }
 
     /**
      * Per-plane GC admission gate. When set, collectGc() skips (and

@@ -188,5 +188,94 @@ TEST(Ftl, PreconditionChurnFragments)
     EXPECT_TRUE(fragmented);
 }
 
+/**
+ * Reference for gcNeeded(): the scan it replaced, counting each live
+ * plane's Free blocks from block states.
+ */
+bool
+scanGcNeeded(const Ftl &ftl)
+{
+    const BlockManager &bm = ftl.blocks();
+    const FlashGeometry &g = ftl.geometry();
+    for (std::uint64_t p = 0; p < bm.numPlanes(); ++p) {
+        if (bm.planeDead(p))
+            continue;
+        std::uint32_t free = 0;
+        for (std::uint32_t b = 0; b < g.blocksPerPlane; ++b)
+            free += bm.block(p, b).state == BlockState::Free;
+        if (free < cfg().gcFreeBlockThreshold)
+            return true;
+    }
+    return false;
+}
+
+class FtlGcTrigger : public testing::TestWithParam<bool>
+{
+};
+
+TEST_P(FtlGcTrigger, MatchesPlaneScanAtEveryStep)
+{
+    Ftl ftl(geo(), cfg(), nullptr, /*die_parity=*/GetParam());
+    std::uint64_t checks = 0;
+    std::uint64_t needed = 0;
+    auto check = [&] {
+        ++checks;
+        const bool want = scanGcNeeded(ftl);
+        needed += want;
+        ASSERT_EQ(ftl.gcNeeded(), want) << "check " << checks;
+    };
+    // The callback runs after every migrated page, so collections are
+    // checked mid-sweep as well as between calls.
+    ftl.setReaddressCallback([&](Lpn, Ppn, Ppn) { check(); });
+    check();
+
+    Rng rng(GetParam() ? 31 : 30);
+    ftl.precondition(0.6, 0.5, rng);
+    check();
+
+    const std::uint64_t working = ftl.logicalPages() / 2;
+    auto churn = [&](int writes) {
+        for (int i = 0; i < writes && !HasFatalFailure(); ++i) {
+            const bool written =
+                ftl.allocateWrite(rng.nextBelow(working)) != kInvalidPage;
+            check();
+            if (written && !ftl.gcNeeded())
+                continue;
+            if (!written || i % 3 == 0)
+                ftl.collectGcUrgent();
+            else
+                ftl.collectGc();
+            check();
+        }
+    };
+    churn(3000);
+
+    // Die failure: its planes leave the trigger, then rebuild moves
+    // the die's live pages elsewhere and the die comes back empty.
+    const std::uint32_t chip = 1;
+    const std::uint32_t die = 0;
+    ftl.markDieDead(chip, die);
+    check();
+    churn(1500);
+    const FlashGeometry &g = ftl.geometry();
+    const Ppn base =
+        (std::uint64_t{chip} * g.diesPerChip + die) * g.pagesPerDie();
+    for (std::uint64_t off = 0; off < g.pagesPerDie(); ++off) {
+        if (ftl.mapping().isValid(base + off)) {
+            (void)ftl.rebuildRelocate(base + off);
+            check();
+        }
+    }
+    ftl.reviveDie(chip, die);
+    check();
+    churn(1500);
+
+    EXPECT_GT(ftl.stats().gcInvocations, 0u);
+    EXPECT_GT(needed, 0u);
+    EXPECT_LT(needed, checks);
+}
+
+INSTANTIATE_TEST_SUITE_P(Parity, FtlGcTrigger, testing::Bool());
+
 } // namespace
 } // namespace spk

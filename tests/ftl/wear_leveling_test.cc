@@ -29,24 +29,44 @@ geo()
     return g;
 }
 
-/** Hammer a small hot set while a cold set pins its blocks. */
+/** Cold data: fills a band of blocks that never gets rewritten. */
 void
-skewedTraffic(Ftl &ftl, int iterations, std::uint64_t seed)
+coldFill(Ftl &ftl)
 {
-    Rng rng(seed);
-    // Cold data: fills a band of blocks that never gets rewritten.
     const std::uint64_t cold = ftl.logicalPages() / 2;
     for (Lpn lpn = 0; lpn < cold; ++lpn)
         (void)ftl.allocateWrite(lpn);
-    // Hot data: constant overwrites of a small range.
+}
+
+/**
+ * Hot data: constant overwrites of a small range above the cold band.
+ * @return the writes after which wear leveling was needed
+ */
+std::uint64_t
+hotWrites(Ftl &ftl, int iterations, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const std::uint64_t cold = ftl.logicalPages() / 2;
     const std::uint64_t hot = ftl.logicalPages() / 16;
+    std::uint64_t fires = 0;
     for (int i = 0; i < iterations; ++i) {
         (void)ftl.allocateWrite(cold + rng.nextBelow(hot));
         if (ftl.gcNeeded())
             ftl.collectGc();
-        if (ftl.wearLevelNeeded())
+        if (ftl.wearLevelNeeded()) {
+            ++fires;
             ftl.collectWearLevel();
+        }
     }
+    return fires;
+}
+
+/** Hammer a small hot set while a cold set pins its blocks. */
+void
+skewedTraffic(Ftl &ftl, int iterations, std::uint64_t seed)
+{
+    coldFill(ftl);
+    (void)hotWrites(ftl, iterations, seed);
 }
 
 TEST(WearLeveling, DisabledByDefault)
@@ -139,6 +159,38 @@ TEST(WearLeveling, DeviceLevelRunChargesFlashTime)
     if (on.second > 0) {
         EXPECT_GE(on.first, off.first);
     }
+}
+
+TEST(WearLeveling, DeadDieDoesNotPinTheSpread)
+{
+    // A dead die's erase counts freeze and the leveler can no longer
+    // move its blocks, so they must not hold the spread's minimum
+    // down: leveling would then fire after almost every write.
+    struct Run
+    {
+        std::uint64_t fires;
+        std::uint64_t moves;
+        std::pair<std::uint32_t, std::uint32_t> spread;
+    };
+    auto run = [](bool die_fails) {
+        FtlConfig cfg;
+        cfg.wearLevelThreshold = 6;
+        Ftl ftl(geo(), cfg);
+        coldFill(ftl);
+        if (die_fails)
+            ftl.markDieDead(0, 0);
+        const std::uint64_t fires = hotWrites(ftl, 20000, 46);
+        return Run{fires, ftl.stats().wearLevelMoves,
+                   ftl.blocks().eraseSpread()};
+    };
+    const Run healthy = run(false);
+    const Run failed = run(true);
+    ASSERT_GT(healthy.moves, 0u);
+    EXPECT_GT(failed.moves, 0u);
+    EXPECT_LE(failed.moves, 2 * healthy.moves);
+    EXPECT_LE(failed.fires, 2 * healthy.fires);
+    // The spread over live planes stays near the threshold.
+    EXPECT_LE(failed.spread.second - failed.spread.first, 2 * 6 + 4u);
 }
 
 TEST(WearLeveling, ColdestFullSelection)
