@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <ranges>
 #include <sstream>
+#include <type_traits>
 
 #include "sim/logging.hh"
 
@@ -128,62 +130,122 @@ digestConfig(Digest128 &d, const SsdConfig &cfg)
     d.u64(cfg.seed);
 }
 
+// A new member of any of these structs fails to build here until
+// digestConfig hashes it (and, for the metrics records, until kMagic
+// is bumped for the new payload).
+static_assert(aggregateArity<SsdConfig>() == 11);
+static_assert(aggregateArity<FlashGeometry>() == 7);
+static_assert(aggregateArity<FlashTiming>() == 6);
+static_assert(aggregateArity<FtlConfig>() == 5);
+static_assert(aggregateArity<NvmhcConfig>() == 4);
+static_assert(aggregateArity<FaultConfig>() == 14);
+static_assert(aggregateArity<ParityConfig>() == 3);
+static_assert(aggregateArity<MetricsSnapshot>() == 55);
+static_assert(aggregateArity<StreamMetrics>() == 11);
+
 // ---- snapshot payload ------------------------------------------------
 
 struct Writer
 {
     std::string out;
 
-    void u64(std::uint64_t v)
+    void value(std::uint64_t v)
     {
         for (int i = 0; i < 8; ++i)
             out.push_back(
                 static_cast<char>(static_cast<std::uint8_t>(v >> (8 * i))));
     }
-    void u32(std::uint32_t v) { u64(v); }
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void str(const std::string &s)
+    void value(double v) { value(std::bit_cast<std::uint64_t>(v)); }
+    void value(const std::string &s)
     {
-        u64(s.size());
+        value(s.size());
         out.append(s);
     }
+    void length(const auto &sequence) { value(sequence.size()); }
 };
 
+/** Reads what Writer wrote; malformed input clears ok. */
 struct Reader
 {
     const std::string &in;
     std::size_t pos = 0;
     bool ok = true;
 
-    explicit Reader(const std::string &s) : in(s) {}
-
-    std::uint64_t u64()
+    void value(std::uint64_t &v)
     {
+        v = 0;
         if (pos + 8 > in.size()) {
             ok = false;
-            return 0;
+            return;
         }
-        std::uint64_t v = 0;
         for (int i = 0; i < 8; ++i)
             v |= static_cast<std::uint64_t>(
                      static_cast<std::uint8_t>(in[pos + i]))
                  << (8 * i);
         pos += 8;
-        return v;
     }
-    double f64() { return std::bit_cast<double>(u64()); }
-    std::string str()
+    void value(double &v)
     {
-        const std::uint64_t len = u64();
-        if (!ok || pos + len > in.size()) {
-            ok = false;
-            return {};
+        std::uint64_t bits = 0;
+        value(bits);
+        v = std::bit_cast<double>(bits);
+    }
+    void value(std::string &s)
+    {
+        std::uint64_t len = 0;
+        value(len);
+        ok = ok && len <= in.size() - pos;
+        if (ok) {
+            s = in.substr(pos, len);
+            pos += len;
         }
-        std::string s = in.substr(pos, len);
-        pos += len;
-        return s;
+    }
+    /** An array's stored length must match; a vector takes it. */
+    void length(auto &sequence)
+    {
+        std::uint64_t n = 0;
+        value(n);
+        if constexpr (requires { sequence.resize(n); }) {
+            // Every element takes at least one byte, so a longer count
+            // is malformed; never let it size an allocation.
+            ok = ok && n <= in.size();
+            if (ok)
+                sequence.resize(static_cast<std::size_t>(n));
+        } else {
+            ok = ok && n == sequence.size();
+        }
     }
 };
+
+/**
+ * Move @p rec through @p io (a Writer, or a Reader) field by field in
+ * table order: numbers as 8 little-endian bytes (doubles by bit
+ * pattern), strings after their length, sequences element by element
+ * after their length unless their columns are listed.
+ */
+template <typename Io, typename Record>
+void
+transfer(Io &io, Record &rec)
+{
+    std::remove_const_t<Record>::forEachField(
+        [&](auto field, const char *columns, Merge) {
+            auto &v = rec.*field;
+            using T = std::remove_cvref_t<decltype(v)>;
+            if constexpr (std::ranges::range<T> &&
+                          !std::is_same_v<T, std::string>) {
+                if (!listsColumns(columns))
+                    io.length(v);
+                for (auto &x : v) {
+                    if constexpr (std::is_class_v<typename T::value_type>)
+                        transfer(io, x);
+                    else
+                        io.value(x);
+                }
+            } else {
+                io.value(v);
+            }
+        });
+}
 
 } // namespace
 
@@ -215,160 +277,16 @@ std::string
 CellCache::serialize(const MetricsSnapshot &m)
 {
     Writer w;
-    w.str(m.scheduler);
-    w.u64(m.makespan);
-    w.u64(m.deviceActiveTime);
-    w.u64(m.iosCompleted);
-    w.u64(m.bytesRead);
-    w.u64(m.bytesWritten);
-    w.f64(m.bandwidthKBps);
-    w.f64(m.iops);
-    w.f64(m.avgLatencyNs);
-    w.u64(m.p50LatencyNs);
-    w.u64(m.p95LatencyNs);
-    w.u64(m.p99LatencyNs);
-    w.u64(m.maxLatencyNs);
-    w.f64(m.avgReadLatencyNs);
-    w.f64(m.avgWriteLatencyNs);
-    w.u64(m.queueStallTime);
-    w.f64(m.chipUtilizationPct);
-    w.f64(m.flashLevelUtilizationPct);
-    w.f64(m.interChipIdlenessPct);
-    w.f64(m.intraChipIdlenessPct);
-    for (const double pct : m.flpPct)
-        w.f64(pct);
-    w.u64(m.transactions);
-    w.u64(m.requestsServed);
-    w.f64(m.execBusPct);
-    w.f64(m.execContentionPct);
-    w.f64(m.execCellPct);
-    w.f64(m.execIdlePct);
-    w.u64(m.staleRetries);
-    w.u64(m.gcBatches);
-    w.u64(m.pagesMigrated);
-    w.u64(m.readRetries);
-    w.u64(m.readRetriesByStep.size());
-    for (const std::uint64_t v : m.readRetriesByStep)
-        w.u64(v);
-    w.u64(m.uncorrectableReads);
-    w.u64(m.programFailures);
-    w.u64(m.programRemaps);
-    w.u64(m.eraseFailures);
-    w.u64(m.blocksRetiredWear);
-    w.u64(m.blocksRetiredProgram);
-    w.u64(m.blocksRetiredErase);
-    w.u64(m.failedIos);
-    w.u64(m.degradedDies);
-    w.u64(m.parityUpdates);
-    w.u64(m.parityFullStripeCloses);
-    w.u64(m.parityPartialCloses);
-    w.u64(m.parityRmwReads);
-    w.u64(m.reconstructedReads);
-    w.u64(m.reconstructionReads);
-    w.u64(m.rebuildPagesTotal);
-    w.u64(m.rebuildPagesRebuilt);
-    w.u64(m.softDecodeInvocations);
-    w.u64(m.softDecodeFailures);
-    w.u64(m.softDecodeBusyTime);
-    w.u64(m.softDecodeStallTime);
-    w.u64(m.gcReadFailures);
-    w.u64(m.streams.size());
-    for (const StreamMetrics &s : m.streams) {
-        w.str(s.name);
-        w.u64(s.iosSubmitted);
-        w.u64(s.iosCompleted);
-        w.u64(s.bytesRead);
-        w.u64(s.bytesWritten);
-        w.u64(s.queueStallTime);
-        w.f64(s.bandwidthKBps);
-        w.f64(s.iops);
-        w.f64(s.avgLatencyNs);
-        w.u64(s.p99LatencyNs);
-        w.u64(s.maxLatencyNs);
-    }
-    return w.out;
+    transfer(w, m);
+    return std::move(w.out);
 }
 
 bool
 CellCache::deserialize(const std::string &payload, MetricsSnapshot &out)
 {
-    Reader r(payload);
+    Reader r{payload};
     MetricsSnapshot m;
-    m.scheduler = r.str();
-    m.makespan = r.u64();
-    m.deviceActiveTime = r.u64();
-    m.iosCompleted = r.u64();
-    m.bytesRead = r.u64();
-    m.bytesWritten = r.u64();
-    m.bandwidthKBps = r.f64();
-    m.iops = r.f64();
-    m.avgLatencyNs = r.f64();
-    m.p50LatencyNs = r.u64();
-    m.p95LatencyNs = r.u64();
-    m.p99LatencyNs = r.u64();
-    m.maxLatencyNs = r.u64();
-    m.avgReadLatencyNs = r.f64();
-    m.avgWriteLatencyNs = r.f64();
-    m.queueStallTime = r.u64();
-    m.chipUtilizationPct = r.f64();
-    m.flashLevelUtilizationPct = r.f64();
-    m.interChipIdlenessPct = r.f64();
-    m.intraChipIdlenessPct = r.f64();
-    for (double &pct : m.flpPct)
-        pct = r.f64();
-    m.transactions = r.u64();
-    m.requestsServed = r.u64();
-    m.execBusPct = r.f64();
-    m.execContentionPct = r.f64();
-    m.execCellPct = r.f64();
-    m.execIdlePct = r.f64();
-    m.staleRetries = r.u64();
-    m.gcBatches = r.u64();
-    m.pagesMigrated = r.u64();
-    m.readRetries = r.u64();
-    if (r.u64() != m.readRetriesByStep.size())
-        return false;
-    for (std::uint64_t &v : m.readRetriesByStep)
-        v = r.u64();
-    m.uncorrectableReads = r.u64();
-    m.programFailures = r.u64();
-    m.programRemaps = r.u64();
-    m.eraseFailures = r.u64();
-    m.blocksRetiredWear = r.u64();
-    m.blocksRetiredProgram = r.u64();
-    m.blocksRetiredErase = r.u64();
-    m.failedIos = r.u64();
-    m.degradedDies = r.u64();
-    m.parityUpdates = r.u64();
-    m.parityFullStripeCloses = r.u64();
-    m.parityPartialCloses = r.u64();
-    m.parityRmwReads = r.u64();
-    m.reconstructedReads = r.u64();
-    m.reconstructionReads = r.u64();
-    m.rebuildPagesTotal = r.u64();
-    m.rebuildPagesRebuilt = r.u64();
-    m.softDecodeInvocations = r.u64();
-    m.softDecodeFailures = r.u64();
-    m.softDecodeBusyTime = r.u64();
-    m.softDecodeStallTime = r.u64();
-    m.gcReadFailures = r.u64();
-    const std::uint64_t n_streams = r.u64();
-    if (!r.ok || n_streams > payload.size())
-        return false;
-    m.streams.resize(static_cast<std::size_t>(n_streams));
-    for (StreamMetrics &s : m.streams) {
-        s.name = r.str();
-        s.iosSubmitted = r.u64();
-        s.iosCompleted = r.u64();
-        s.bytesRead = r.u64();
-        s.bytesWritten = r.u64();
-        s.queueStallTime = r.u64();
-        s.bandwidthKBps = r.f64();
-        s.iops = r.f64();
-        s.avgLatencyNs = r.f64();
-        s.p99LatencyNs = r.u64();
-        s.maxLatencyNs = r.u64();
-    }
+    transfer(r, m);
     if (!r.ok || r.pos != payload.size())
         return false;
     out = std::move(m);

@@ -17,8 +17,14 @@
  * (plus each stream's name/iodepth/weight/priority), the
  * preconditionGc flag and the fidelity. Changing ANY of these
  * changes the key — there is no partial invalidation to reason
- * about. Adding a new config field requires bumping kMagic so stale
- * entries miss instead of lying.
+ * about. cell_cache.cc pins the member count of every config struct
+ * next to the config digest, so a new config field fails to build
+ * until it is hashed; bump kMagic with it so stale entries miss
+ * instead of lying.
+ *
+ * Payload: every MetricsSnapshot and StreamMetrics field, in the
+ * order of their forEachField tables, with exact double bit patterns.
+ * cell_cache_test pins its bytes; a layout change must bump kMagic.
  *
  * Cells that capture per-I/O series are never cached (the cache
  * stores snapshots, not series); DeviceArray skips the cache for
@@ -77,7 +83,7 @@ class CellCache
     std::uint64_t lookups() const { return hits() + misses(); }
 
     /** Serialize a snapshot to the on-disk payload (exposed for the
-     *  round-trip tests). */
+     *  round-trip tests and the golden digests). */
     static std::string serialize(const MetricsSnapshot &m);
 
     /** Inverse of serialize(); false on any malformed input. */

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <numeric>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "sim/cell_cache.hh"
@@ -236,185 +237,110 @@ DeviceArray::completedCount() const
     return count;
 }
 
+namespace
+{
+
+/** Merge one number across @p parts by @p rule; @p at reads it. */
+template <typename T, typename Record, typename At>
+T
+mergeNumber(Merge rule, const std::vector<const Record *> &parts, At at)
+{
+    T out{};
+    double weighted = 0.0;
+    double total = 0.0;
+    for (const Record *p : parts) {
+        if (rule == Merge::Sum) {
+            out += at(*p);
+        } else if (rule == Merge::Max) {
+            out = std::max(out, at(*p));
+        } else {
+            // A weighted mean. The value counts (value * base) * share,
+            // multiplied in that order: the pinned aggregates depend on
+            // the rounding.
+            double base = static_cast<double>(p->iosCompleted);
+            double share = 1.0;
+            if constexpr (std::is_same_v<Record, MetricsSnapshot>) {
+                // No read/write I/O counts: the byte mix apportions
+                // the I/Os between the two latency means.
+                const auto bytes =
+                    static_cast<double>(p->bytesRead + p->bytesWritten);
+                const double reads =
+                    bytes > 0.0 ? static_cast<double>(p->bytesRead) / bytes
+                                : 0.0;
+                if (rule == Merge::PerSpan)
+                    base = static_cast<double>(p->makespan);
+                else if (rule == Merge::PerRequest)
+                    base = static_cast<double>(p->requestsServed);
+                else if (rule == Merge::ReadMix)
+                    share = reads;
+                else if (rule == Merge::WriteMix)
+                    share = 1.0 - reads;
+            }
+            weighted += static_cast<double>(at(*p)) * base * share;
+            total += base * share;
+        }
+    }
+    return total > 0.0 ? static_cast<T>(weighted / total) : out;
+}
+
+/** Merge @p parts (at least one) field by field, by table rule. */
+template <typename Record>
+Record
+mergeRecords(const std::vector<const Record *> &parts)
+{
+    Record out;
+    Record::forEachField([&](auto field, const char *, Merge rule) {
+        auto &dst = out.*field;
+        using T = std::remove_reference_t<decltype(dst)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+            // Label or Key: the common value, "mixed" if parts differ.
+            dst = parts.front()->*field;
+            for (const Record *p : parts) {
+                if (p->*field != dst)
+                    dst = "mixed";
+            }
+        } else if constexpr (std::is_same_v<T, std::vector<StreamMetrics>>) {
+            // ByName: one group per name, in order of first appearance.
+            std::vector<std::vector<const StreamMetrics *>> groups;
+            for (const Record *p : parts) {
+                for (const StreamMetrics &s : p->*field) {
+                    auto g = std::find_if(
+                        groups.begin(), groups.end(), [&s](const auto &gr) {
+                            return gr.front()->name == s.name;
+                        });
+                    if (g == groups.end())
+                        g = groups.emplace(groups.end());
+                    g->push_back(&s);
+                }
+            }
+            for (const auto &group : groups)
+                dst.push_back(mergeRecords(group));
+        } else if constexpr (std::is_arithmetic_v<T>) {
+            dst = mergeNumber<T>(rule, parts,
+                                 [&](const Record &r) { return r.*field; });
+        } else { // std::array: element by element
+            for (std::size_t i = 0; i < dst.size(); ++i) {
+                dst[i] = mergeNumber<typename T::value_type>(
+                    rule, parts,
+                    [&](const Record &r) { return (r.*field)[i]; });
+            }
+        }
+    });
+    return out;
+}
+
+} // namespace
+
 MetricsSnapshot
 DeviceArray::aggregate(const std::vector<MetricsSnapshot> &devices)
 {
-    MetricsSnapshot agg;
     if (devices.empty())
-        return agg;
-
-    agg.scheduler = devices.front().scheduler;
-    for (const auto &m : devices) {
-        if (m.scheduler != agg.scheduler)
-            agg.scheduler = "mixed";
-    }
-
-    double weighted_lat = 0.0;
-    double weighted_read_lat = 0.0;
-    double weighted_write_lat = 0.0;
-    double weighted_p50 = 0.0;
-    double weighted_p95 = 0.0;
-    double weighted_p99 = 0.0;
-    double span_weight = 0.0;
-    double util = 0.0;
-    double flash_util = 0.0;
-    double inter_idle = 0.0;
-    double intra_idle = 0.0;
-    double exec_bus = 0.0;
-    double exec_cont = 0.0;
-    double exec_cell = 0.0;
-    double exec_idle = 0.0;
-    std::array<double, 4> flp{};
-    double reads = 0.0;
-    double writes = 0.0;
-
-    for (const auto &m : devices) {
-        agg.makespan = std::max(agg.makespan, m.makespan);
-        agg.deviceActiveTime += m.deviceActiveTime;
-        agg.iosCompleted += m.iosCompleted;
-        agg.bytesRead += m.bytesRead;
-        agg.bytesWritten += m.bytesWritten;
-        agg.bandwidthKBps += m.bandwidthKBps;
-        agg.iops += m.iops;
-        agg.queueStallTime += m.queueStallTime;
-        agg.transactions += m.transactions;
-        agg.requestsServed += m.requestsServed;
-        agg.staleRetries += m.staleRetries;
-        agg.gcBatches += m.gcBatches;
-        agg.pagesMigrated += m.pagesMigrated;
-        agg.readRetries += m.readRetries;
-        for (std::size_t i = 0; i < agg.readRetriesByStep.size(); ++i)
-            agg.readRetriesByStep[i] += m.readRetriesByStep[i];
-        agg.uncorrectableReads += m.uncorrectableReads;
-        agg.programFailures += m.programFailures;
-        agg.programRemaps += m.programRemaps;
-        agg.eraseFailures += m.eraseFailures;
-        agg.blocksRetiredWear += m.blocksRetiredWear;
-        agg.blocksRetiredProgram += m.blocksRetiredProgram;
-        agg.blocksRetiredErase += m.blocksRetiredErase;
-        agg.failedIos += m.failedIos;
-        agg.degradedDies += m.degradedDies;
-        agg.parityUpdates += m.parityUpdates;
-        agg.parityFullStripeCloses += m.parityFullStripeCloses;
-        agg.parityPartialCloses += m.parityPartialCloses;
-        agg.parityRmwReads += m.parityRmwReads;
-        agg.reconstructedReads += m.reconstructedReads;
-        agg.reconstructionReads += m.reconstructionReads;
-        agg.rebuildPagesTotal += m.rebuildPagesTotal;
-        agg.rebuildPagesRebuilt += m.rebuildPagesRebuilt;
-        agg.softDecodeInvocations += m.softDecodeInvocations;
-        agg.softDecodeFailures += m.softDecodeFailures;
-        agg.softDecodeBusyTime += m.softDecodeBusyTime;
-        agg.softDecodeStallTime += m.softDecodeStallTime;
-        agg.gcReadFailures += m.gcReadFailures;
-        agg.maxLatencyNs = std::max(agg.maxLatencyNs, m.maxLatencyNs);
-
-        const auto ios = static_cast<double>(m.iosCompleted);
-        weighted_lat += m.avgLatencyNs * ios;
-        weighted_p50 += static_cast<double>(m.p50LatencyNs) * ios;
-        weighted_p95 += static_cast<double>(m.p95LatencyNs) * ios;
-        weighted_p99 += static_cast<double>(m.p99LatencyNs) * ios;
-        // Read/write splits are weighted by total I/Os as well: the
-        // snapshot does not carry separate read/write counts, so use
-        // the byte mix to apportion them.
-        const double dev_bytes =
-            static_cast<double>(m.bytesRead + m.bytesWritten);
-        const double read_share =
-            dev_bytes > 0.0
-                ? static_cast<double>(m.bytesRead) / dev_bytes
-                : 0.0;
-        weighted_read_lat += m.avgReadLatencyNs * ios * read_share;
-        reads += ios * read_share;
-        weighted_write_lat +=
-            m.avgWriteLatencyNs * ios * (1.0 - read_share);
-        writes += ios * (1.0 - read_share);
-
-        const auto span = static_cast<double>(m.makespan);
-        span_weight += span;
-        util += m.chipUtilizationPct * span;
-        flash_util += m.flashLevelUtilizationPct * span;
-        inter_idle += m.interChipIdlenessPct * span;
-        intra_idle += m.intraChipIdlenessPct * span;
-        exec_bus += m.execBusPct * span;
-        exec_cont += m.execContentionPct * span;
-        exec_cell += m.execCellPct * span;
-        exec_idle += m.execIdlePct * span;
-        for (std::size_t i = 0; i < flp.size(); ++i)
-            flp[i] += m.flpPct[i] * static_cast<double>(m.requestsServed);
-    }
-
-    if (agg.iosCompleted > 0) {
-        const auto total = static_cast<double>(agg.iosCompleted);
-        agg.avgLatencyNs = weighted_lat / total;
-        agg.p50LatencyNs = static_cast<Tick>(weighted_p50 / total);
-        agg.p95LatencyNs = static_cast<Tick>(weighted_p95 / total);
-        agg.p99LatencyNs = static_cast<Tick>(weighted_p99 / total);
-    }
-    if (reads > 0.0)
-        agg.avgReadLatencyNs = weighted_read_lat / reads;
-    if (writes > 0.0)
-        agg.avgWriteLatencyNs = weighted_write_lat / writes;
-    if (span_weight > 0.0) {
-        agg.chipUtilizationPct = util / span_weight;
-        agg.flashLevelUtilizationPct = flash_util / span_weight;
-        agg.interChipIdlenessPct = inter_idle / span_weight;
-        agg.intraChipIdlenessPct = intra_idle / span_weight;
-        agg.execBusPct = exec_bus / span_weight;
-        agg.execContentionPct = exec_cont / span_weight;
-        agg.execCellPct = exec_cell / span_weight;
-        agg.execIdlePct = exec_idle / span_weight;
-    }
-    if (agg.requestsServed > 0) {
-        for (std::size_t i = 0; i < flp.size(); ++i) {
-            agg.flpPct[i] =
-                flp[i] / static_cast<double>(agg.requestsServed);
-        }
-    }
-
-    // Per-stream merge: streams are matched by name across devices
-    // (order of first appearance). Counters and rates sum, mean and
-    // p99 latency are I/O-weighted, max latency takes the maximum.
-    std::vector<double> stream_lat;
-    std::vector<double> stream_p99;
-    for (const auto &m : devices) {
-        for (const auto &s : m.streams) {
-            std::size_t idx = agg.streams.size();
-            for (std::size_t i = 0; i < agg.streams.size(); ++i) {
-                if (agg.streams[i].name == s.name) {
-                    idx = i;
-                    break;
-                }
-            }
-            if (idx == agg.streams.size()) {
-                agg.streams.emplace_back();
-                agg.streams.back().name = s.name;
-                stream_lat.push_back(0.0);
-                stream_p99.push_back(0.0);
-            }
-            StreamMetrics &t = agg.streams[idx];
-            t.iosSubmitted += s.iosSubmitted;
-            t.iosCompleted += s.iosCompleted;
-            t.bytesRead += s.bytesRead;
-            t.bytesWritten += s.bytesWritten;
-            t.queueStallTime += s.queueStallTime;
-            t.bandwidthKBps += s.bandwidthKBps;
-            t.iops += s.iops;
-            t.maxLatencyNs = std::max(t.maxLatencyNs, s.maxLatencyNs);
-            const auto ios = static_cast<double>(s.iosCompleted);
-            stream_lat[idx] += s.avgLatencyNs * ios;
-            stream_p99[idx] +=
-                static_cast<double>(s.p99LatencyNs) * ios;
-        }
-    }
-    for (std::size_t i = 0; i < agg.streams.size(); ++i) {
-        StreamMetrics &t = agg.streams[i];
-        if (t.iosCompleted > 0) {
-            const auto total = static_cast<double>(t.iosCompleted);
-            t.avgLatencyNs = stream_lat[i] / total;
-            t.p99LatencyNs = static_cast<Tick>(stream_p99[i] / total);
-        }
-    }
-    return agg;
+        return {};
+    std::vector<const MetricsSnapshot *> parts;
+    parts.reserve(devices.size());
+    for (const MetricsSnapshot &m : devices)
+        parts.push_back(&m);
+    return mergeRecords(parts);
 }
 
 } // namespace spk

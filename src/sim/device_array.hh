@@ -223,15 +223,13 @@ class DeviceArray
     double runWallSeconds() const { return runWallSeconds_; }
 
     /**
-     * Merge per-device snapshots into one fleet-level report.
-     *
-     * Counters (I/Os, bytes, transactions, GC work) are summed;
-     * bandwidth and IOPS are summed (the devices run concurrently);
-     * makespan and max latency take the fleet maximum; mean latencies
-     * are I/O-weighted and utilization/idleness percentages are
-     * makespan-weighted. Latency percentiles cannot be merged exactly
-     * from snapshots, so they are I/O-weighted means — a fleet
-     * summary, not an exact pooled percentile.
+     * Merge per-device snapshots into one fleet-level report, each
+     * field by the Merge rule of its MetricsSnapshot::forEachField
+     * entry: counters, bandwidth and IOPS sum (the devices run
+     * concurrently), makespan and max latency take the maximum, and
+     * the rest are weighted means. Latency percentiles cannot be
+     * merged exactly from snapshots, so they are I/O-weighted means —
+     * a fleet summary, not an exact pooled percentile.
      */
     static MetricsSnapshot
     aggregate(const std::vector<MetricsSnapshot> &devices);

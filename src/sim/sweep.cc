@@ -6,6 +6,7 @@
 #include <fstream>
 #include <mutex>
 #include <ostream>
+#include <type_traits>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -44,6 +45,49 @@ filterAxis(std::vector<T> &values, const std::string &needle,
     }
     if (!kept.empty() && kept.size() < values.size())
         values = std::move(kept);
+}
+
+/** The axis columns every per-cell and per-stream row starts with. */
+constexpr const char *kAxisColumns =
+    "trace,scheduler,seed,variant,arbiter,fault,fidelity";
+
+void
+writeAxes(std::ostream &os, const SweepPoint &p)
+{
+    os << p.trace << ',' << schedulerKindName(p.scheduler) << ','
+       << p.seed << ',' << p.variant << ',' << arbiterKindName(p.arbiter)
+       << ',' << p.fault << ',' << fidelityName(p.fidelity);
+}
+
+/** Append one CSV cell per table column of @p rec, each with a
+ *  leading comma: the column names if @p header, else the values. */
+template <typename Record>
+void
+writeColumns(std::ostream &os, const Record &rec, bool header)
+{
+    Record::forEachField([&](auto field, const char *columns, Merge) {
+        const auto &v = rec.*field;
+        using T = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::vector<StreamMetrics>>) {
+            return; // nested records have a CSV of their own
+        } else if constexpr (requires { std::tuple_size<T>::value; }) {
+            if (!header) {
+                for (const auto &x : v)
+                    os << ',' << x;
+            } else if (listsColumns(columns)) {
+                os << ',' << columns;
+            } else {
+                for (std::size_t i = 1; i <= v.size(); ++i)
+                    os << ',' << columns << i;
+            }
+        } else if (*columns != '\0') {
+            os << ',';
+            if (header)
+                os << columns;
+            else
+                os << v;
+        }
+    });
 }
 
 std::vector<SweepPoint>
@@ -266,72 +310,21 @@ SweepRunner::writeCsv(std::ostream &os) const
     if (array_.results().size() != points_.size() &&
         !points_.empty())
         fatal("SweepRunner: CSV requested before run()");
-    os << "trace,scheduler,seed,variant,arbiter,fault,fidelity,"
-          "completed,ios,"
-          "bytes_read,"
-          "bytes_written,bandwidth_kbps,iops,avg_latency_ns,p50_ns,"
-          "p95_ns,p99_ns,max_ns,avg_read_ns,avg_write_ns,"
-          "queue_stall_ns,makespan_ns,device_active_ns,"
-          "chip_util_pct,flash_util_pct,"
-          "inter_idle_pct,intra_idle_pct,flp_non,flp_pal1,flp_pal2,"
-          "flp_pal3,exec_bus_pct,exec_cont_pct,exec_cell_pct,"
-          "exec_idle_pct,transactions,requests,stale_retries,"
-          "gc_batches,pages_migrated,read_retries,uncorrectable_reads,"
-          "program_failures,program_remaps,erase_failures,"
-          "blocks_retired_wear,blocks_retired_program,"
-          "blocks_retired_erase,failed_ios,degraded_dies,"
-          "parity_updates,parity_full_closes,parity_partial_closes,"
-          "parity_rmw_reads,reconstructed_reads,reconstruction_reads,"
-          "rebuild_pages_total,rebuild_pages_rebuilt,"
-          "soft_decode_invocations,soft_decode_failures,"
-          "soft_decode_busy_ns,soft_decode_stall_ns,"
-          "gc_read_failures,cell_seconds\n";
+    os << kAxisColumns << ",completed";
+    writeColumns(os, MetricsSnapshot{}, true);
+    os << ",cell_seconds\n";
     // max_digits10: doubles must round-trip so a CSV diff catches
     // the same drift the golden bit-pattern digests do.
     const auto old_precision =
         os.precision(std::numeric_limits<double>::max_digits10);
     for (const auto &p : points_) {
-        const MetricsSnapshot &m = array_.results()[p.index];
-        os << p.trace << ',' << schedulerKindName(p.scheduler) << ','
-           << p.seed << ',' << p.variant << ','
-           << arbiterKindName(p.arbiter) << ',' << p.fault << ','
-           << fidelityName(p.fidelity) << ','
-           << (array_.completed(p.index) ? 1 : 0) << ','
-           << m.iosCompleted << ',' << m.bytesRead << ','
-           << m.bytesWritten << ',' << m.bandwidthKBps << ','
-           << m.iops << ',' << m.avgLatencyNs << ','
-           << m.p50LatencyNs << ',' << m.p95LatencyNs << ','
-           << m.p99LatencyNs << ',' << m.maxLatencyNs << ','
-           << m.avgReadLatencyNs << ',' << m.avgWriteLatencyNs << ','
-           << m.queueStallTime << ',' << m.makespan << ','
-           << m.deviceActiveTime << ','
-           << m.chipUtilizationPct << ','
-           << m.flashLevelUtilizationPct << ','
-           << m.interChipIdlenessPct << ','
-           << m.intraChipIdlenessPct << ',' << m.flpPct[0] << ','
-           << m.flpPct[1] << ',' << m.flpPct[2] << ',' << m.flpPct[3]
-           << ',' << m.execBusPct << ',' << m.execContentionPct << ','
-           << m.execCellPct << ',' << m.execIdlePct << ','
-           << m.transactions << ',' << m.requestsServed << ','
-           << m.staleRetries << ',' << m.gcBatches << ','
-           << m.pagesMigrated << ',' << m.readRetries << ','
-           << m.uncorrectableReads << ',' << m.programFailures << ','
-           << m.programRemaps << ',' << m.eraseFailures << ','
-           << m.blocksRetiredWear << ',' << m.blocksRetiredProgram
-           << ',' << m.blocksRetiredErase << ',' << m.failedIos << ','
-           << m.degradedDies << ',' << m.parityUpdates << ','
-           << m.parityFullStripeCloses << ','
-           << m.parityPartialCloses << ',' << m.parityRmwReads << ','
-           << m.reconstructedReads << ',' << m.reconstructionReads
-           << ',' << m.rebuildPagesTotal << ','
-           << m.rebuildPagesRebuilt << ','
-           << m.softDecodeInvocations << ','
-           << m.softDecodeFailures << ',' << m.softDecodeBusyTime
-           << ',' << m.softDecodeStallTime << ','
-           << m.gcReadFailures << ','
-           // Last column on purpose: wall time is the one
-           // nondeterministic field; byte-exact CSV diffs drop it by
-           // stripping the final column.
+        writeAxes(os, p);
+        os << ',' << (array_.completed(p.index) ? 1 : 0);
+        writeColumns(os, array_.results()[p.index], false);
+        // Last column on purpose: wall time is the one nondeterministic
+        // field; byte-exact CSV diffs drop it by stripping the final
+        // column.
+        os << ','
            << (p.index < array_.cellSeconds().size()
                    ? array_.cellSeconds()[p.index]
                    : 0.0)
@@ -354,25 +347,16 @@ SweepRunner::writeStreamCsv(std::ostream &os) const
 {
     if (array_.results().size() != points_.size() && !points_.empty())
         fatal("SweepRunner: stream CSV requested before run()");
-    os << "trace,scheduler,seed,variant,arbiter,fault,fidelity,"
-          "stream,"
-          "ios_submitted,ios,bytes_read,bytes_written,"
-          "bandwidth_kbps,iops,avg_latency_ns,p99_ns,max_ns,"
-          "queue_stall_ns\n";
+    os << kAxisColumns;
+    writeColumns(os, StreamMetrics{}, true);
+    os << '\n';
     const auto old_precision =
         os.precision(std::numeric_limits<double>::max_digits10);
     for (const auto &p : points_) {
-        const MetricsSnapshot &m = array_.results()[p.index];
-        for (const auto &s : m.streams) {
-            os << p.trace << ',' << schedulerKindName(p.scheduler)
-               << ',' << p.seed << ',' << p.variant << ','
-               << arbiterKindName(p.arbiter) << ',' << p.fault << ','
-               << fidelityName(p.fidelity) << ',' << s.name << ','
-               << s.iosSubmitted << ',' << s.iosCompleted << ','
-               << s.bytesRead << ',' << s.bytesWritten << ','
-               << s.bandwidthKBps << ',' << s.iops << ','
-               << s.avgLatencyNs << ',' << s.p99LatencyNs << ','
-               << s.maxLatencyNs << ',' << s.queueStallTime << '\n';
+        for (const auto &s : array_.results()[p.index].streams) {
+            writeAxes(os, p);
+            writeColumns(os, s, false);
+            os << '\n';
         }
     }
     os.precision(old_precision);

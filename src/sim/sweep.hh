@@ -224,12 +224,15 @@ class SweepRunner
 
     /**
      * Emit one CSV row per cell: the seven axis columns, a completed
-     * flag, then every MetricsSnapshot field, then `cell_seconds`
-     * (the cell's wall time). cell_seconds is deliberately the LAST
-     * column: it is the one nondeterministic field, so byte-exact
-     * CSV comparisons (the warm-cache CI smoke) strip it by dropping
-     * the final column instead of parsing the header. Cancelled
-     * (incomplete) cells emit zeros with completed=0.
+     * flag, then the columns of MetricsSnapshot::forEachField in
+     * table order (every field except the scheduler name, which the
+     * axes carry, and the stream slices, which writeStreamCsv
+     * emits), then `cell_seconds` (the cell's wall time).
+     * cell_seconds is deliberately the LAST column: it is the one
+     * nondeterministic field, so byte-exact CSV comparisons (the
+     * warm-cache CI smoke) strip it by dropping the final column
+     * instead of parsing the header. Cancelled (incomplete) cells
+     * emit zeros with completed=0.
      */
     void writeCsv(std::ostream &os) const;
 
@@ -237,9 +240,10 @@ class SweepRunner
     void writeCsvFile(const std::string &path) const;
 
     /**
-     * Emit one CSV row per (cell, stream): the axis columns, the
-     * stream name, then every StreamMetrics field. Cells without
-     * streams (single implicit-stream jobs) emit nothing.
+     * Emit one CSV row per (cell, stream): the axis columns, then the
+     * columns of StreamMetrics::forEachField in table order (the
+     * stream name first). Cells without streams (single
+     * implicit-stream jobs) emit nothing.
      */
     void writeStreamCsv(std::ostream &os) const;
 

@@ -13,9 +13,11 @@
 #define SPK_SSD_METRICS_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flash/fault_model.hh"
@@ -23,6 +25,23 @@
 
 namespace spk
 {
+
+/** How DeviceArray::aggregate merges a field across devices (or a
+ *  stream's slices across devices). */
+enum class Merge : std::uint8_t
+{
+    Label,      //!< the common value, or "mixed" if the devices differ
+    Key,        //!< the name that matches stream slices across devices
+    Sum,
+    Max,
+    PerIo,      //!< mean weighted by iosCompleted
+    PerSpan,    //!< mean weighted by makespan
+    PerRequest, //!< mean weighted by requestsServed
+    ReadMix,    //!< mean weighted by iosCompleted x read byte share
+    WriteMix,   //!< mean weighted by iosCompleted x write byte share
+    ByName,     //!< stream slices matched by name, in order of first
+                //!< appearance, each merged by its own table
+};
 
 /**
  * Per-stream slice of a run's metrics (multi-queue host front-end).
@@ -44,6 +63,25 @@ struct StreamMetrics
     double avgLatencyNs = 0.0;
     Tick p99LatencyNs = 0;
     Tick maxLatencyNs = 0;
+
+    /** The field table; see MetricsSnapshot::forEachField. */
+    template <typename Visit>
+    static constexpr void forEachField(Visit &&visit)
+    {
+        using S = StreamMetrics;
+        using enum Merge;
+        visit(&S::name, "stream", Key);
+        visit(&S::iosSubmitted, "ios_submitted", Sum);
+        visit(&S::iosCompleted, "ios", Sum);
+        visit(&S::bytesRead, "bytes_read", Sum);
+        visit(&S::bytesWritten, "bytes_written", Sum);
+        visit(&S::queueStallTime, "queue_stall_ns", Sum);
+        visit(&S::bandwidthKBps, "bandwidth_kbps", Sum);
+        visit(&S::iops, "iops", Sum);
+        visit(&S::avgLatencyNs, "avg_latency_ns", PerIo);
+        visit(&S::p99LatencyNs, "p99_ns", PerIo);
+        visit(&S::maxLatencyNs, "max_ns", Max);
+    }
 
     bool operator==(const StreamMetrics &) const = default;
 };
@@ -187,9 +225,130 @@ struct MetricsSnapshot
     /** One-line key=value summary. */
     std::string summary() const;
 
+    /**
+     * The field table: calls visit(member pointer, CSV columns, merge
+     * rule) once per member, in declaration order. It is the one list
+     * of fields: the cell-cache payload (in this order), the sweep
+     * CSV columns and DeviceArray::aggregate are derived from it, and
+     * a member missing here fails the static_assert below.
+     *
+     * Columns: "" is none. An array either lists one column per
+     * element, comma-separated, or names a prefix numbered 1..N. In
+     * the cache payload a sequence (array or vector) leads with its
+     * length unless its columns are listed: a numbered array's length
+     * is a tunable constant.
+     */
+    template <typename Visit>
+    static constexpr void forEachField(Visit &&visit)
+    {
+        using M = MetricsSnapshot;
+        using enum Merge;
+        visit(&M::scheduler, "", Label); // the sweep axes carry the scheduler
+        visit(&M::makespan, "makespan_ns", Max);
+        visit(&M::deviceActiveTime, "device_active_ns", Sum);
+        visit(&M::iosCompleted, "ios", Sum);
+        visit(&M::bytesRead, "bytes_read", Sum);
+        visit(&M::bytesWritten, "bytes_written", Sum);
+        visit(&M::bandwidthKBps, "bandwidth_kbps", Sum);
+        visit(&M::iops, "iops", Sum);
+        visit(&M::avgLatencyNs, "avg_latency_ns", PerIo);
+        visit(&M::p50LatencyNs, "p50_ns", PerIo);
+        visit(&M::p95LatencyNs, "p95_ns", PerIo);
+        visit(&M::p99LatencyNs, "p99_ns", PerIo);
+        visit(&M::maxLatencyNs, "max_ns", Max);
+        visit(&M::avgReadLatencyNs, "avg_read_ns", ReadMix);
+        visit(&M::avgWriteLatencyNs, "avg_write_ns", WriteMix);
+        visit(&M::queueStallTime, "queue_stall_ns", Sum);
+        visit(&M::chipUtilizationPct, "chip_util_pct", PerSpan);
+        visit(&M::flashLevelUtilizationPct, "flash_util_pct", PerSpan);
+        visit(&M::interChipIdlenessPct, "inter_idle_pct", PerSpan);
+        visit(&M::intraChipIdlenessPct, "intra_idle_pct", PerSpan);
+        visit(&M::flpPct, "flp_non,flp_pal1,flp_pal2,flp_pal3", PerRequest);
+        visit(&M::transactions, "transactions", Sum);
+        visit(&M::requestsServed, "requests", Sum);
+        visit(&M::execBusPct, "exec_bus_pct", PerSpan);
+        visit(&M::execContentionPct, "exec_cont_pct", PerSpan);
+        visit(&M::execCellPct, "exec_cell_pct", PerSpan);
+        visit(&M::execIdlePct, "exec_idle_pct", PerSpan);
+        visit(&M::staleRetries, "stale_retries", Sum);
+        visit(&M::gcBatches, "gc_batches", Sum);
+        visit(&M::pagesMigrated, "pages_migrated", Sum);
+        visit(&M::readRetries, "read_retries", Sum);
+        visit(&M::readRetriesByStep, "read_retries_step", Sum);
+        visit(&M::uncorrectableReads, "uncorrectable_reads", Sum);
+        visit(&M::programFailures, "program_failures", Sum);
+        visit(&M::programRemaps, "program_remaps", Sum);
+        visit(&M::eraseFailures, "erase_failures", Sum);
+        visit(&M::blocksRetiredWear, "blocks_retired_wear", Sum);
+        visit(&M::blocksRetiredProgram, "blocks_retired_program", Sum);
+        visit(&M::blocksRetiredErase, "blocks_retired_erase", Sum);
+        visit(&M::failedIos, "failed_ios", Sum);
+        visit(&M::degradedDies, "degraded_dies", Sum);
+        visit(&M::parityUpdates, "parity_updates", Sum);
+        visit(&M::parityFullStripeCloses, "parity_full_closes", Sum);
+        visit(&M::parityPartialCloses, "parity_partial_closes", Sum);
+        visit(&M::parityRmwReads, "parity_rmw_reads", Sum);
+        visit(&M::reconstructedReads, "reconstructed_reads", Sum);
+        visit(&M::reconstructionReads, "reconstruction_reads", Sum);
+        visit(&M::rebuildPagesTotal, "rebuild_pages_total", Sum);
+        visit(&M::rebuildPagesRebuilt, "rebuild_pages_rebuilt", Sum);
+        visit(&M::softDecodeInvocations, "soft_decode_invocations", Sum);
+        visit(&M::softDecodeFailures, "soft_decode_failures", Sum);
+        visit(&M::softDecodeBusyTime, "soft_decode_busy_ns", Sum);
+        visit(&M::softDecodeStallTime, "soft_decode_stall_ns", Sum);
+        visit(&M::gcReadFailures, "gc_read_failures", Sum);
+        visit(&M::streams, "", ByName); // SweepRunner::writeStreamCsv has them
+    }
+
     /** Exact (bit-level) comparison; used by determinism tests. */
     bool operator==(const MetricsSnapshot &) const = default;
 };
+
+/** Whether a sequence field's table columns list one name per
+ *  element (comma-separated) rather than a prefix numbered 1..N. */
+constexpr bool
+listsColumns(std::string_view columns)
+{
+    return columns.find(',') != std::string_view::npos;
+}
+
+/** Converts to any member type; only named in unevaluated probes. */
+struct AnyMember
+{
+    template <typename T>
+    operator T() const;
+};
+
+/**
+ * Number of direct members of aggregate @p T: the longest brace-init
+ * list it accepts. Each probe converts to a whole member (a nested
+ * aggregate or std::array included), so brace elision never splits
+ * one member over several probes.
+ */
+template <typename T, typename... Probes>
+constexpr std::size_t
+aggregateArity()
+{
+    if constexpr (requires { T{Probes{}..., AnyMember{}}; })
+        return aggregateArity<T, Probes..., AnyMember>();
+    else
+        return sizeof...(Probes);
+}
+
+/** Whether @p Record's field table lists each of its members. */
+template <typename Record>
+constexpr bool
+tableIsComplete()
+{
+    std::size_t n = 0;
+    Record::forEachField([&n](auto...) { ++n; });
+    return n == aggregateArity<Record>();
+}
+
+static_assert(tableIsComplete<StreamMetrics>(),
+              "every StreamMetrics member needs a forEachField entry");
+static_assert(tableIsComplete<MetricsSnapshot>(),
+              "every MetricsSnapshot member needs a forEachField entry");
 
 std::ostream &operator<<(std::ostream &os, const MetricsSnapshot &m);
 

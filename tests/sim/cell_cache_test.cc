@@ -1,9 +1,9 @@
 /**
  * @file
- * Persistent cell cache: bit-exact snapshot round-trips, key
- * sensitivity to every input that can change a result, hit/miss
- * accounting, corruption tolerance, and warm-run bit-identity
- * through DeviceArray.
+ * Persistent cell cache: bit-exact snapshot round-trips, a pinned
+ * payload format, key sensitivity to every input that can change a
+ * result, hit/miss accounting, corruption tolerance, and warm-run
+ * bit-identity through DeviceArray.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <bit>
 #include <filesystem>
 #include <fstream>
+#include <type_traits>
 
 #include "sim/cell_cache.hh"
 #include "sim/device_array.hh"
@@ -154,6 +155,57 @@ TEST(CellCacheSerialize, RoundTripIsBitExact)
     EXPECT_EQ(in.readRetriesByStep, out.readRetriesByStep);
 }
 
+/** Compares doubles by bit pattern: the fixture's -0.0 is a
+ *  deliberate non-default. */
+template <typename T>
+bool
+isDefault(const T &v)
+{
+    if constexpr (std::is_same_v<T, double>)
+        return std::bit_cast<std::uint64_t>(v) == 0;
+    else
+        return v == T{};
+}
+
+/** The fixture covers the whole table, so the round-trip and format
+ *  pins below cannot fall behind a new field. */
+TEST(CellCacheSerialize, FullSnapshotSetsEveryField)
+{
+    const MetricsSnapshot m = fullSnapshot();
+    std::size_t index = 0;
+    MetricsSnapshot::forEachField(
+        [&](auto field, const char *columns, Merge) {
+            EXPECT_FALSE(isDefault(m.*field))
+                << "fullSnapshot() leaves MetricsSnapshot field #"
+                << index << " (" << columns << ") at its default";
+            ++index;
+        });
+    for (const StreamMetrics &s : m.streams) {
+        StreamMetrics::forEachField(
+            [&](auto field, const char *columns, Merge) {
+                EXPECT_FALSE(isDefault(s.*field))
+                    << "fullSnapshot() leaves stream field " << columns
+                    << " at its default";
+            });
+    }
+}
+
+/** The on-disk payload layout, byte for byte. Entries written by an
+ *  older layout must miss, so a change here needs a kMagic bump. */
+TEST(CellCacheSerialize, PayloadFormatIsPinned)
+{
+    const std::string payload = CellCache::serialize(fullSnapshot());
+    std::uint64_t h = 1469598103934665603ull;
+    for (const char c : payload) {
+        h ^= static_cast<std::uint8_t>(c);
+        h *= 1099511628211ull;
+    }
+    const char *bump = "the cache payload layout changed: bump kMagic in "
+                       "src/sim/cell_cache.cc, then re-pin";
+    EXPECT_EQ(payload.size(), 724u) << bump;
+    EXPECT_EQ(h, 0x1524d776335d31caull) << bump;
+}
+
 TEST(CellCacheSerialize, TruncatedOrPaddedPayloadIsRejected)
 {
     const std::string payload =
@@ -163,6 +215,45 @@ TEST(CellCacheSerialize, TruncatedOrPaddedPayloadIsRejected)
     EXPECT_FALSE(CellCache::deserialize(
         payload.substr(0, payload.size() - 1), out));
     EXPECT_FALSE(CellCache::deserialize(payload + "x", out));
+}
+
+/** Eight little-endian bytes, as the payload stores a number. */
+std::string
+le64(std::uint64_t v)
+{
+    std::string bytes;
+    for (int i = 0; i < 8; ++i)
+        bytes.push_back(static_cast<char>(v >> (8 * i)));
+    return bytes;
+}
+
+/** Counts and lengths come from the file: a count that disagrees with
+ *  the build, or runs past the payload, is a miss, never an
+ *  allocation of that size. */
+TEST(CellCacheSerialize, MalformedCountsAreRejected)
+{
+    MetricsSnapshot m = fullSnapshot();
+    m.streams.clear();
+    m.readRetries = 0x5eed5eed5eed5eedull; // the step count follows it
+    const std::string payload = CellCache::serialize(m);
+    MetricsSnapshot out;
+    ASSERT_TRUE(CellCache::deserialize(payload, out));
+
+    const std::size_t steps = payload.find(le64(m.readRetries)) + 8;
+    ASSERT_EQ(payload.substr(steps, 8), le64(kMaxRetrySteps));
+    std::string wrong_steps = payload;
+    wrong_steps.replace(steps, 8, le64(kMaxRetrySteps - 1));
+    EXPECT_FALSE(CellCache::deserialize(wrong_steps, out));
+
+    // The payload ends with the stream count.
+    std::string huge_streams = payload;
+    huge_streams.replace(huge_streams.size() - 8, 8, le64(~0ull));
+    EXPECT_FALSE(CellCache::deserialize(huge_streams, out));
+
+    // It starts with the scheduler name's length.
+    std::string huge_name = payload;
+    huge_name.replace(0, 8, le64(~0ull));
+    EXPECT_FALSE(CellCache::deserialize(huge_name, out));
 }
 
 TEST(CellCacheKey, SensitiveToEveryResultInput)
