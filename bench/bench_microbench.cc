@@ -470,6 +470,7 @@ main()
     results.push_back(benchGeometryDecompose());
     results.push_back(benchFullDeviceRun(SchedulerKind::VAS));
     results.push_back(benchFullDeviceRun(SchedulerKind::PAS));
+    results.push_back(benchFullDeviceRun(SchedulerKind::SPK1));
     results.push_back(benchFullDeviceRun(SchedulerKind::SPK3));
     results.push_back(benchGcHeavySteadyState());
     results.push_back(benchFastModeCells());

@@ -77,6 +77,7 @@ FlashController::commit(MemoryRequest *req, bool front)
         chip_state.pending.push_front(req);
     else
         chip_state.pending.push_back(req);
+    syncLoad(offset);
     armLaunch(offset);
 }
 
@@ -121,6 +122,17 @@ FlashController::txnPerClass() const
             sum[i] += chip->stats().txnPerClass[i];
     }
     return sum;
+}
+
+void
+FlashController::syncLoad(std::uint32_t chip_offset)
+{
+    if (occupancy_) {
+        const auto &cs = state_[chip_offset];
+        occupancy_->setLoad(
+            chips_[chip_offset]->index(),
+            static_cast<std::uint32_t>(cs.pending.size()) + cs.inFlight);
+    }
 }
 
 void
@@ -237,6 +249,8 @@ FlashController::finishTransaction(std::uint32_t chip_offset, Tick end)
 {
     auto &cs = state_[chip_offset];
     cs.inFlight -= static_cast<std::uint32_t>(cs.executing.size());
+    // Before the completions below: each can re-poll the scheduler.
+    syncLoad(chip_offset);
     const bool faulty = faults_ && faults_->enabled();
     for (auto *req : cs.executing) {
         if (faulty && applyFaults(chip_offset, req, end))
@@ -289,6 +303,7 @@ FlashController::applyFaults(std::uint32_t chip_offset,
             ++stats_.readRetries;
             ++stats_.readRetriesByStep[req->retryAttempt - 1];
             cs.pending.push_front(req);
+            syncLoad(chip_offset);
             return true;
         }
         // Ladder exhausted. Fall back to the shared soft decoder when

@@ -78,8 +78,9 @@ class FlashController
      * @param decoder device-shared soft decoder; nullptr (or soft
      *        decode disabled in @p faults) keeps ladder exhaustion
      *        terminal as before
-     * @param occupancy device-wide occupancy bitmaps, indexed by each
-     *        chip's global index(); nullptr keeps none
+     * @param occupancy device-wide occupancy bitmaps (owners and
+     *        load), indexed by each chip's global index(); nullptr
+     *        keeps none
      */
     FlashController(EventQueue &events, Channel &channel,
                     std::vector<FlashChip *> chips,
@@ -102,7 +103,10 @@ class FlashController
      */
     void reserveSteadyState(std::uint32_t queue_depth);
 
-    /** Committed-but-unfinished requests on a chip (by chip offset). */
+    /**
+     * Committed-but-unfinished requests on a chip (by chip offset):
+     * pending plus in flight. The occupancy's load row mirrors it.
+     */
     std::uint32_t outstanding(std::uint32_t chip_offset) const;
 
     /**
@@ -133,6 +137,14 @@ class FlashController
         /** Requests of the in-flight transaction (reused storage). */
         std::vector<MemoryRequest *> executing;
     };
+
+    /**
+     * Mirror outstanding(@p chip_offset) into the occupancy's load
+     * row. Called wherever the count changes: commit, a transaction's
+     * end and a retry's re-queue. A launch moves requests from
+     * pending to in flight, which leaves the count as it was.
+     */
+    void syncLoad(std::uint32_t chip_offset);
 
     /** Arm the decision-window timer for a chip if useful. */
     void armLaunch(std::uint32_t chip_offset);

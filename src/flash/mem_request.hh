@@ -49,7 +49,8 @@ struct MemoryRequest
     std::uint32_t idxInIo = 0;  //!< page index within the owning I/O
 
     /** idxInIo of the next page of the same I/O on the same chip, in
-     *  page-index order (PAS's per-chip runs); kEndOfRun ends it. */
+     *  page-index order (ChipRuns, for PAS and SPK1); kEndOfRun ends
+     *  it. */
     std::uint32_t chipNext = kEndOfRun;
 
     FlashOp op = FlashOp::Read;

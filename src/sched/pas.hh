@@ -15,8 +15,8 @@
 #define SPK_SCHED_PAS_HH
 
 #include <cstdint>
-#include <vector>
 
+#include "sched/chip_runs.hh"
 #include "sched/scheduler.hh"
 
 namespace spk
@@ -28,8 +28,7 @@ namespace spk
  * The pick is the lowest-index uncomposed, hazard-free page of the
  * oldest I/O that has one on a chip free for it. To find it without
  * visiting every page, each I/O's pages are grouped at enqueue into
- * one run per chip, in page-index order, chained through
- * MemoryRequest::chipNext. next() intersects the I/O's pending-chip
+ * per-chip runs (ChipRuns). next() intersects the I/O's pending-chip
  * mask with the view's occupancy bitmaps and looks only at the runs
  * that survive.
  */
@@ -46,23 +45,7 @@ class PasScheduler : public IoScheduler
     void onEnqueue(IoRequest &io) override;
 
   private:
-    std::uint32_t numChips_ = 0;
-    std::uint32_t numTags_ = 0;
-    std::uint32_t words_ = 0; //!< 64-bit words per chip mask
-
-    /**
-     * Per tag, words_ words: chips where the tag's I/O may still have
-     * an uncomposed page. A bit is cleared once next() finds the run
-     * fully composed.
-     */
-    std::vector<std::uint64_t> pending_;
-
-    /**
-     * Per (tag, chip), numChips_ entries per tag: the run's first page
-     * not known to be composed (the composed-prefix cursor). Valid only
-     * where the tag's pending_ bit is set.
-     */
-    std::vector<MemoryRequest *> runHead_;
+    ChipRuns runs_;
 };
 
 } // namespace spk

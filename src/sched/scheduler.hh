@@ -55,8 +55,17 @@ class SchedulerView
      * including reads held for a retry or a soft decode. The bitmaps
      * change request by request at commit and completion, so a query
      * made during a transaction's completion sees the requests that
-     * have left it so far. The reference stays valid for the view's
-     * lifetime.
+     * have left it so far.
+     *
+     * The load row holds chip c exactly when outstanding(c) is below
+     * occupancy().loadLimit(). It mirrors outstanding() (pending plus
+     * in-flight requests), not idle: a read held for a soft decode
+     * keeps the chip from being idle, but it has left pending and
+     * in-flight, so it adds no load. During a transaction's
+     * completion the row already counts the whole transaction as
+     * gone, as outstanding() does. The limit comes from the
+     * scheduler's loadLimit(), set by the device before traffic
+     * starts. The reference stays valid for the view's lifetime.
      */
     virtual const ChipOccupancy &occupancy() const = 0;
 
@@ -115,6 +124,13 @@ class IoScheduler
         (void)queue_depth;
     }
 
+    /**
+     * Limit of the occupancy's load row: next() reads a chip as able
+     * to take work while outstanding(chip) is below it. 0, the
+     * default, is for strategies that never read the row.
+     */
+    virtual std::uint32_t loadLimit() const { return 0; }
+
     /** A new I/O entered the device-level queue (tags secured). */
     virtual void onEnqueue(IoRequest &io) { (void)io; }
 
@@ -155,7 +171,8 @@ SchedulerKind parseSchedulerKind(const std::string &name);
 
 /**
  * Factory: build a scheduler strategy.
- * @param faro_window over-commitment window per chip for SPK1/SPK3.
+ * @param faro_window FARO over-commitment window for SPK1/SPK3 (see
+ *        SsdConfig::faroWindow); it is also their loadLimit().
  */
 std::unique_ptr<IoScheduler> makeScheduler(SchedulerKind kind,
                                            std::uint32_t faro_window);

@@ -1,12 +1,36 @@
 #include "sched/sprinkler.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "flash/transaction.hh"
 #include "sim/logging.hh"
 
 namespace spk
 {
+
+namespace
+{
+
+/** Lowest chip in [@p from, @p to) set in both @p a and @p b, else @p to. */
+std::uint32_t
+nextInBoth(const std::vector<std::uint64_t> &a, const std::uint64_t *b,
+           std::uint32_t from, std::uint32_t to)
+{
+    while (from < to) {
+        const std::uint32_t w = from / 64;
+        const std::uint64_t both = (a[w] & b[w]) >> (from % 64);
+        if (both != 0) {
+            return std::min(
+                to, from + static_cast<std::uint32_t>(std::countr_zero(both)));
+        }
+        from = (w + 1) * 64;
+    }
+    return to;
+}
+
+} // namespace
 
 SprinklerScheduler::SprinklerScheduler(bool rios, bool faro,
                                        std::uint32_t window)
@@ -25,50 +49,87 @@ SprinklerScheduler::name() const
 }
 
 void
-SprinklerScheduler::ensureBuckets(std::uint32_t chip)
-{
-    if (chip >= buckets_.size())
-        buckets_.resize(chip + 1);
-}
-
-void
 SprinklerScheduler::prepare(std::uint32_t num_chips,
                             std::uint32_t queue_depth)
 {
-    if (num_chips == 0)
+    numChips_ = num_chips;
+    if (rios_) {
+        buckets_.resize(num_chips);
+        // A bucket holds uncomposed requests, bounded by the queued
+        // I/Os' page totals. Pre-carving queue_depth * 8 covers I/Os of
+        // up to 8 pages each even when every queued request lands on
+        // one chip, so steady-state bucketing stays off the heap for
+        // the paper's trace shapes (larger I/Os fall back to amortized
+        // growth).
+        for (auto &bucket : buckets_)
+            bucket.reserve(std::size_t{queue_depth} * 8);
+        nonempty_.assign((num_chips + 63) / 64, 0);
+    } else {
+        runs_.prepare(num_chips, queue_depth);
+        ioByTag_.assign(queue_depth, nullptr);
+    }
+    if (faro_) {
+        // FARO scratch at its steady-state size: a set holds at most
+        // window_ requests, and connectivity counts one tag slot per
+        // host tag plus GC.
+        candScratch_.reserve(std::size_t{queue_depth} * 8);
+        for (auto *set : {&readSet_, &writeSet_, &setScratch_,
+                          &bestScratch_, &batch_})
+            set->reserve(window_);
+        tagCount_.assign(std::size_t{queue_depth} + 1, 0);
+        touchedTags_.reserve(std::size_t{queue_depth} + 1);
+    }
+}
+
+void
+SprinklerScheduler::bucketPush(MemoryRequest &req)
+{
+    if (req.chip >= numChips_)
+        panic("SprinklerScheduler: chip beyond the prepared count");
+    buckets_[req.chip].push_back(&req);
+    nonempty_[req.chip / 64] |= std::uint64_t{1} << (req.chip % 64);
+}
+
+void
+SprinklerScheduler::bucketErase(const MemoryRequest &req,
+                                std::uint32_t chip)
+{
+    if (chip >= numChips_)
         return;
-    ensureBuckets(num_chips - 1);
-    // A bucket holds uncomposed requests, bounded by the queued I/Os'
-    // page totals. Pre-carving queue_depth * 8 covers I/Os of up to 8
-    // pages each even when every queued request lands on one chip, so
-    // steady-state bucketing stays off the heap for the paper's trace
-    // shapes (larger I/Os fall back to amortized growth).
-    for (auto &bucket : buckets_)
-        bucket.reserve(std::size_t{queue_depth} * 8);
+    auto &bucket = buckets_[chip];
+    auto it = std::find(bucket.begin(), bucket.end(), &req);
+    if (it == bucket.end())
+        return;
+    bucket.erase(it);
+    if (bucket.empty())
+        nonempty_[chip / 64] &= ~(std::uint64_t{1} << (chip % 64));
 }
 
 void
 SprinklerScheduler::onEnqueue(IoRequest &io)
 {
+    if (!rios_) {
+        runs_.build(io);
+        ioByTag_[io.tag] = &io;
+        return;
+    }
     // Securing tags: identify physical layout and bucket per chip
     // without any memory request composition (RIOS step i).
-    for (MemoryRequest *page : io.pages) {
-        ensureBuckets(page->chip);
-        buckets_[page->chip].push_back(page);
-    }
+    for (MemoryRequest *page : io.pages)
+        bucketPush(*page);
 }
 
 void
 SprinklerScheduler::onRetarget(MemoryRequest &req, std::uint32_t old_chip)
 {
-    if (old_chip < buckets_.size()) {
-        auto &bucket = buckets_[old_chip];
-        auto it = std::find(bucket.begin(), bucket.end(), &req);
-        if (it != bucket.end())
-            bucket.erase(it);
+    if (!rios_) {
+        if (req.tag >= ioByTag_.size() || ioByTag_[req.tag] == nullptr)
+            panic("SprinklerScheduler::onRetarget page of no queued I/O");
+        runs_.build(*ioByTag_[req.tag]);
+        return;
     }
-    ensureBuckets(req.chip);
-    buckets_[req.chip].push_back(&req);
+    bucketErase(req, old_chip);
+    bucketPush(req);
 }
 
 void
@@ -76,20 +137,19 @@ SprinklerScheduler::onComposed(const MemoryRequest &req)
 {
     // Drop the entry eagerly: once composed, the request may retire
     // and be freed at any time, so the bucket must not keep a pointer.
-    if (req.chip >= buckets_.size())
-        return;
-    auto &bucket = buckets_[req.chip];
-    auto it = std::find(bucket.begin(), bucket.end(), &req);
-    if (it != bucket.end())
-        bucket.erase(it);
+    // SPK1's runs skip composed pages when next() reaches them.
+    if (rios_)
+        bucketErase(req, req.chip);
 }
 
-void
-SprinklerScheduler::compactBucket(std::uint32_t chip)
+const std::uint64_t *
+SprinklerScheduler::loadRow(const SchedulerContext &ctx) const
 {
-    auto &bucket = buckets_[chip];
-    while (!bucket.empty() && bucket.front()->composed)
-        bucket.pop_front();
+    const ChipOccupancy &occ = ctx.view->occupancy();
+    if (occ.loadLimit() != loadLimit())
+        panic("SprinklerScheduler: occupancy load limit is not the "
+              "scheduler's");
+    return occ.belowLimitWords();
 }
 
 MemoryRequest *
@@ -196,40 +256,46 @@ SprinklerScheduler::takeSet(const std::vector<MemoryRequest *> &set)
 }
 
 MemoryRequest *
-SprinklerScheduler::nextRios(SchedulerContext &ctx)
+SprinklerScheduler::riosPick(SchedulerContext &ctx, std::uint32_t chip)
 {
-    const std::uint32_t n = ctx.geo->numChips();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        // Chip indices already stripe across channels (chip k lives on
-        // channel k % numChannels), so linear traversal is the RIOS
-        // visit order: same offset across channels, then next offset.
-        const auto chip = static_cast<std::uint32_t>((cursor_ + i) % n);
-        if (chip >= buckets_.size() || buckets_[chip].empty())
-            continue;
-        compactBucket(chip);
-        if (buckets_[chip].empty())
-            continue;
-
-        if (faro_) {
-            if (ctx.view->outstanding(chip) >= window_)
-                continue;
-            bestSet(ctx, chip, setScratch_);
-            if (setScratch_.empty())
-                continue;
-            cursor_ = chip + 1;
-            return takeSet(setScratch_);
-        }
-
+    MemoryRequest *req = nullptr;
+    if (faro_) {
+        bestSet(ctx, chip, setScratch_);
+        if (!setScratch_.empty())
+            req = takeSet(setScratch_);
+    } else {
         // SPK2: no over-commitment -- one outstanding request per
         // chip, oldest first.
-        if (ctx.view->outstanding(chip) > 0)
-            continue;
-        if (MemoryRequest *req = oldest(ctx, chip)) {
-            cursor_ = chip + 1;
-            return req;
-        }
+        req = oldest(ctx, chip);
     }
-    return nullptr;
+    if (req != nullptr)
+        cursor_ = chip + 1 == numChips_ ? 0 : chip + 1;
+    return req;
+}
+
+MemoryRequest *
+SprinklerScheduler::nextRios(SchedulerContext &ctx)
+{
+    // Chip indices already stripe across channels (chip k lives on
+    // channel k % numChannels), so ascending index is the RIOS visit
+    // order: same offset across channels, then next offset. The walk
+    // runs from the cursor to the last chip, then from chip 0 up to
+    // the cursor, and stops only at chips with queued requests that
+    // are below the load limit.
+    const std::uint64_t *below = loadRow(ctx);
+    const auto walk = [&](std::uint32_t from,
+                          std::uint32_t to) -> MemoryRequest * {
+        for (std::uint32_t chip = nextInBoth(nonempty_, below, from, to);
+             chip < to; chip = nextInBoth(nonempty_, below, chip + 1, to)) {
+            if (MemoryRequest *req = riosPick(ctx, chip))
+                return req;
+        }
+        return nullptr;
+    };
+    const std::uint32_t start = cursor_;
+    if (MemoryRequest *req = walk(start, numChips_))
+        return req;
+    return walk(0, start);
 }
 
 MemoryRequest *
@@ -242,46 +308,52 @@ SprinklerScheduler::nextFaroOnly(SchedulerContext &ctx)
     // always secure enough memory requests without RIOS's help").
     constexpr std::size_t kLookaheadIos = 4;
 
-    if (faroPerChip_.size() < ctx.geo->numChips())
-        faroPerChip_.resize(ctx.geo->numChips());
-    for (const auto chip : faroTouched_)
-        faroPerChip_[chip].clear();
-    faroTouched_.clear();
-
+    std::array<const IoRequest *, kLookaheadIos> ahead{};
     std::size_t seen = 0;
-    for (IoRequest *io : *ctx.queue) {
+    for (const IoRequest *io : *ctx.queue) {
         if (io->allComposed())
             continue;
-        for (MemoryRequest *page : io->pages) {
-            MemoryRequest *req = page;
-            if (req->composed || req->composing)
-                continue;
-            if (!ctx.view->schedulable(*req))
-                continue;
-            if (faroPerChip_[req->chip].empty())
-                faroTouched_.push_back(req->chip);
-            faroPerChip_[req->chip].push_back(req);
-        }
+        ahead[seen] = io;
         if (++seen >= kLookaheadIos)
             break;
     }
-    std::sort(faroTouched_.begin(), faroTouched_.end());
 
+    const std::uint64_t *below = loadRow(ctx);
     std::size_t best_depth = 0;
     std::uint64_t best_seed = 0;
     bestScratch_.clear();
-    for (const auto chip : faroTouched_) {
-        if (ctx.view->outstanding(chip) >= window_)
-            continue;
-        bestSetFrom(faroPerChip_[chip], chip, setScratch_);
-        if (setScratch_.empty())
-            continue;
-        const std::uint64_t seed = setScratch_.front()->id;
-        if (setScratch_.size() > best_depth ||
-            (setScratch_.size() == best_depth && seed < best_seed)) {
-            best_depth = setScratch_.size();
-            best_seed = seed;
-            std::swap(bestScratch_, setScratch_);
+    for (std::uint32_t w = 0; w < runs_.words(); ++w) {
+        std::uint64_t chips = 0;
+        for (std::size_t i = 0; i < seen; ++i)
+            chips |= runs_.pending(ahead[i]->tag)[w];
+        chips &= below[w];
+        while (chips != 0) {
+            const int b = std::countr_zero(chips);
+            chips &= chips - 1;
+            const std::uint32_t chip = w * 64 + b;
+            // The chip's candidates in queue order, then page order.
+            candScratch_.clear();
+            for (std::size_t i = 0; i < seen; ++i) {
+                const IoRequest &io = *ahead[i];
+                if (!((runs_.pending(io.tag)[w] >> b) & 1))
+                    continue;
+                for (MemoryRequest *req = runs_.head(io, chip);
+                     req != nullptr; req = ChipRuns::next(io, req)) {
+                    if (!req->composed && !req->composing &&
+                        ctx.view->schedulable(*req))
+                        candScratch_.push_back(req);
+                }
+            }
+            bestSetFrom(candScratch_, chip, setScratch_);
+            if (setScratch_.empty())
+                continue;
+            const std::uint64_t seed = setScratch_.front()->id;
+            if (setScratch_.size() > best_depth ||
+                (setScratch_.size() == best_depth && seed < best_seed)) {
+                best_depth = setScratch_.size();
+                best_seed = seed;
+                std::swap(bestScratch_, setScratch_);
+            }
         }
     }
     if (bestScratch_.empty())

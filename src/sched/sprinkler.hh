@@ -17,9 +17,23 @@
  * The three evaluated variants map to constructor flags:
  *   SPK1 = FARO only, SPK2 = RIOS only, SPK3 = RIOS + FARO.
  *
+ * A chip can take work while its outstanding count is below
+ * loadLimit(): the FARO window with FARO, 1 without. Both walks look
+ * only at such chips, through the occupancy's load row, and each
+ * variant keeps only its own index:
+ *
+ *  - RIOS (SPK2, SPK3) keeps a bitmap of chips whose bucket is
+ *    non-empty and walks nonempty & belowLimit from the cursor with
+ *    count-trailing-zeros, in the chip-by-chip visit order.
+ *  - SPK1 keeps per-I/O chip runs (ChipRuns, as PAS does) and builds
+ *    candidate lists only on chips in the union of the lookahead
+ *    I/Os' pending masks, masked by belowLimit. A readdress rebuilds
+ *    the moved page's I/O runs.
+ *
  * All decision state lives in flat per-chip / per-tag vectors reused
- * across next() calls; the inner loops are allocation-free once the
- * scratch buffers reach their steady-state sizes.
+ * across next() calls and sized in prepare(); the inner loops are
+ * allocation-free once the scratch buffers reach their steady-state
+ * sizes.
  */
 
 #ifndef SPK_SCHED_SPRINKLER_HH
@@ -28,6 +42,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sched/chip_runs.hh"
 #include "sched/scheduler.hh"
 
 namespace spk
@@ -41,8 +56,10 @@ class SprinklerScheduler : public IoScheduler
      * @param rios enable resource-driven chip traversal
      * @param faro enable over-commitment with depth/connectivity
      *             priority
-     * @param window max committed-but-unfinished requests per chip
-     *               when over-committing (FARO)
+     * @param window FARO over-commitment window: a chip can take a
+     *               set while its committed-but-unfinished count is
+     *               below @p window, and the set holds up to @p window
+     *               requests, so a chip can hold 2 * window - 1
      */
     SprinklerScheduler(bool rios, bool faro, std::uint32_t window);
 
@@ -62,16 +79,25 @@ class SprinklerScheduler : public IoScheduler
     /** Sprinkler registers the readdressing callback (Section 4.3). */
     bool wantsReaddressing() const override { return true; }
 
+    std::uint32_t
+    loadLimit() const override
+    {
+        return faro_ ? window_ : 1;
+    }
+
     bool riosEnabled() const { return rios_; }
     bool faroEnabled() const { return faro_; }
     std::uint32_t window() const { return window_; }
 
   private:
-    /** Grow the bucket array to cover chip index @p chip. */
-    void ensureBuckets(std::uint32_t chip);
+    /** Append @p req to its chip's bucket. */
+    void bucketPush(MemoryRequest &req);
 
-    /** Drop composed entries from the head of a bucket. */
-    void compactBucket(std::uint32_t chip);
+    /** Drop @p req from @p chip's bucket, if it is there. */
+    void bucketErase(const MemoryRequest &req, std::uint32_t chip);
+
+    /** The load row of @p ctx's occupancy, checked against loadLimit(). */
+    const std::uint64_t *loadRow(const SchedulerContext &ctx) const;
 
     /**
      * Largest coalescable set among @p candidates for @p chip (the
@@ -90,6 +116,9 @@ class SprinklerScheduler : public IoScheduler
     /** Oldest schedulable, uncomposed request in a bucket. */
     MemoryRequest *oldest(SchedulerContext &ctx, std::uint32_t chip) const;
 
+    /** RIOS's pick on @p chip, or nullptr (advances the cursor). */
+    MemoryRequest *riosPick(SchedulerContext &ctx, std::uint32_t chip);
+
     /** RIOS traversal step; returns a request or nullptr. */
     MemoryRequest *nextRios(SchedulerContext &ctx);
 
@@ -102,12 +131,22 @@ class SprinklerScheduler : public IoScheduler
     bool rios_;
     bool faro_;
     std::uint32_t window_;
+    std::uint32_t numChips_ = 0;
 
-    /** Per-chip uncomposed requests, insertion (arrival) order. */
+    /** RIOS: per-chip uncomposed requests, insertion (arrival) order. */
     std::vector<RingDeque<MemoryRequest *>> buckets_;
 
-    /** RIOS chip traversal cursor. */
-    std::uint64_t cursor_ = 0;
+    /** RIOS: chips whose bucket is non-empty, one bit per chip. */
+    std::vector<std::uint64_t> nonempty_;
+
+    /** RIOS: the chip the next traversal starts at. */
+    std::uint32_t cursor_ = 0;
+
+    /** SPK1: each queued I/O's pages grouped by chip. */
+    ChipRuns runs_;
+
+    /** SPK1: the queued I/O of each tag, to rebuild its runs. */
+    std::vector<const IoRequest *> ioByTag_;
 
     /** FARO batch being committed; batchPos_ is the next entry. */
     std::vector<MemoryRequest *> batch_;
@@ -122,9 +161,6 @@ class SprinklerScheduler : public IoScheduler
     mutable std::vector<std::uint32_t> touchedTags_;
     std::vector<MemoryRequest *> setScratch_;
     std::vector<MemoryRequest *> bestScratch_;
-    /** SPK1 per-chip candidate lists + touched-chip index. */
-    std::vector<std::vector<MemoryRequest *>> faroPerChip_;
-    std::vector<std::uint32_t> faroTouched_;
 };
 
 } // namespace spk

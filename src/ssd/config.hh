@@ -75,7 +75,12 @@ struct SsdConfig
     /** Scheduling strategy under test. */
     SchedulerKind scheduler = SchedulerKind::SPK3;
 
-    /** FARO over-commitment window (requests per chip). */
+    /**
+     * FARO over-commitment window. A chip can take a set while its
+     * committed-but-unfinished count is below the window, and a set
+     * holds up to faroWindow requests, so a chip can hold
+     * 2 * faroWindow - 1.
+     */
     std::uint32_t faroWindow = 8;
 
     /**

@@ -49,9 +49,12 @@ Ssd::Ssd(const SsdConfig &cfg)
                                       [this] { nvmhc_->kick(); },
                                       cfg_.gcMaxLiveBatchesPerPlane);
 
+    std::unique_ptr<IoScheduler> sched =
+        makeScheduler(cfg_.scheduler, cfg_.faroWindow);
+    occupancy_.setLoadLimit(sched->loadLimit());
     nvmhc_ = std::make_unique<Nvmhc>(
         events_, geo, *ftl_, raw_controllers, requestArena_, occupancy_,
-        makeScheduler(cfg_.scheduler, cfg_.faroWindow), cfg_.nvmhc,
+        std::move(sched), cfg_.nvmhc,
         [this](const IoRequest &io) {
             results_.push_back(IoResult{io.arrival, io.completed,
                                         io.isWrite, io.pageCount,

@@ -208,6 +208,14 @@ TEST(FlashController, OutstandingCountsLifecycle)
  * host tags share chips, and transient read faults hold reads for
  * retries and soft decodes.
  */
+/**
+ * The occupancy rows mirror the controller's counts at every moment a
+ * scheduler can look: after every commit and event, and in the middle
+ * of each completion. The owner rows mirror the per-tag counts; the
+ * load row mirrors outstanding(), at limit 1 (SPK2) and above (FARO).
+ * Soft decodes make the two differ: a chip holding only a decoding
+ * read is not idle, yet has no load.
+ */
 TEST(FlashController, OccupancyMirrorsPerTagCounts)
 {
     constexpr std::uint32_t kTags = 5; // host tags 0..4, slots 1..5
@@ -218,55 +226,63 @@ TEST(FlashController, OccupancyMirrorsPerTagCounts)
     geo.planesPerDie = 2;
     FaultConfig fc;
     fc.readTransientRate = 0.3;
+    fc.readHardRate = 0.05; // walks the whole ladder into a decode
     fc.softDecodeEnabled = true;
     const FaultModel faults(fc, 7, geo);
-    SoftDecoder decoder;
-    ChipOccupancy occ(geo.numChips(), kTags + 1);
-    EventQueue events;
-    Channel channel{0};
-    std::vector<std::unique_ptr<FlashChip>> chips;
-    std::vector<FlashChip *> raw;
-    for (std::uint32_t i = 0; i < geo.chipsPerChannel; ++i) {
-        chips.push_back(std::make_unique<FlashChip>(i, geo));
-        raw.push_back(chips.back().get());
-    }
-
-    std::unique_ptr<FlashController> ctrl;
-    std::uint64_t checks = 0;
-    const auto check = [&] {
-        ++checks;
-        for (std::uint32_t c = 0; c < geo.chipsPerChannel; ++c) {
-            std::uint32_t total = 0;
-            for (std::size_t s = 0; s <= kTags; ++s)
-                total += ctrl->tagOutstanding(c, s);
-            EXPECT_EQ(occ.idle(c), total == 0) << "chip " << c;
-            for (std::size_t s = 0; s <= kTags; ++s) {
-                const std::uint32_t mine = ctrl->tagOutstanding(c, s);
-                EXPECT_EQ(occ.ownedBy(c, s), mine > 0 && mine == total)
-                    << "chip " << c << " slot " << s;
-            }
+    for (const std::uint32_t limit : {1u, 3u}) {
+        SoftDecoder decoder;
+        ChipOccupancy occ(geo.numChips(), kTags + 1);
+        occ.setLoadLimit(limit);
+        EventQueue events;
+        Channel channel{0};
+        std::vector<std::unique_ptr<FlashChip>> chips;
+        std::vector<FlashChip *> raw;
+        for (std::uint32_t i = 0; i < geo.chipsPerChannel; ++i) {
+            chips.push_back(std::make_unique<FlashChip>(i, geo));
+            raw.push_back(chips.back().get());
         }
-    };
-    std::uint64_t completed = 0;
-    ctrl = std::make_unique<FlashController>(
-        events, channel, raw, FlashTiming{}, geo.pageSizeBytes, 500,
-        [&](MemoryRequest *) {
-            ++completed;
-            check();
-        },
-        &faults, &decoder, &occ);
-    ctrl->reserveSteadyState(kTags);
 
-    Rng rng(11);
-    std::vector<std::unique_ptr<MemoryRequest>> pool;
-    for (int step = 0; step < 3000; ++step) {
-        if (rng.nextBool(0.5)) {
+        std::unique_ptr<FlashController> ctrl;
+        std::uint64_t checks = 0;
+        std::uint64_t held_without_load = 0;
+        const auto check = [&] {
+            ++checks;
+            for (std::uint32_t c = 0; c < geo.chipsPerChannel; ++c) {
+                std::uint32_t total = 0;
+                for (std::size_t s = 0; s <= kTags; ++s)
+                    total += ctrl->tagOutstanding(c, s);
+                EXPECT_EQ(occ.idle(c), total == 0) << "chip " << c;
+                for (std::size_t s = 0; s <= kTags; ++s) {
+                    const std::uint32_t mine = ctrl->tagOutstanding(c, s);
+                    EXPECT_EQ(occ.ownedBy(c, s), mine > 0 && mine == total)
+                        << "chip " << c << " slot " << s;
+                }
+                const std::uint32_t load = ctrl->outstanding(c);
+                EXPECT_EQ(occ.belowLimit(c), load < limit)
+                    << "chip " << c << " limit " << limit;
+                if (occ.idle(c) != (load == 0))
+                    ++held_without_load;
+            }
+        };
+        std::uint64_t completed = 0;
+        ctrl = std::make_unique<FlashController>(
+            events, channel, raw, FlashTiming{}, geo.pageSizeBytes, 500,
+            [&](MemoryRequest *) {
+                ++completed;
+                check();
+            },
+            &faults, &decoder, &occ);
+        ctrl->reserveSteadyState(kTags);
+
+        Rng rng(11);
+        std::vector<std::unique_ptr<MemoryRequest>> pool;
+        const auto commit_random = [&] {
             auto req = std::make_unique<MemoryRequest>();
             req->id = pool.size();
             req->op = rng.nextBool(0.7) ? FlashOp::Read : FlashOp::Program;
             req->addr.channel = 0;
-            req->addr.chipInChannel =
-                static_cast<std::uint32_t>(rng.nextBelow(geo.chipsPerChannel));
+            req->addr.chipInChannel = static_cast<std::uint32_t>(
+                rng.nextBelow(geo.chipsPerChannel));
             req->addr.die =
                 static_cast<std::uint32_t>(rng.nextBelow(geo.diesPerChip));
             req->addr.plane =
@@ -282,19 +298,33 @@ TEST(FlashController, OccupancyMirrorsPerTagCounts)
             req->composed = true;
             pool.push_back(std::move(req));
             ctrl->commit(pool.back().get(), pool.back()->isGc);
-        } else {
-            events.step();
+        };
+        // Saturated: chips queue work from several tags at once.
+        for (int step = 0; step < 3000; ++step) {
+            if (rng.nextBool(0.5))
+                commit_random();
+            else
+                events.step();
+            check();
         }
-        check();
+        // Sparse: one request at a time, so a decoding read is often
+        // the only thing left on its chip.
+        for (int i = 0; i < 300; ++i) {
+            commit_random();
+            check();
+            while (events.step())
+                check();
+        }
+        EXPECT_EQ(completed, pool.size());
+        for (std::uint32_t c = 0; c < geo.chipsPerChannel; ++c) {
+            EXPECT_TRUE(occ.idle(c));
+            EXPECT_TRUE(occ.belowLimit(c));
+        }
+        EXPECT_GT(ctrl->stats().readRetries, 0u);
+        EXPECT_GT(decoder.stats.invocations, 0u);
+        EXPECT_GT(checks, pool.size());
+        EXPECT_GT(held_without_load, 0u) << "limit " << limit;
     }
-    events.run();
-    check();
-    EXPECT_EQ(completed, pool.size());
-    for (std::uint32_t c = 0; c < geo.chipsPerChannel; ++c)
-        EXPECT_TRUE(occ.idle(c));
-    EXPECT_GT(ctrl->stats().readRetries, 0u);
-    EXPECT_GT(decoder.stats.invocations, 0u);
-    EXPECT_GT(checks, pool.size());
 }
 
 TEST(FlashController, UntranslatedCommitDies)

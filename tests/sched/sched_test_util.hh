@@ -26,9 +26,11 @@ namespace test
  * Hand-controllable SchedulerView. outstanding() reads a test-owned
  * map; occupy()/release() add and remove one outstanding request of a
  * given tag there and in the occupancy bitmaps, the way the flash
- * controllers do. The hazard gate can be overridden per test with a
- * std::function hook (test-only convenience; the production view in
- * the NVMHC is closure-free).
+ * controllers do, and setLoad() sets a chip's count and load row
+ * together. hold()/unhold() model a read in a soft decode: it keeps
+ * its tag's count on the chip but adds no load. The hazard gate can be
+ * overridden per test with a std::function hook (test-only
+ * convenience; the production view in the NVMHC is closure-free).
  */
 struct TestSchedulerView : SchedulerView
 {
@@ -57,20 +59,42 @@ struct TestSchedulerView : SchedulerView
     void
     occupy(std::uint32_t chip, TagId tag = kInvalidTag)
     {
-        const std::size_t slot = tagSlot(tag);
-        if (perTag[{chip, slot}]++ == 0)
-            occ.addOwner(chip, slot);
-        ++outstandingMap[chip];
+        hold(chip, tag);
+        setLoad(chip, outstanding(chip) + 1);
     }
 
     /** One outstanding request of @p tag on @p chip finished. */
     void
     release(std::uint32_t chip, TagId tag = kInvalidTag)
     {
+        unhold(chip, tag);
+        setLoad(chip, outstanding(chip) - 1);
+    }
+
+    /** Set @p chip's outstanding count, in the map and the load row. */
+    void
+    setLoad(std::uint32_t chip, std::uint32_t load)
+    {
+        outstandingMap[chip] = load;
+        occ.setLoad(chip, load);
+    }
+
+    /** A request of @p tag holds @p chip without adding load. */
+    void
+    hold(std::uint32_t chip, TagId tag = kInvalidTag)
+    {
+        const std::size_t slot = tagSlot(tag);
+        if (perTag[{chip, slot}]++ == 0)
+            occ.addOwner(chip, slot);
+    }
+
+    /** A request held by hold() left @p chip. */
+    void
+    unhold(std::uint32_t chip, TagId tag = kInvalidTag)
+    {
         const std::size_t slot = tagSlot(tag);
         if (--perTag.at({chip, slot}) == 0)
             occ.removeOwner(chip, slot);
-        --outstandingMap[chip];
     }
 
     /** Outstanding requests on @p chip that belong to another I/O. */
@@ -85,8 +109,9 @@ struct TestSchedulerView : SchedulerView
 /**
  * A hand-built device queue plus the context schedulers consume. With
  * a scheduler attached, the harness drives its lifecycle the way the
- * NVMHC does: prepare() once, onEnqueue() per added I/O, onComposed()
- * per composed page.
+ * device and the NVMHC do: the occupancy takes the scheduler's load
+ * limit and prepare() runs once, then onEnqueue() per added I/O,
+ * onComposed() per composed page and onRetarget() per retarget().
  */
 struct SchedHarness
 {
@@ -122,6 +147,7 @@ struct SchedHarness
     attach(IoScheduler &s)
     {
         sched = &s;
+        view.occ.setLoadLimit(s.loadLimit());
         s.prepare(geo.numChips(), kQueueDepth);
     }
 
@@ -183,6 +209,18 @@ struct SchedHarness
         }
         if (sched)
             sched->onComposed(*req);
+    }
+
+    /** Readdress uncomposed @p req to @p chip (Section 4.3). */
+    void
+    retarget(MemoryRequest *req, std::uint32_t chip)
+    {
+        const std::uint32_t old_chip = req->chip;
+        req->chip = chip;
+        req->addr.channel = geo.channelOfChip(chip);
+        req->addr.chipInChannel = geo.chipOffsetOfChip(chip);
+        if (sched)
+            sched->onRetarget(*req, old_chip);
     }
 
     /** Drop a finished I/O from the queue and free its tag. */

@@ -2,14 +2,20 @@
  * @file
  * Unit tests for the Sprinkler scheduler: RIOS traversal order, FARO
  * batch selection (overlap depth + connectivity), over-commitment
- * windows and readdressing.
+ * windows and readdressing, plus a randomized cross-check of the
+ * indexed walks against the chip-by-chip scans they replace.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "flash/transaction.hh"
 #include "sched/sprinkler.hh"
+#include "sim/rng.hh"
 #include "tests/sched/sched_test_util.hh"
 
 namespace spk
@@ -28,16 +34,20 @@ TEST(Sprinkler, NamesAndFlags)
     EXPECT_STREQ(spk2.name(), "SPK2");
     EXPECT_STREQ(spk3.name(), "SPK3");
     EXPECT_TRUE(spk3.wantsReaddressing());
+    // The load row's limit: the FARO window, or one request without.
+    EXPECT_EQ(spk1.loadLimit(), 8u);
+    EXPECT_EQ(spk2.loadLimit(), 1u);
+    EXPECT_EQ(spk3.loadLimit(), 8u);
     EXPECT_DEATH(SprinklerScheduler(false, false, 8), "at least one");
 }
 
 TEST(Sprinkler, RiosTraversesChipsInStripeOrder)
 {
     SchedHarness h;
-    // One I/O fanned over chips 2, 0, 1 (out of order on purpose).
-    auto *io = h.addIo({2, 0, 1});
     SprinklerScheduler spk2(true, false, 1);
-    spk2.onEnqueue(*io);
+    h.attach(spk2);
+    // One I/O fanned over chips 2, 0, 1 (out of order on purpose).
+    h.addIo({2, 0, 1});
 
     // RIOS visits chip 0 first regardless of request order in the I/O.
     MemoryRequest *r = spk2.next(h.ctx);
@@ -56,12 +66,11 @@ TEST(Sprinkler, RiosTraversesChipsInStripeOrder)
 TEST(Sprinkler, RiosCommitsAcrossIoBoundaries)
 {
     SchedHarness h;
-    auto *first = h.addIo({0});
-    auto *second = h.addIo({1});
     SprinklerScheduler spk2(true, false, 1);
-    spk2.onEnqueue(*first);
-    spk2.onEnqueue(*second);
-    h.view.outstandingMap[0] = 1; // chip 0 busy
+    h.attach(spk2);
+    h.addIo({0});
+    auto *second = h.addIo({1});
+    h.view.setLoad(0, 1); // chip 0 busy
     // VAS would stall; RIOS simply serves chip 1 from I/O #2.
     MemoryRequest *r = spk2.next(h.ctx);
     ASSERT_NE(r, nullptr);
@@ -71,36 +80,75 @@ TEST(Sprinkler, RiosCommitsAcrossIoBoundaries)
 TEST(Sprinkler, Spk2NoOvercommit)
 {
     SchedHarness h;
-    auto *io = h.addIo({0, 0});
     SprinklerScheduler spk2(true, false, 1);
-    spk2.onEnqueue(*io);
-    h.view.outstandingMap[0] = 1;
+    h.attach(spk2);
+    h.addIo({0, 0});
+    h.view.setLoad(0, 1);
     EXPECT_EQ(spk2.next(h.ctx), nullptr); // won't stack on a busy chip
 }
 
 TEST(Sprinkler, FaroOvercommitsUpToWindow)
 {
-    SchedHarness h;
-    auto *io = h.addIo({0, 0});
-    SprinklerScheduler spk3(true, true, 4);
-    spk3.onEnqueue(*io);
-    h.view.outstandingMap[0] = 2; // already two outstanding, window is 4
-    EXPECT_NE(spk3.next(h.ctx), nullptr);
+    {
+        SchedHarness h;
+        SprinklerScheduler spk3(true, true, 4);
+        h.attach(spk3);
+        h.addIo({0, 0});
+        h.view.setLoad(0, 2); // already two outstanding, window is 4
+        EXPECT_NE(spk3.next(h.ctx), nullptr);
+    }
+    {
+        SchedHarness h;
+        SprinklerScheduler fresh(true, true, 4);
+        h.attach(fresh);
+        h.addIo({0, 0});
+        h.view.setLoad(0, 4); // window reached
+        EXPECT_EQ(fresh.next(h.ctx), nullptr);
+    }
+}
 
-    h.view.outstandingMap[0] = 4; // window reached
-    SprinklerScheduler fresh(true, true, 4);
-    fresh.onEnqueue(*io);
-    EXPECT_EQ(fresh.next(h.ctx), nullptr);
+/**
+ * The window bounds the load a chip may have *before* it takes a set,
+ * and the set itself holds up to window requests: at window - 1
+ * outstanding a chip still takes a full set, so it can hold
+ * 2 * window - 1. Both FARO variants behave this way.
+ */
+TEST(Sprinkler, FaroChipCanHoldTwiceTheWindowLessOne)
+{
+    constexpr std::uint32_t kWindow = 4;
+    for (const bool rios : {false, true}) {
+        SchedHarness h;
+        SprinklerScheduler spk(rios, true, kWindow);
+        h.attach(spk);
+        // Four coalescable requests: one per (die, plane) of chip 0.
+        h.addIo({0, 0, 0, 0});
+        h.view.setLoad(0, kWindow - 1);
+        std::uint32_t taken = 0;
+        while (MemoryRequest *r = spk.next(h.ctx)) {
+            EXPECT_EQ(r->chip, 0u);
+            h.compose(r);
+            ++taken;
+        }
+        EXPECT_EQ(taken, kWindow) << spk.name();
+        EXPECT_EQ(kWindow - 1 + taken, 2 * kWindow - 1) << spk.name();
+
+        SchedHarness full;
+        SprinklerScheduler at_window(rios, true, kWindow);
+        full.attach(at_window);
+        full.addIo({0, 0, 0, 0});
+        full.view.setLoad(0, kWindow);
+        EXPECT_EQ(at_window.next(full.ctx), nullptr) << spk.name();
+    }
 }
 
 TEST(Sprinkler, FaroBatchesCoalescableSet)
 {
     SchedHarness h;
+    SprinklerScheduler spk3(true, true, 8);
+    h.attach(spk3);
     // Four requests to chip 0 on distinct (die, plane) slots; the
     // harness gives them equal page offsets, so all four coalesce.
-    auto *io = h.addIo({0, 0, 0, 0});
-    SprinklerScheduler spk3(true, true, 8);
-    spk3.onEnqueue(*io);
+    h.addIo({0, 0, 0, 0});
 
     // The whole batch comes out in consecutive next() calls.
     std::set<const MemoryRequest *> batch;
@@ -117,11 +165,10 @@ TEST(Sprinkler, FaroBatchesCoalescableSet)
 TEST(Sprinkler, FaroPrefersDeeperOverlap)
 {
     SchedHarness h;
-    auto *small = h.addIo({1});           // depth 1 at chip 1
-    auto *big = h.addIo({2, 2, 2});       // depth 3 at chip 2
     SprinklerScheduler spk1(false, true, 8);
-    spk1.onEnqueue(*small);
-    spk1.onEnqueue(*big);
+    h.attach(spk1);
+    auto *small = h.addIo({1});     // depth 1 at chip 1
+    auto *big = h.addIo({2, 2, 2}); // depth 3 at chip 2
     // SPK1 picks the chip with the highest overlap depth first.
     MemoryRequest *r = spk1.next(h.ctx);
     ASSERT_NE(r, nullptr);
@@ -133,15 +180,13 @@ TEST(Sprinkler, FaroPrefersDeeperOverlap)
 TEST(Sprinkler, ConnectivityBreaksDepthTies)
 {
     SchedHarness h;
+    SprinklerScheduler spk1(false, true, 8);
+    h.attach(spk1);
     // Chip 1: two requests from two different I/Os (connectivity 1).
-    auto *a = h.addIo({1});
-    auto *b = h.addIo({1});
+    h.addIo({1});
+    h.addIo({1});
     // Chip 2: two requests from one I/O (connectivity 2).
     auto *c = h.addIo({2, 2});
-    SprinklerScheduler spk1(false, true, 8);
-    spk1.onEnqueue(*a);
-    spk1.onEnqueue(*b);
-    spk1.onEnqueue(*c);
 
     MemoryRequest *r = spk1.next(h.ctx);
     ASSERT_NE(r, nullptr);
@@ -152,28 +197,36 @@ TEST(Sprinkler, ConnectivityBreaksDepthTies)
 TEST(Sprinkler, RetargetMovesBucket)
 {
     SchedHarness h;
-    auto *io = h.addIo({0});
     SprinklerScheduler spk3(true, true, 8);
-    spk3.onEnqueue(*io);
-
-    MemoryRequest *req = io->pages[0];
-    const std::uint32_t old_chip = req->chip;
-    req->chip = 3;
-    req->addr.channel = h.geo.channelOfChip(3);
-    req->addr.chipInChannel = h.geo.chipOffsetOfChip(3);
-    spk3.onRetarget(*req, old_chip);
+    h.attach(spk3);
+    auto *io = h.addIo({0});
+    h.retarget(io->pages[0], 3);
 
     MemoryRequest *r = spk3.next(h.ctx);
     ASSERT_NE(r, nullptr);
     EXPECT_EQ(r->chip, 3u);
 }
 
+TEST(Sprinkler, Spk1RetargetRebuildsRuns)
+{
+    SchedHarness h;
+    SprinklerScheduler spk1(false, true, 8);
+    h.attach(spk1);
+    auto *io = h.addIo({0, 0});
+    h.view.setLoad(0, 8); // chip 0 is at the window
+    EXPECT_EQ(spk1.next(h.ctx), nullptr);
+
+    // The moved page now waits on an idle chip, in a run of its own.
+    h.retarget(io->pages[1], 3);
+    EXPECT_EQ(spk1.next(h.ctx), io->pages[1]);
+}
+
 TEST(Sprinkler, SkipsComposedEntries)
 {
     SchedHarness h;
-    auto *io = h.addIo({0, 0});
     SprinklerScheduler spk3(true, true, 8);
-    spk3.onEnqueue(*io);
+    h.attach(spk3);
+    auto *io = h.addIo({0, 0});
     h.compose(io->pages[0]);
     MemoryRequest *r = spk3.next(h.ctx);
     ASSERT_NE(r, nullptr);
@@ -184,7 +237,510 @@ TEST(Sprinkler, EmptyQueueReturnsNull)
 {
     SchedHarness h;
     SprinklerScheduler spk3(true, true, 8);
+    h.attach(spk3);
     EXPECT_EQ(spk3.next(h.ctx), nullptr);
+}
+
+/**
+ * A read in a soft decode keeps its chip from being idle but adds no
+ * load: SPK2 still serves the chip, because its test is
+ * outstanding() == 0, not idleness.
+ */
+TEST(Sprinkler, HeldReadIsNoLoad)
+{
+    SchedHarness h;
+    SprinklerScheduler spk2(true, false, 1);
+    h.attach(spk2);
+    auto *io = h.addIo({0});
+    h.view.hold(0, io->tag + 1);
+    EXPECT_FALSE(h.view.occ.idle(0));
+    EXPECT_EQ(spk2.next(h.ctx), io->pages[0]);
+}
+
+TEST(Sprinkler, LoadLimitMismatchPanics)
+{
+    SchedHarness h;
+    SprinklerScheduler spk3(true, true, 4);
+    h.attach(spk3);
+    h.addIo({0});
+    h.view.occ.setLoadLimit(3);
+    EXPECT_DEATH(spk3.next(h.ctx), "load limit");
+}
+
+/**
+ * The definition of the Sprinkler picks: the bucket, RIOS and SPK1
+ * code as it was before the walks were indexed, unchanged. RIOS visits
+ * every chip from the cursor and asks outstanding() per chip; SPK1
+ * re-collects the candidates from every page of the lookahead I/Os.
+ */
+class LinearSprinkler : public IoScheduler
+{
+  public:
+    LinearSprinkler(bool rios, bool faro, std::uint32_t window)
+        : rios_(rios), faro_(faro), window_(window == 0 ? 1 : window)
+    {}
+
+    const char *name() const override { return "linear"; }
+
+    void
+    prepare(std::uint32_t num_chips, std::uint32_t queue_depth) override
+    {
+        if (num_chips == 0)
+            return;
+        ensureBuckets(num_chips - 1);
+        for (auto &bucket : buckets_)
+            bucket.reserve(std::size_t{queue_depth} * 8);
+    }
+
+    void
+    onEnqueue(IoRequest &io) override
+    {
+        for (MemoryRequest *page : io.pages) {
+            ensureBuckets(page->chip);
+            buckets_[page->chip].push_back(page);
+        }
+    }
+
+    void
+    onRetarget(MemoryRequest &req, std::uint32_t old_chip) override
+    {
+        if (old_chip < buckets_.size()) {
+            auto &bucket = buckets_[old_chip];
+            auto it = std::find(bucket.begin(), bucket.end(), &req);
+            if (it != bucket.end())
+                bucket.erase(it);
+        }
+        ensureBuckets(req.chip);
+        buckets_[req.chip].push_back(&req);
+    }
+
+    void
+    onComposed(const MemoryRequest &req) override
+    {
+        if (req.chip >= buckets_.size())
+            return;
+        auto &bucket = buckets_[req.chip];
+        auto it = std::find(bucket.begin(), bucket.end(), &req);
+        if (it != bucket.end())
+            bucket.erase(it);
+    }
+
+    MemoryRequest *
+    next(SchedulerContext &ctx) override
+    {
+        while (batchPos_ < batch_.size()) {
+            MemoryRequest *req = batch_[batchPos_++];
+            if (!req->composed && ctx.view->schedulable(*req))
+                return req;
+        }
+        return rios_ ? nextRios(ctx) : nextFaroOnly(ctx);
+    }
+
+  private:
+    void
+    ensureBuckets(std::uint32_t chip)
+    {
+        if (chip >= buckets_.size())
+            buckets_.resize(chip + 1);
+    }
+
+    void
+    compactBucket(std::uint32_t chip)
+    {
+        auto &bucket = buckets_[chip];
+        while (!bucket.empty() && bucket.front()->composed)
+            bucket.pop_front();
+    }
+
+    MemoryRequest *
+    oldest(SchedulerContext &ctx, std::uint32_t chip) const
+    {
+        for (MemoryRequest *req : buckets_[chip]) {
+            if (!req->composed && ctx.view->schedulable(*req))
+                return req;
+        }
+        return nullptr;
+    }
+
+    void
+    bestSet(SchedulerContext &ctx, std::uint32_t chip,
+            std::vector<MemoryRequest *> &out) const
+    {
+        candScratch_.clear();
+        for (MemoryRequest *req : buckets_[chip]) {
+            if (!req->composed && ctx.view->schedulable(*req))
+                candScratch_.push_back(req);
+        }
+        bestSetFrom(candScratch_, chip, out);
+    }
+
+    void
+    bestSetFrom(const std::vector<MemoryRequest *> &candidates,
+                std::uint32_t chip, std::vector<MemoryRequest *> &out) const
+    {
+        out.clear();
+        if (candidates.empty())
+            return;
+
+        for (const auto slot : touchedTags_)
+            tagCount_[slot] = 0;
+        touchedTags_.clear();
+        for (const auto *req : candidates) {
+            const std::size_t slot = tagSlot(req->tag);
+            if (slot >= tagCount_.size())
+                tagCount_.resize(slot + 1, 0);
+            if (tagCount_[slot]++ == 0)
+                touchedTags_.push_back(static_cast<std::uint32_t>(slot));
+        }
+
+        const auto greedy = [&](FlashOp op,
+                                std::vector<MemoryRequest *> &set) {
+            set.clear();
+            FlashTransaction txn(op, chip);
+            for (MemoryRequest *req : candidates) {
+                if (req->op != op || set.size() >= window_)
+                    continue;
+                if (canCoalesce(txn, *req)) {
+                    txn.add(req);
+                    set.push_back(req);
+                }
+            }
+        };
+
+        greedy(FlashOp::Read, readSet_);
+        greedy(FlashOp::Program, writeSet_);
+
+        const auto connectivity =
+            [&](const std::vector<MemoryRequest *> &set) {
+                std::uint32_t best = 0;
+                for (const auto *req : set)
+                    best = std::max(best, tagCount_[tagSlot(req->tag)]);
+                return best;
+            };
+
+        const auto pick = [&](const std::vector<MemoryRequest *> &set) {
+            out.assign(set.begin(), set.end());
+        };
+
+        if (readSet_.size() != writeSet_.size()) {
+            pick(readSet_.size() > writeSet_.size() ? readSet_ : writeSet_);
+            return;
+        }
+        if (readSet_.empty())
+            return;
+        const auto conn_r = connectivity(readSet_);
+        const auto conn_w = connectivity(writeSet_);
+        if (conn_r != conn_w) {
+            pick(conn_r > conn_w ? readSet_ : writeSet_);
+            return;
+        }
+        pick(readSet_.front()->id <= writeSet_.front()->id ? readSet_
+                                                           : writeSet_);
+    }
+
+    MemoryRequest *
+    takeSet(const std::vector<MemoryRequest *> &set)
+    {
+        batch_.assign(set.begin() + 1, set.end());
+        batchPos_ = 0;
+        return set.front();
+    }
+
+    MemoryRequest *
+    nextRios(SchedulerContext &ctx)
+    {
+        const std::uint32_t n = ctx.geo->numChips();
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const auto chip = static_cast<std::uint32_t>((cursor_ + i) % n);
+            if (chip >= buckets_.size() || buckets_[chip].empty())
+                continue;
+            compactBucket(chip);
+            if (buckets_[chip].empty())
+                continue;
+
+            if (faro_) {
+                if (ctx.view->outstanding(chip) >= window_)
+                    continue;
+                bestSet(ctx, chip, setScratch_);
+                if (setScratch_.empty())
+                    continue;
+                cursor_ = chip + 1;
+                return takeSet(setScratch_);
+            }
+
+            if (ctx.view->outstanding(chip) > 0)
+                continue;
+            if (MemoryRequest *req = oldest(ctx, chip)) {
+                cursor_ = chip + 1;
+                return req;
+            }
+        }
+        return nullptr;
+    }
+
+    MemoryRequest *
+    nextFaroOnly(SchedulerContext &ctx)
+    {
+        constexpr std::size_t kLookaheadIos = 4;
+
+        if (faroPerChip_.size() < ctx.geo->numChips())
+            faroPerChip_.resize(ctx.geo->numChips());
+        for (const auto chip : faroTouched_)
+            faroPerChip_[chip].clear();
+        faroTouched_.clear();
+
+        std::size_t seen = 0;
+        for (IoRequest *io : *ctx.queue) {
+            if (io->allComposed())
+                continue;
+            for (MemoryRequest *page : io->pages) {
+                MemoryRequest *req = page;
+                if (req->composed || req->composing)
+                    continue;
+                if (!ctx.view->schedulable(*req))
+                    continue;
+                if (faroPerChip_[req->chip].empty())
+                    faroTouched_.push_back(req->chip);
+                faroPerChip_[req->chip].push_back(req);
+            }
+            if (++seen >= kLookaheadIos)
+                break;
+        }
+        std::sort(faroTouched_.begin(), faroTouched_.end());
+
+        std::size_t best_depth = 0;
+        std::uint64_t best_seed = 0;
+        bestScratch_.clear();
+        for (const auto chip : faroTouched_) {
+            if (ctx.view->outstanding(chip) >= window_)
+                continue;
+            bestSetFrom(faroPerChip_[chip], chip, setScratch_);
+            if (setScratch_.empty())
+                continue;
+            const std::uint64_t seed = setScratch_.front()->id;
+            if (setScratch_.size() > best_depth ||
+                (setScratch_.size() == best_depth && seed < best_seed)) {
+                best_depth = setScratch_.size();
+                best_seed = seed;
+                std::swap(bestScratch_, setScratch_);
+            }
+        }
+        if (bestScratch_.empty())
+            return nullptr;
+        return takeSet(bestScratch_);
+    }
+
+    bool rios_;
+    bool faro_;
+    std::uint32_t window_;
+    std::vector<RingDeque<MemoryRequest *>> buckets_;
+    std::uint64_t cursor_ = 0;
+    std::vector<MemoryRequest *> batch_;
+    std::size_t batchPos_ = 0;
+    mutable std::vector<MemoryRequest *> candScratch_;
+    mutable std::vector<MemoryRequest *> readSet_;
+    mutable std::vector<MemoryRequest *> writeSet_;
+    mutable std::vector<std::uint32_t> tagCount_;
+    mutable std::vector<std::uint32_t> touchedTags_;
+    std::vector<MemoryRequest *> setScratch_;
+    std::vector<MemoryRequest *> bestScratch_;
+    std::vector<std::vector<MemoryRequest *>> faroPerChip_;
+    std::vector<std::uint32_t> faroTouched_;
+};
+
+/**
+ * Delivers every lifecycle call to both schedulers, so one harness
+ * drives the indexed scheduler and the reference in lockstep. The
+ * occupancy takes the indexed scheduler's load limit.
+ */
+class Lockstep : public IoScheduler
+{
+  public:
+    Lockstep(IoScheduler &a, IoScheduler &b) : a_(a), b_(b) {}
+
+    const char *name() const override { return a_.name(); }
+    MemoryRequest *next(SchedulerContext &) override { return nullptr; }
+    std::uint32_t loadLimit() const override { return a_.loadLimit(); }
+
+    void
+    prepare(std::uint32_t num_chips, std::uint32_t queue_depth) override
+    {
+        a_.prepare(num_chips, queue_depth);
+        b_.prepare(num_chips, queue_depth);
+    }
+
+    void
+    onEnqueue(IoRequest &io) override
+    {
+        a_.onEnqueue(io);
+        b_.onEnqueue(io);
+    }
+
+    void
+    onRetarget(MemoryRequest &req, std::uint32_t old_chip) override
+    {
+        a_.onRetarget(req, old_chip);
+        b_.onRetarget(req, old_chip);
+    }
+
+    void
+    onComposed(const MemoryRequest &req) override
+    {
+        a_.onComposed(req);
+        b_.onComposed(req);
+    }
+
+  private:
+    IoScheduler &a_;
+    IoScheduler &b_;
+};
+
+/**
+ * Randomized cross-check of the indexed walks against LinearSprinkler
+ * for SPK1, SPK2 and SPK3: random geometries (up to three mask words,
+ * so the rotated RIOS walk crosses word boundaries and wraps), windows
+ * 1-8, clustered I/Os with random die/plane/page placement, loads set
+ * through the occupancy, held reads that own a chip without adding
+ * load (a soft decode), hazards, retargets, out-of-order composes and
+ * recycled tags. Every next() must return the same pointer, batch
+ * continuations included.
+ */
+TEST(Sprinkler, MatchesLinearScansOnRandomQueues)
+{
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        Rng rng(seed);
+        SchedHarness h(1 + static_cast<std::uint32_t>(rng.nextBelow(8)),
+                       1 + static_cast<std::uint32_t>(rng.nextBelow(24)));
+        const bool rios = seed % 3 != 0;
+        const bool faro = seed % 3 != 1;
+        const auto window = 1 + static_cast<std::uint32_t>(rng.nextBelow(8));
+        SprinklerScheduler spk(rios, faro, window);
+        LinearSprinkler ref(rios, faro, window);
+        Lockstep both(spk, ref);
+        h.attach(both);
+        const auto chips = h.geo.numChips();
+
+        std::set<std::uint64_t> held; // request ids behind a hazard
+        h.view.schedulableOverride = [&](const MemoryRequest &req) {
+            return held.count(req.id) == 0;
+        };
+        std::vector<std::pair<std::uint32_t, TagId>> decoding;
+
+        const auto add_io = [&] {
+            // Pages cluster on a window of chips, so chips collect
+            // several candidates from one or more I/Os.
+            const auto pages = 1 + rng.nextBelow(24);
+            const auto span = 1 + rng.nextBelow(std::min<std::uint64_t>(
+                                      chips, 1 + rng.nextBelow(16)));
+            const auto base = rng.nextBelow(chips);
+            std::vector<std::uint32_t> targets;
+            for (std::uint64_t i = 0; i < pages; ++i) {
+                targets.push_back(static_cast<std::uint32_t>(
+                    (base + rng.nextBelow(span)) % chips));
+            }
+            IoRequest *io = h.addIo(targets, rng.nextBool(0.5));
+            for (MemoryRequest *req : io->pages) {
+                req->addr.die = static_cast<std::uint32_t>(rng.nextBelow(2));
+                req->addr.plane =
+                    static_cast<std::uint32_t>(rng.nextBelow(2));
+                req->addr.page = static_cast<std::uint32_t>(rng.nextBelow(2));
+            }
+        };
+        const auto random_io = [&] {
+            return h.queue[rng.nextBelow(h.queue.size())];
+        };
+        const auto random_page = [&] {
+            IoRequest *io = random_io();
+            return io->pages[rng.nextBelow(io->pages.size())];
+        };
+        const auto random_chip = [&] {
+            return static_cast<std::uint32_t>(rng.nextBelow(chips));
+        };
+
+        const auto initial = 1 + rng.nextBelow(8);
+        for (std::uint64_t i = 0; i < initial; ++i)
+            add_io();
+
+        for (int step = 0; step < 300; ++step) {
+            MemoryRequest *want = ref.next(h.ctx);
+            ASSERT_EQ(spk.next(h.ctx), want)
+                << spk.name() << " window " << window << " seed " << seed
+                << " step " << step;
+
+            switch (rng.nextBelow(10)) {
+              case 0:
+              case 1:
+              case 2:
+                // The NVMHC composes the pick and commits it.
+                if (want != nullptr) {
+                    h.compose(want);
+                    h.view.setLoad(want->chip,
+                                   h.view.outstanding(want->chip) + 1);
+                }
+                break;
+              case 3:
+                // A request finished on a random chip.
+                if (const auto chip = random_chip();
+                    h.view.outstanding(chip) > 0)
+                    h.view.setLoad(chip, h.view.outstanding(chip) - 1);
+                break;
+              case 4:
+                h.view.setLoad(random_chip(), static_cast<std::uint32_t>(
+                                                  rng.nextBelow(window + 2)));
+                break;
+              case 5:
+                // A read enters or leaves a soft decode on a queued
+                // page's chip: the chip is held, its load unchanged.
+                if (!decoding.empty() && rng.nextBool(0.5)) {
+                    const auto i = rng.nextBelow(decoding.size());
+                    h.view.unhold(decoding[i].first, decoding[i].second);
+                    decoding[i] = decoding.back();
+                    decoding.pop_back();
+                } else if (!h.queue.empty()) {
+                    const MemoryRequest *req = random_page();
+                    const TagId tag = static_cast<TagId>(
+                        rng.nextBelow(SchedHarness::kQueueDepth));
+                    h.view.hold(req->chip, tag);
+                    decoding.emplace_back(req->chip, tag);
+                }
+                break;
+              case 6:
+                if (!h.queue.empty()) {
+                    const std::uint64_t id = random_page()->id;
+                    if (!held.erase(id))
+                        held.insert(id);
+                }
+                break;
+              case 7:
+                // Readdressing moves an uncomposed read.
+                if (!h.queue.empty()) {
+                    MemoryRequest *req = random_page();
+                    if (!req->composed && req->op == FlashOp::Read)
+                        h.retarget(req, random_chip());
+                }
+                break;
+              case 8:
+                // Out-of-order compose (a page neither picked).
+                if (!h.queue.empty()) {
+                    MemoryRequest *req = random_page();
+                    if (!req->composed)
+                        h.compose(req);
+                }
+                break;
+              case 9:
+                // Retire a fully composed I/O (its tag is recycled) or
+                // admit a new one.
+                if (!h.queue.empty() && rng.nextBool(0.5)) {
+                    IoRequest *io = random_io();
+                    if (io->allComposed())
+                        h.retire(io);
+                } else if (h.queue.size() < 32) {
+                    add_io();
+                }
+                break;
+            }
+        }
+    }
 }
 
 } // namespace
