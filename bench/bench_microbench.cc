@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/device_array.hh"
 #include "sim/estimator.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -384,6 +385,69 @@ benchGcHeavySteadyState()
 }
 
 /**
+ * A preconditioned campaign in miniature: the Figure 17 GC grid shape
+ * through DeviceArray::run(1), as the exhibit benches drive it.
+ * gc_heavy_steady_state's 8-chip device x {VAS, SPK3} x {plain,
+ * protected (parity and faults)} x two transfer sizes makes eight
+ * cells that share two preconditioned images, so the row prices a
+ * campaign's preconditioning as well as its simulation. Rate counts
+ * cells per second; allocations are pinned by the perf-gate ratchet.
+ */
+Result
+benchGcCampaign()
+{
+    std::vector<DeviceJob> jobs;
+    for (const std::uint64_t kb : {16u, 128u}) {
+        SsdConfig base = SsdConfig::withChips(8);
+        base.geometry.blocksPerPlane = 16;
+        base.geometry.pagesPerBlock = 32;
+        base.ftl.overprovision = 0.15;
+        const std::uint64_t span = base.geometry.totalPages() *
+                                   base.geometry.pageSizeBytes / 2;
+        const TraceRef trace = fixedSizeStream(
+            (1ull << 20) / (kb << 10) * 2, kb << 10, 0.9, span,
+            5 * kMicrosecond, 71);
+        for (const bool prot : {false, true}) {
+            for (const SchedulerKind kind :
+                 {SchedulerKind::VAS, SchedulerKind::SPK3}) {
+                DeviceJob job;
+                job.cfg = base;
+                job.cfg.scheduler = kind;
+                if (prot) {
+                    job.cfg.parity.enabled = true;
+                    job.cfg.fault.softDecodeEnabled = true;
+                    job.cfg.fault.readTransientRate = 1e-3;
+                    job.cfg.fault.programFailRate = 1e-4;
+                    job.cfg.fault.eraseFailRate = 1e-4;
+                }
+                job.preconditionGc = true;
+                job.trace = trace;
+                jobs.push_back(std::move(job));
+            }
+        }
+    }
+
+    constexpr int kReps = 5;
+    bench::AllocWindow window;
+    const auto t0 = Clock::now();
+    for (int rep = 0; rep < kReps; ++rep) {
+        DeviceArray array(jobs);
+        array.run(1);
+    }
+    const double sec = secondsSince(t0);
+    const std::uint64_t allocs = window.count();
+
+    Result r;
+    r.name = "gc_campaign";
+    r.unit = "cells/sec";
+    r.items = kReps * jobs.size();
+    r.seconds = sec;
+    r.rate = static_cast<double>(r.items) / sec;
+    r.allocs = allocs;
+    return r;
+}
+
+/**
  * Fast-fidelity estimator throughput: the analytic model evaluated
  * on an evaluation-size device (64 chips) against a mixed synthetic
  * trace. Rate counts estimated sweep cells per second -- the number
@@ -473,6 +537,7 @@ main()
     results.push_back(benchFullDeviceRun(SchedulerKind::SPK1));
     results.push_back(benchFullDeviceRun(SchedulerKind::SPK3));
     results.push_back(benchGcHeavySteadyState());
+    results.push_back(benchGcCampaign());
     results.push_back(benchFastModeCells());
 
     std::printf("%-28s %14s %18s %10s %9s %9s %8s %8s\n", "benchmark",

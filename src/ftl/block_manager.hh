@@ -60,6 +60,8 @@ struct BlockInfo
     std::uint32_t writtenPages = 0; //!< frontier within the block
     std::uint32_t validPages = 0;   //!< live pages (maintained by Ftl)
     std::uint32_t eraseCount = 0;
+
+    bool operator==(const BlockInfo &) const = default;
 };
 
 /**
@@ -102,6 +104,9 @@ class BlockManager
     AllocationPolicy policy() const { return policy_; }
 
     std::uint64_t numPlanes() const { return planes_.size(); }
+
+    /** Blocks across all planes. */
+    std::uint64_t numBlocks() const { return blocks_.size(); }
 
     /** Dense global plane index for a physical address. */
     std::uint64_t planeIndexOf(const PhysAddr &addr) const;

@@ -538,6 +538,33 @@ Ftl::precondition(double fill_fraction, double churn_fraction, Rng &rng)
     syncParityAfterPrecondition();
 }
 
+FtlImage
+Ftl::image() const
+{
+    return FtlImage{mapping_.forwardTable(), blocks_,
+                    parityMap_ ? parityMap_->masks()
+                               : std::vector<std::uint32_t>{},
+                    allocCursor_, stats_};
+}
+
+void
+Ftl::restore(const FtlImage &image)
+{
+    const std::uint64_t stripes =
+        parityMap_ ? parityMap_->stripeCount() : 0;
+    if (image.forward.size() != mapping_.logicalPages() ||
+        image.blocks.numBlocks() != blocks_.numBlocks() ||
+        image.parityMasks.size() != stripes)
+        panic("Ftl::restore: the image is of a different geometry or "
+              "parity setting");
+    mapping_.restore(image.forward);
+    blocks_ = image.blocks;
+    if (parityMap_)
+        parityMap_->restoreMasks(image.parityMasks);
+    allocCursor_ = image.allocCursor;
+    stats_ = image.stats;
+}
+
 void
 Ftl::syncParityAfterPrecondition()
 {

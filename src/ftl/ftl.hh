@@ -223,6 +223,22 @@ struct FtlStats
     std::uint64_t blocksRetiredWear = 0;
     std::uint64_t blocksRetiredProgram = 0;
     std::uint64_t blocksRetiredErase = 0;
+
+    bool operator==(const FtlStats &) const = default;
+};
+
+/**
+ * The state preconditioning writes into an Ftl, as one value: what
+ * Ftl::image() captures and Ftl::restore() puts back. The reverse map
+ * is not stored; restore() rebuilds it from the forward table.
+ */
+struct FtlImage
+{
+    std::vector<std::uint32_t> forward; //!< PageMapping::forwardTable()
+    BlockManager blocks;
+    std::vector<std::uint32_t> parityMasks; //!< empty without parity
+    std::uint64_t allocCursor = 0;
+    FtlStats stats;
 };
 
 /**
@@ -374,6 +390,19 @@ class Ftl
      */
     void precondition(double fill_fraction, double churn_fraction,
                       Rng &rng);
+
+    /** Capture the mapping, blocks, stripe masks, allocation cursor
+     *  and counters (see FtlImage). */
+    FtlImage image() const;
+
+    /**
+     * Overwrite this FTL's state with @p image, captured from an FTL
+     * of the same config. Callbacks, admission gate and scratch stay
+     * this FTL's own. Panics when the image's logical page, block or
+     * stripe count differs from this FTL's (a different geometry or
+     * parity setting).
+     */
+    void restore(const FtlImage &image);
 
     const FtlStats &stats() const { return stats_; }
     const BlockManager &blocks() const { return blocks_; }

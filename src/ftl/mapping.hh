@@ -26,6 +26,16 @@ namespace spk
  * All tables are dense vectors indexed by Lpn / Ppn; the geometry's
  * page counts bound both spaces. Validity lives here (not in the
  * block manager) because it is a property of the mapping.
+ *
+ * Entries are 32-bit, with ~0u as the unmapped sentinel, and widen to
+ * the 64-bit Lpn/Ppn (kInvalidPage) at this interface. Halving the
+ * entries halves the tables that preconditioning writes once per page,
+ * which cuts its cache and TLB misses, and it is what lets a sweep
+ * keep one preconditioned device image resident beside a live device
+ * (DeviceArray) within the memory one 64-bit device used. Every
+ * geometry in the repo fits: the 1024-chip default has 67M pages. A
+ * device of 2^32 - 1 pages or more fatal()s at construction, before
+ * any table is sized.
  */
 class PageMapping
 {
@@ -61,9 +71,33 @@ class PageMapping
     /** Number of live pages currently mapped. */
     std::uint64_t liveCount() const { return live_; }
 
+    /** The forward table as stored: one entry per Lpn, ~0u when
+     *  unwritten. With it, restore() rebuilds the whole mapping. */
+    const std::vector<std::uint32_t> &forwardTable() const
+    {
+        return l2p_;
+    }
+
+    /**
+     * Replace the mapping with @p forward (a forwardTable() of a
+     * mapping of the same size): the reverse table and the live count
+     * are rebuilt from it in one pass. That is exact because bind()
+     * and invalidatePhysical() keep p2l[ppn] == lpn exactly when
+     * l2p[lpn] == ppn. Panics on a size mismatch, an out-of-range
+     * entry, or two Lpns naming one Ppn.
+     */
+    void restore(const std::vector<std::uint32_t> &forward);
+
   private:
-    std::vector<Ppn> l2p_;
-    std::vector<Lpn> p2l_; //!< kInvalidPage: free or stale page
+    static constexpr std::uint32_t kNone = ~0u;
+
+    static std::uint64_t widen(std::uint32_t entry)
+    {
+        return entry == kNone ? kInvalidPage : entry;
+    }
+
+    std::vector<std::uint32_t> l2p_;
+    std::vector<std::uint32_t> p2l_; //!< kNone: free or stale page
     std::uint64_t live_ = 0;
 };
 

@@ -34,6 +34,16 @@ StripeParityMap::StripeParityMap(const FlashGeometry &geo)
               std::to_string(dies_));
 }
 
+void
+StripeParityMap::restoreMasks(const std::vector<std::uint32_t> &masks)
+{
+    if (masks.size() != masks_.size())
+        panic("StripeParityMap::restoreMasks: " +
+              std::to_string(masks.size()) + " masks into a map of " +
+              std::to_string(masks_.size()) + " stripes");
+    masks_ = masks;
+}
+
 StripeId
 StripeParityMap::stripeOf(Ppn ppn) const
 {

@@ -138,6 +138,13 @@ class StripeParityMap
 
     std::uint32_t dies() const { return dies_; }
 
+    /** Every stripe's raw mask, indexed by StripeId. */
+    const std::vector<std::uint32_t> &masks() const { return masks_; }
+
+    /** Replace every mask with @p masks (a masks() of a map of the
+     *  same geometry); panics on a size mismatch. */
+    void restoreMasks(const std::vector<std::uint32_t> &masks);
+
   private:
     static std::uint32_t maskBit(std::uint32_t die)
     {

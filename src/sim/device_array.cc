@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <thread>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 
 #include "sim/cell_cache.hh"
@@ -110,7 +112,98 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
+constexpr std::size_t kNoGroup = std::numeric_limits<std::size_t>::max();
+
+/**
+ * Key of the preconditioned device a cell starts from: its cache key
+ * with the workload emptied and the scheduler fixed, since
+ * preconditioning reads neither.
+ */
+std::string
+imageKey(const DeviceJob &job)
+{
+    DeviceJob device = job;
+    device.trace = {};
+    device.streams.clear();
+    device.cfg.scheduler = SchedulerKind::VAS;
+    return CellCache::keyOf(device);
+}
+
+/**
+ * Group the exact preconditioned cells by imageKey, keeping groups of
+ * two or more, and move each group's cells in @p order to the slot of
+ * its first member (in the policy's order among themselves; every
+ * other cell keeps the policy's order).
+ * @return each job's group in [0, @p groups), or kNoGroup.
+ */
+std::vector<std::size_t>
+groupByImage(const std::vector<DeviceJob> &jobs,
+             std::vector<std::size_t> &order, std::size_t &groups)
+{
+    std::unordered_map<std::string, std::size_t> keys;
+    std::vector<std::vector<std::size_t>> members; // policy order
+    for (const std::size_t i : order) {
+        if (!jobs[i].preconditionGc || jobs[i].fidelity != Fidelity::Exact)
+            continue;
+        const auto [it, fresh] =
+            keys.try_emplace(imageKey(jobs[i]), members.size());
+        if (fresh)
+            members.emplace_back();
+        members[it->second].push_back(i);
+    }
+
+    std::vector<std::size_t> group_of(jobs.size(), kNoGroup);
+    std::vector<std::vector<std::size_t>> shared;
+    for (auto &cells : members) {
+        if (cells.size() < 2)
+            continue;
+        for (const std::size_t i : cells)
+            group_of[i] = shared.size();
+        shared.push_back(std::move(cells));
+    }
+    groups = shared.size();
+    if (shared.empty())
+        return group_of;
+
+    std::vector<std::size_t> grouped;
+    grouped.reserve(order.size());
+    std::vector<bool> placed(shared.size(), false);
+    for (const std::size_t i : order) {
+        const std::size_t g = group_of[i];
+        if (g == kNoGroup) {
+            grouped.push_back(i);
+        } else if (!placed[g]) {
+            placed[g] = true;
+            grouped.insert(grouped.end(), shared[g].begin(),
+                           shared[g].end());
+        }
+    }
+    order = std::move(grouped);
+    return group_of;
+}
+
 } // namespace
+
+/**
+ * One shared preconditioned image. The first cell that needs it
+ * builds it under `built`; `users` counts the group's cells that have
+ * not yet restored it or been served from the cache, and the last of
+ * them frees it.
+ */
+struct DeviceArray::ImageGroup
+{
+    std::once_flag built;
+    std::unique_ptr<const SsdImage> image;
+    std::atomic<std::size_t> users{0};
+
+    /** This cell no longer needs the image. */
+    void
+    release()
+    {
+        if (users.fetch_sub(1) == 1)
+            image.reset();
+    }
+};
 
 DeviceArray::DeviceArray(std::vector<DeviceJob> jobs)
     : jobs_(std::move(jobs)),
@@ -119,7 +212,7 @@ DeviceArray::DeviceArray(std::vector<DeviceJob> jobs)
 }
 
 double
-DeviceArray::runOne(std::size_t index, CellCache *cache)
+DeviceArray::runOne(std::size_t index, CellCache *cache, ImageGroup *group)
 {
     const auto start = std::chrono::steady_clock::now();
     const DeviceJob &job = jobs_[index];
@@ -130,6 +223,8 @@ DeviceArray::runOne(std::size_t index, CellCache *cache)
     // series must really simulate.
     const bool cacheable = cache && !job.captureIoResults;
     if (cacheable && cache->lookup(job, results_[index])) {
+        if (group)
+            group->release();
         cellSeconds_[index] = secondsSince(start);
         completed_[index].store(1, std::memory_order_release);
         return cellSeconds_[index];
@@ -140,8 +235,19 @@ DeviceArray::runOne(std::size_t index, CellCache *cache)
         results_[index] = estimateDevice(job);
     } else {
         Ssd ssd(job.cfg);
-        if (job.preconditionGc)
+        if (group) {
+            bool built = false;
+            std::call_once(group->built, [&] {
+                ssd.preconditionForGc();
+                group->image = std::make_unique<const SsdImage>(ssd.image());
+                built = true;
+            });
+            if (!built)
+                ssd.restore(*group->image);
+            group->release();
+        } else if (job.preconditionGc) {
             ssd.preconditionForGc();
+        }
         if (!job.streams.empty())
             ssd.replayStreams(job.streams);
         else
@@ -181,15 +287,29 @@ DeviceArray::run(unsigned threads, const DeviceArrayHooks &hooks)
 
     // The policy decides which cell a free worker picks up next;
     // results are indexed by cell, so this is wall-clock-only.
-    const std::vector<std::size_t> order =
+    std::vector<std::size_t> order =
         jobs_.empty() ? std::vector<std::size_t>{}
                       : resolveOrder(hooks, jobs_);
+
+    // Shared preconditioning images, freed by their last cell or, after
+    // a cancel, when run() returns.
+    std::size_t n_groups = 0;
+    const std::vector<std::size_t> group_of =
+        groupByImage(jobs_, order, n_groups);
+    const std::unique_ptr<ImageGroup[]> groups(new ImageGroup[n_groups]);
+    for (const std::size_t g : group_of) {
+        if (g != kNoGroup)
+            ++groups[g].users;
+    }
+    const auto groupOf = [&](std::size_t i) {
+        return group_of[i] == kNoGroup ? nullptr : &groups[group_of[i]];
+    };
 
     if (workers <= 1) {
         for (const std::size_t i : order) {
             if (stopped())
                 break;
-            threadBusySeconds_[0] += runOne(i, hooks.cache);
+            threadBusySeconds_[0] += runOne(i, hooks.cache, groupOf(i));
             if (hooks.onDeviceDone)
                 hooks.onDeviceDone(i, results_[i]);
         }
@@ -207,14 +327,15 @@ DeviceArray::run(unsigned threads, const DeviceArrayHooks &hooks)
     pool.reserve(workers);
     for (unsigned w = 0; w < workers; ++w) {
         pool.emplace_back([this, w, &order, &cursor, &hooks, &stopped,
-                           &done_mutex] {
+                           &done_mutex, &groupOf] {
             while (!stopped()) {
                 const std::size_t slot =
                     cursor.fetch_add(1, std::memory_order_relaxed);
                 if (slot >= order.size())
                     return;
                 const std::size_t i = order[slot];
-                threadBusySeconds_[w] += runOne(i, hooks.cache);
+                threadBusySeconds_[w] +=
+                    runOne(i, hooks.cache, groupOf(i));
                 if (hooks.onDeviceDone) {
                     std::lock_guard<std::mutex> lock(done_mutex);
                     hooks.onDeviceDone(i, results_[i]);

@@ -70,7 +70,14 @@ struct DeviceJob
      */
     std::vector<HostStreamConfig> streams;
 
-    bool preconditionGc = false; //!< fill + fragment before replay
+    /**
+     * Fill + fragment the device before replay. An exact cell does not
+     * precondition on its own when another cell of the same run()
+     * needs the same device: each distinct preconditioned image is
+     * built once per run() and restored into the other cells (see
+     * DeviceArray).
+     */
+    bool preconditionGc = false;
     /** Keep the per-I/O completion series (time-series exhibits).
      *  Off by default: a long sweep does not need N full IoResult
      *  vectors resident at once. Ignored by Fast cells (the
@@ -86,6 +93,12 @@ struct DeviceJob
  * claim cells. Must return a permutation of [0, jobs.size()) — run()
  * validates and fatal()s otherwise. Results are always indexed by
  * cell, so the policy affects wall-clock time only, never results.
+ *
+ * run() then pulls together the cells that share a preconditioned
+ * image (see DeviceArray): each group's cells move to the slot of the
+ * group's first member, keeping the policy's order among themselves,
+ * and every other cell keeps the policy's order. A job list with no
+ * shared image is claimed exactly in the policy's order.
  */
 using CellOrderPolicy = std::function<std::vector<std::size_t>(
     const std::vector<DeviceJob> &)>;
@@ -138,6 +151,19 @@ struct DeviceArrayHooks
 
 /**
  * Runs a batch of independent device simulations across threads.
+ *
+ * Shared preconditioning: the exact cells of one run() that
+ * precondition devices whose configs differ only in scheduler (the
+ * key is CellCache::keyOf with the workload emptied and the scheduler
+ * fixed, so every other config field splits images) share one
+ * preconditioned image. The first of them to run preconditions its
+ * own device and captures the image (Ssd::image()); the others
+ * restore it into a fresh device instead of preconditioning. A
+ * group's cells are claimed back to back, and the image is freed once
+ * its last cell has restored it (or been served from the cache), so a
+ * run holds at most one live image per worker, one at a time at one
+ * worker; run() drops any that a cancel leaves behind. Results are
+ * bit-identical to preconditioning every cell.
  *
  * Typical use:
  * @code
@@ -235,8 +261,13 @@ class DeviceArray
     aggregate(const std::vector<MetricsSnapshot> &devices);
 
   private:
-    /** Run (or cache-serve) one cell; returns its wall seconds. */
-    double runOne(std::size_t index, CellCache *cache);
+    /** A group's shared preconditioned image (device_array.cc). */
+    struct ImageGroup;
+
+    /** Run (or cache-serve) one cell; returns its wall seconds.
+     *  @p group is the cell's image group, or null when the cell
+     *  shares no image. */
+    double runOne(std::size_t index, CellCache *cache, ImageGroup *group);
 
     std::vector<DeviceJob> jobs_;
     std::vector<MetricsSnapshot> results_;

@@ -362,6 +362,22 @@ Ssd::preconditionForGc(double fill_fraction, double churn_fraction)
     ftl_->precondition(fill_fraction, churn_fraction, rng_);
 }
 
+SsdImage
+Ssd::image() const
+{
+    return SsdImage{ftl_->image(), rng_};
+}
+
+void
+Ssd::restore(const SsdImage &image)
+{
+    if (submitted_ != 0 || events_.dispatched() != 0)
+        panic("Ssd::restore into a device that has already taken I/O "
+              "or run events");
+    ftl_->restore(image.ftl);
+    rng_ = image.rng;
+}
+
 MetricsSnapshot
 Ssd::metrics() const
 {

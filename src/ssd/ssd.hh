@@ -55,6 +55,17 @@ struct IoResult
 };
 
 /**
+ * A preconditioned device: the FTL state preconditioning writes, plus
+ * the RNG it draws from (used by nothing else, but a restored device
+ * must equal a preconditioned one in every field). See Ssd::image().
+ */
+struct SsdImage
+{
+    FtlImage ftl;
+    Rng rng;
+};
+
+/**
  * A complete simulated SSD.
  *
  * Typical use:
@@ -108,6 +119,24 @@ class Ssd
      */
     void preconditionForGc(double fill_fraction = 0.95,
                            double churn_fraction = 0.30);
+
+    /**
+     * Capture what preconditioning wrote. Preconditioning reads the
+     * config but never the scheduler (the NVMHC is empty, so GC's
+     * readdressing callbacks find nothing), so one image serves every
+     * device whose config differs from this one only in scheduler:
+     * DeviceArray preconditions once per image and restores it into
+     * the other cells.
+     */
+    SsdImage image() const;
+
+    /**
+     * Make this device equal to the one @p image was captured from,
+     * as preconditioned. Panics unless the device is fresh (nothing
+     * submitted, no event dispatched) and the image's table sizes
+     * match its geometry and parity setting.
+     */
+    void restore(const SsdImage &image);
 
     /** Snapshot every metric the evaluation reports. */
     MetricsSnapshot metrics() const;

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <numeric>
 #include <random>
 
+#include "sim/cell_cache.hh"
 #include "sim/device_array.hh"
 #include "sim/estimator.hh"
 #include "workload/synthetic.hh"
@@ -351,6 +353,186 @@ TEST(DeviceArray, CapturesIoResultsOnRequest)
     for (const auto &io : series)
         EXPECT_GE(io.completed, io.arrival);
     EXPECT_TRUE(array.ioResults(1).empty());
+}
+
+/** Jobs for the shared-image tests, with the image each cell should
+ *  share (-1: none — not preconditioned, fast, or alone). */
+struct ImageJobs
+{
+    std::vector<DeviceJob> jobs;
+    std::vector<int> image;
+};
+
+ImageJobs
+makeImageJobs()
+{
+    ImageJobs out;
+    const auto add = [&out](SchedulerKind kind, std::uint64_t seed,
+                            bool parity, bool precondition,
+                            Fidelity fidelity, std::uint64_t trace_seed,
+                            int image) {
+        DeviceJob job;
+        job.cfg = SsdConfig::withChips(8);
+        job.cfg.geometry.blocksPerPlane = 16;
+        job.cfg.geometry.pagesPerBlock = 32;
+        job.cfg.ftl.overprovision = 0.15;
+        job.cfg.scheduler = kind;
+        job.cfg.seed = seed;
+        job.cfg.parity.enabled = parity;
+        job.preconditionGc = precondition;
+        job.fidelity = fidelity;
+        const std::uint64_t span = job.cfg.geometry.totalPages() *
+                                   job.cfg.geometry.pageSizeBytes / 2;
+        job.trace = fixedSizeStream(60, 16384, 0.9, span,
+                                    5 * kMicrosecond, trace_seed);
+        out.jobs.push_back(std::move(job));
+        out.image.push_back(image);
+    };
+    using K = SchedulerKind;
+    const Fidelity exact = Fidelity::Exact;
+    // Interleaved so that no policy keeps an image's cells together
+    // by accident.
+    add(K::VAS, 1, false, true, exact, 11, 0);
+    add(K::SPK3, 1, true, true, exact, 12, 1);
+    add(K::PAS, 3, false, false, exact, 13, -1);
+    add(K::SPK1, 1, false, true, exact, 14, 0);
+    add(K::SPK2, 2, false, true, exact, 15, 2); // another seed
+    add(K::VAS, 1, true, true, exact, 16, 1);   // parity splits it
+    add(K::SPK3, 4, false, true, exact, 17, -1); // an image of one
+    add(K::SPK3, 1, false, true, exact, 18, 0);
+    add(K::VAS, 2, false, true, exact, 19, 2);
+    add(K::SPK1, 1, false, true, Fidelity::Fast, 20, -1);
+    add(K::SPK2, 3, false, false, exact, 21, -1);
+    add(K::PAS, 1, false, true, exact, 22, 0);
+    add(K::SPK1, 1, true, true, exact, 23, 1);
+    return out;
+}
+
+/** Each cell simulated on its own, preconditioning its own device. */
+std::vector<MetricsSnapshot>
+directReference(const std::vector<DeviceJob> &jobs)
+{
+    std::vector<MetricsSnapshot> out;
+    for (const DeviceJob &job : jobs) {
+        if (job.fidelity == Fidelity::Fast) {
+            out.push_back(estimateDevice(job));
+            continue;
+        }
+        Ssd ssd(job.cfg);
+        if (job.preconditionGc)
+            ssd.preconditionForGc();
+        ssd.replay(job.trace);
+        ssd.run();
+        out.push_back(ssd.metrics());
+    }
+    return out;
+}
+
+/** The claim order run() must derive from @p order: each image's
+ *  cells pulled up to its first member, the rest unmoved. */
+std::vector<std::size_t>
+expectedClaimOrder(const std::vector<std::size_t> &order,
+                   const std::vector<int> &image)
+{
+    std::vector<std::size_t> out;
+    std::vector<bool> placed(order.size(), false);
+    for (const std::size_t i : order) {
+        if (image[i] < 0) {
+            out.push_back(i);
+            continue;
+        }
+        if (placed[i])
+            continue;
+        for (const std::size_t j : order) {
+            if (image[j] == image[i]) {
+                out.push_back(j);
+                placed[j] = true;
+            }
+        }
+    }
+    return out;
+}
+
+TEST(DeviceArrayImages, SharedImagesMatchDirectPreconditioning)
+{
+    const ImageJobs set = makeImageJobs();
+    const std::vector<MetricsSnapshot> reference =
+        directReference(set.jobs);
+
+    const std::string dir = "cell_cache_test_device_array_images";
+    std::filesystem::remove_all(dir);
+    std::mt19937_64 rng(77);
+    for (const unsigned threads : {1u, 4u}) {
+        for (const bool cached : {false, true}) {
+            std::vector<std::size_t> perm(set.jobs.size());
+            std::iota(perm.begin(), perm.end(), std::size_t{0});
+            std::shuffle(perm.begin(), perm.end(), rng);
+
+            // Warm cells: the first cell of image 0 and the last of
+            // image 1 hit, so hits and misses mix in one group.
+            std::filesystem::remove_all(dir);
+            CellCache cache(dir);
+            if (cached) {
+                cache.store(set.jobs[0], reference[0]);
+                cache.store(set.jobs[12], reference[12]);
+            }
+
+            std::vector<std::size_t> done;
+            DeviceArrayHooks hooks;
+            hooks.order = [perm](const std::vector<DeviceJob> &) {
+                return perm;
+            };
+            hooks.cache = cached ? &cache : nullptr;
+            hooks.onDeviceDone = [&done](std::size_t i,
+                                         const MetricsSnapshot &) {
+                done.push_back(i);
+            };
+            DeviceArray array(set.jobs);
+            array.run(threads, hooks);
+            for (std::size_t d = 0; d < set.jobs.size(); ++d) {
+                EXPECT_EQ(array.results()[d], reference[d])
+                    << "cell " << d << " at " << threads << " threads"
+                    << (cached ? ", warm cache" : "");
+            }
+            if (cached) {
+                EXPECT_EQ(cache.hits(), 2u);
+            }
+            if (threads == 1) {
+                EXPECT_EQ(done, expectedClaimOrder(perm, set.image));
+            }
+        }
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(DeviceArrayImages, CancelledRunKeepsCompletedCellsExact)
+{
+    const ImageJobs set = makeImageJobs();
+    const std::vector<MetricsSnapshot> reference =
+        directReference(set.jobs);
+
+    for (const unsigned threads : {1u, 4u}) {
+        // Stop right after the first cell: its image, just built, has
+        // users left that never run.
+        std::atomic<bool> stop{false};
+        DeviceArrayHooks hooks;
+        hooks.order = expansionOrder();
+        hooks.stop = &stop;
+        hooks.onDeviceDone = [&stop](std::size_t,
+                                     const MetricsSnapshot &) {
+            stop.store(true, std::memory_order_relaxed);
+        };
+        DeviceArray array(set.jobs);
+        array.run(threads, hooks);
+        EXPECT_GE(array.completedCount(), 1u);
+        EXPECT_LT(array.completedCount(), set.jobs.size());
+        for (std::size_t d = 0; d < set.jobs.size(); ++d) {
+            if (array.completed(d)) {
+                EXPECT_EQ(array.results()[d], reference[d])
+                    << "cell " << d << " at " << threads << " threads";
+            }
+        }
+    }
 }
 
 } // namespace
