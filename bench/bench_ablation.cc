@@ -75,7 +75,8 @@ faroWindowSweep(const bench::BenchCli &cli)
     std::printf("%8s %12s %12s %10s %12s\n", "window", "BW KB/s",
                 "latency us", "txns", "intra-idle %");
     for (const auto &v : sweep.axes().variants) {
-        const auto &m = sweep.at("", SchedulerKind::SPK3, 71, v);
+        const auto &m =
+            sweep.at({.scheduler = SchedulerKind::SPK3, .variant = v});
         std::printf("%8lu %12.0f %12.0f %10llu %12.1f\n",
                     std::stoul(v), m.bandwidthKBps,
                     m.avgLatencyNs / 1000.0,
@@ -110,7 +111,8 @@ decisionWindowSweep(const bench::BenchCli &cli)
     std::printf("%12s %12s %12s %10s\n", "window us", "BW KB/s",
                 "latency us", "txns");
     for (const auto &v : sweep.axes().variants) {
-        const auto &m = sweep.at("", SchedulerKind::SPK3, 72, v);
+        const auto &m =
+            sweep.at({.scheduler = SchedulerKind::SPK3, .variant = v});
         std::printf("%12.1f %12.0f %12.0f %10llu\n",
                     static_cast<double>(std::stoull(v)),
                     m.bandwidthKBps, m.avgLatencyNs / 1000.0,
@@ -149,14 +151,11 @@ queueDepthSweep(const bench::BenchCli &cli)
     std::printf("%8s %12s %12s %12s\n", "depth", "VAS KB/s",
                 "SPK3 KB/s", "SPK3/VAS");
     for (const auto &v : sweep.axes().variants) {
-        const double vas =
-            has_vas
-                ? sweep.at("", SchedulerKind::VAS, 73, v).bandwidthKBps
-                : 0.0;
-        const double spk3 =
-            has_spk3 ? sweep.at("", SchedulerKind::SPK3, 73, v)
-                           .bandwidthKBps
-                     : 0.0;
+        const auto bw = [&](SchedulerKind kind) {
+            return sweep.at({.scheduler = kind, .variant = v}).bandwidthKBps;
+        };
+        const double vas = has_vas ? bw(SchedulerKind::VAS) : 0.0;
+        const double spk3 = has_spk3 ? bw(SchedulerKind::SPK3) : 0.0;
         std::printf("%8lu %12.0f %12.0f %12.2f\n", std::stoul(v), vas,
                     spk3, vas > 0.0 ? spk3 / vas : 0.0);
     }
@@ -197,7 +196,8 @@ allocationSweep(const bench::BenchCli &cli)
         std::printf("%-6s", schedulerKindName(kind));
         for (const auto &v : sweep.axes().variants)
             std::printf(" %16.0f",
-                        sweep.at("", kind, 74, v).bandwidthKBps);
+                        sweep.at({.scheduler = kind, .variant = v})
+                            .bandwidthKBps);
         std::printf("\n");
     }
 }

@@ -34,7 +34,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -653,19 +652,13 @@ fitConstants(const std::vector<Anchor> &anchors)
 int
 main(int argc, char **argv)
 {
-    // Strip the harness-specific --fit before the shared parser sees
-    // the rest of the command line.
     bool fit = false;
-    std::vector<char *> args;
-    args.reserve(static_cast<std::size_t>(argc));
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--fit") == 0)
-            fit = true;
-        else
-            args.push_back(argv[i]);
-    }
-    const bench::BenchCli cli =
-        bench::parseCli(static_cast<int>(args.size()), args.data());
+    const bench::BenchCli cli = bench::parseCli(
+        argc, argv,
+        {{.flag = "--fit",
+          .help = "grid-search the estimator constants against the "
+                  "exact cells and print them",
+          .target = &fit}});
     bench::printHeader("Calibration",
                        "fast-mode estimator vs exact engine");
 
@@ -700,7 +693,8 @@ main(int argc, char **argv)
         std::printf("running %s (%zu cells)...\n", name,
                     sweep->cellCount());
         std::fflush(stdout);
-        sweep->run(cli.threads);
+        // The error table, not the sweep, goes to --csv.
+        bench::runSweep(*sweep, cli, "");
     }
 
     // Pair every fast cell with its exact twin. The fidelity axis is
@@ -715,11 +709,9 @@ main(int argc, char **argv)
             a.exhibit = name;
             a.sched = static_cast<std::size_t>(p.scheduler);
             a.gc = p.variant.ends_with("-GC");
-            a.job = &sweep->jobAt(p.trace, p.scheduler, p.seed,
-                                  p.variant, p.arbiter, p.fault,
-                                  Fidelity::Fast);
-            a.exact = &sweep->results()[p.index - 1];
-            a.fast = &sweep->results()[p.index];
+            a.job = &sweep->array().jobs()[p.index];
+            a.exact = &sweep->array().results()[p.index - 1];
+            a.fast = &sweep->array().results()[p.index];
             anchors.push_back(std::move(a));
         }
     }

@@ -1,23 +1,12 @@
 /**
  * @file
- * Common command line for every exhibit bench.
+ * Common command line for every exhibit bench and sprinkler_cli.
  *
- *   --threads N    worker threads for the sweep (default: all
- *                  hardware threads). Results are bit-identical at
- *                  any value; only wall-clock changes.
- *   --filter S     keep only axis values whose label contains S
- *                  (case-insensitive; see spk::filterAxes).
- *   --csv PATH     also dump every sweep cell as CSV.
- *   --fidelity F   exact (default) runs the event-accurate engine,
- *                  fast the analytic estimator (sim/estimator.hh).
- *   --cache DIR    persistent content-addressed cell cache
- *                  (sim/cell_cache.hh): cells already simulated with
- *                  identical config/trace/seed/fidelity are served
- *                  from DIR instead of re-simulated, bit-identically.
- *                  Hit-rate is reported in the stderr footer.
- *   --order P      cell claim order: cost (default, longest-job-first
- *                  by the analytic estimator) or expansion. Affects
- *                  wall-clock only; results are indexed by cell.
+ * Each option is one CliOption entry: its flag, value name, help text
+ * and the variable it sets. The usage text is generated from the
+ * entries, with each variable's initial value as the default. The
+ * shared entries (sharedOptions) cover the sweep; a program passes its
+ * own entries to parseCli. Run any program with --help for the list.
  *
  * Every sweep also prints a parseable stderr footer with the run
  * makespan, per-worker busy times and thread imbalance (and cache
@@ -34,15 +23,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
+#include <iomanip>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unistd.h>
+#include <variant>
+#include <vector>
 
 #include "sim/cell_cache.hh"
 #include "sim/sweep.hh"
@@ -52,10 +48,17 @@ namespace spk
 namespace bench
 {
 
+inline unsigned
+defaultThreads()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
+}
+
 /** Parsed common options. */
 struct BenchCli
 {
-    unsigned threads = 1;
+    unsigned threads = defaultThreads();
     std::string filter;
     std::string csv;
     Fidelity fidelity = Fidelity::Exact;
@@ -65,91 +68,210 @@ struct BenchCli
     std::string order = "cost";
 };
 
-inline unsigned
-defaultThreads()
+/**
+ * One command-line option. A bool variable makes a switch (no value,
+ * sets true); every other type takes one value that must parse whole.
+ */
+struct CliOption
 {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
+    const char *flag;
+    /** The value's name in the usage text (unused by a switch, and by
+     *  a string option with choices, which shows them instead). */
+    const char *value = nullptr;
+    const char *help = nullptr;
+    std::variant<bool *, std::uint32_t *, std::uint64_t *, double *,
+                 std::string *, Fidelity *>
+        target = {};
+    /** Smallest value an unsigned option accepts. */
+    std::uint64_t min = 0;
+    /** The values a string option accepts; empty accepts any. */
+    std::vector<std::string> choices = {};
+};
+
+/** The options every program shares, setting the fields of @p cli. */
+inline std::vector<CliOption>
+sharedOptions(BenchCli &cli)
+{
+    return {
+        {.flag = "--threads",
+         .value = "N",
+         .help = "sweep worker threads; results are identical at any "
+                 "count",
+         .target = &cli.threads,
+         .min = 1},
+        {"--filter", "SUBSTR",
+         "keep axis values containing SUBSTR (case-insensitive)",
+         &cli.filter},
+        {"--csv", "PATH", "also write every sweep cell as CSV",
+         &cli.csv},
+        {"--fidelity", "exact|fast",
+         "the event-accurate engine or the calibrated estimator",
+         &cli.fidelity},
+        {"--cache", "DIR",
+         "serve cells simulated before from this persistent cache",
+         &cli.cacheDir},
+        {.flag = "--order",
+         .help = "cell claim order (cost: longest first); wall-clock only",
+         .target = &cli.order,
+         .choices = {"cost", "expansion"}},
+    };
+}
+
+/** @p option's value name: its choices joined by '|', if any. */
+inline std::string
+valueName(const CliOption &option)
+{
+    if (option.choices.empty())
+        return option.value;
+    std::string name;
+    for (const std::string &c : option.choices)
+        name += (name.empty() ? "" : "|") + c;
+    return name;
+}
+
+/** The current value of @p option's variable, as the usage prints
+ *  it: "off" for a switch, "none" for an empty string. */
+inline std::string
+optionValue(const CliOption &option)
+{
+    return std::visit(
+        [](const auto *var) -> std::string {
+            using T = std::remove_cv_t<std::remove_pointer_t<decltype(var)>>;
+            if constexpr (std::is_same_v<T, bool>) {
+                return *var ? "on" : "off";
+            } else if constexpr (std::is_same_v<T, std::string>) {
+                return var->empty() ? "none" : *var;
+            } else if constexpr (std::is_same_v<T, Fidelity>) {
+                return fidelityName(*var);
+            } else {
+                std::ostringstream os;
+                os << *var;
+                return os.str();
+            }
+        },
+        option.target);
+}
+
+/** Usage text for @p options, with their variables' current values
+ *  as defaults. */
+inline std::string
+usage(const char *prog, const std::vector<CliOption> &options)
+{
+    std::ostringstream os;
+    os << "usage: " << prog << " [options]\n" << std::left;
+    for (const CliOption &o : options) {
+        std::string lhs = o.flag;
+        if (!std::holds_alternative<bool *>(o.target))
+            lhs.append(" ").append(valueName(o));
+        os << "  " << std::setw(24) << lhs << "  " << o.help
+           << " (default: " << optionValue(o) << ")\n";
+    }
+    os << "  " << std::setw(24) << "--help" << "  print this text\n";
+    return os.str();
+}
+
+/**
+ * Set @p option's variable from @p text. False, with the variable
+ * unchanged, unless all of @p text is an accepted value (see
+ * expectedValue).
+ */
+inline bool
+setOption(const CliOption &option, const std::string &text)
+{
+    return std::visit(
+        [&](auto *var) {
+            using T = std::remove_pointer_t<decltype(var)>;
+            if constexpr (std::is_same_v<T, bool>) {
+                *var = true;
+                return true;
+            } else if constexpr (std::is_same_v<T, std::string>) {
+                const auto &c = option.choices;
+                if (!c.empty() &&
+                    std::find(c.begin(), c.end(), text) == c.end())
+                    return false;
+                *var = text;
+                return true;
+            } else if constexpr (std::is_same_v<T, Fidelity>) {
+                return parseFidelity(text, *var);
+            } else {
+                T v{};
+                const char *end = text.data() + text.size();
+                const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+                if (ec != std::errc{} || ptr != end)
+                    return false;
+                if constexpr (std::is_integral_v<T>) {
+                    if (v < option.min)
+                        return false;
+                } else if (!std::isfinite(v)) {
+                    return false;
+                }
+                *var = v;
+                return true;
+            }
+        },
+        option.target);
+}
+
+/** What setOption accepts for @p option, for the error message. */
+inline std::string
+expectedValue(const CliOption &option)
+{
+    if (std::holds_alternative<std::uint32_t *>(option.target) ||
+        std::holds_alternative<std::uint64_t *>(option.target)) {
+        std::string what = "a whole number without sign";
+        if (option.min > 0)
+            what.append(" >= ").append(std::to_string(option.min));
+        return what;
+    }
+    if (std::holds_alternative<double *>(option.target))
+        return "a finite number";
+    return valueName(option);
 }
 
 [[noreturn]] inline void
-usage(const char *prog, int exit_code)
+usageError(const char *prog, const std::string &msg)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s [--threads N] [--filter SUBSTR] [--csv PATH]\n"
-        "          [--fidelity exact|fast] [--cache DIR]\n"
-        "          [--order cost|expansion]\n"
-        "  --threads N   sweep worker threads (default: %u);\n"
-        "                results are identical at any thread count\n"
-        "  --filter S    keep axis values containing S "
-        "(case-insensitive)\n"
-        "  --csv PATH    also write every sweep cell as CSV\n"
-        "  --fidelity F  exact: event-accurate engine (default);\n"
-        "                fast: analytic estimator (calibrated, "
-        "approximate)\n"
-        "  --cache DIR   persistent cell cache: serve already-\n"
-        "                simulated cells from DIR, bit-identically\n"
-        "  --order P     cell claim order: cost (longest-job-first,\n"
-        "                default) or expansion; wall-clock only\n",
-        prog, defaultThreads());
-    std::exit(exit_code);
+    std::fprintf(stderr, "%s: %s (see --help)\n", prog, msg.c_str());
+    std::exit(2);
 }
 
+/**
+ * Parse the shared options plus @p extra (a program's own, listed
+ * first in the usage). --help prints the usage to stdout and exits 0;
+ * an unknown flag, a missing value or a value setOption rejects
+ * exits 2 with a message naming the flag.
+ */
 inline BenchCli
-parseCli(int argc, char **argv)
+parseCli(int argc, char **argv, std::vector<CliOption> extra = {})
 {
     BenchCli cli;
-    cli.threads = defaultThreads();
+    std::vector<CliOption> options = std::move(extra);
+    for (CliOption &o : sharedOptions(cli))
+        options.push_back(std::move(o));
+    // Rendered before parsing so the defaults are the initial values.
+    const std::string help = usage(argv[0], options);
     for (int i = 1; i < argc; ++i) {
-        const auto needsValue = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: %s needs a value\n", argv[0],
-                             flag);
-                usage(argv[0], 2);
-            }
-            return argv[++i];
-        };
-        if (std::strcmp(argv[i], "--threads") == 0) {
-            const long n = std::atol(needsValue("--threads"));
-            if (n < 1) {
-                std::fprintf(stderr, "%s: --threads must be >= 1\n",
-                             argv[0]);
-                usage(argv[0], 2);
-            }
-            cli.threads = static_cast<unsigned>(n);
-        } else if (std::strcmp(argv[i], "--filter") == 0) {
-            cli.filter = needsValue("--filter");
-        } else if (std::strcmp(argv[i], "--csv") == 0) {
-            cli.csv = needsValue("--csv");
-        } else if (std::strcmp(argv[i], "--fidelity") == 0) {
-            const char *value = needsValue("--fidelity");
-            if (!parseFidelity(value, cli.fidelity)) {
-                std::fprintf(stderr,
-                             "%s: --fidelity must be exact or fast "
-                             "(got %s)\n",
-                             argv[0], value);
-                usage(argv[0], 2);
-            }
-        } else if (std::strcmp(argv[i], "--cache") == 0) {
-            cli.cacheDir = needsValue("--cache");
-        } else if (std::strcmp(argv[i], "--order") == 0) {
-            cli.order = needsValue("--order");
-            if (cli.order != "cost" && cli.order != "expansion") {
-                std::fprintf(stderr,
-                             "%s: --order must be cost or expansion "
-                             "(got %s)\n",
-                             argv[0], cli.order.c_str());
-                usage(argv[0], 2);
-            }
-        } else if (std::strcmp(argv[i], "--help") == 0 ||
-                   std::strcmp(argv[i], "-h") == 0) {
-            usage(argv[0], 0);
-        } else {
-            std::fprintf(stderr, "%s: unknown option %s\n", argv[0],
-                         argv[i]);
-            usage(argv[0], 2);
+        const std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            std::fputs(help.c_str(), stdout);
+            std::exit(0);
         }
+        const auto it = std::find_if(
+            options.begin(), options.end(),
+            [&arg](const CliOption &o) { return arg == o.flag; });
+        if (it == options.end())
+            usageError(argv[0], "unknown option " + arg);
+        if (std::holds_alternative<bool *>(it->target)) {
+            setOption(*it, "");
+            continue;
+        }
+        if (i + 1 >= argc)
+            usageError(argv[0], arg + " needs a value");
+        const std::string value = argv[++i];
+        if (!setOption(*it, value))
+            usageError(argv[0], (arg + ": invalid value '" + value +
+                                 "', expected ")
+                                    .append(expectedValue(*it)));
     }
     return cli;
 }
@@ -182,9 +304,9 @@ processCache(const std::string &dir)
  * The CI cache smoke greps the "cache:" line for the hit percentage.
  */
 inline void
-printSweepFooter(const SweepRunner &sweep, const CellCache *cache)
+printSweepFooter(const DeviceArray &array, const CellCache *cache)
 {
-    const auto &busy = sweep.threadBusySeconds();
+    const auto &busy = array.threadBusySeconds();
     if (!busy.empty()) {
         const double max_busy =
             *std::max_element(busy.begin(), busy.end());
@@ -196,7 +318,7 @@ printSweepFooter(const SweepRunner &sweep, const CellCache *cache)
         std::fprintf(stderr,
                      "sweep: %zu cells in %.3fs wall, %zu workers, "
                      "busy max/min %.3f/%.3fs, imbalance %.1f%%\n",
-                     sweep.completedCount(), sweep.runWallSeconds(),
+                     array.completedCount(), array.runWallSeconds(),
                      busy.size(), max_busy, min_busy, imbalance);
     }
     if (cache) {
@@ -243,28 +365,32 @@ runSweep(SweepRunner &sweep, const BenchCli &cli,
              {})
 {
     installSigintStop();
-    SweepRunner::Progress progress;
-    progress.stop = &stopFlag();
-    progress.cache = processCache(cli.cacheDir);
+    DeviceArrayHooks hooks;
+    hooks.stop = &stopFlag();
+    hooks.cache = processCache(cli.cacheDir);
     if (cli.order == "expansion")
-        progress.order = expansionOrder();
+        hooks.order = expansionOrder();
     const bool show_progress = isatty(fileno(stderr)) != 0;
+    const std::size_t total = sweep.cellCount();
+    std::size_t done = 0;
     if (show_progress) {
-        progress.onCellDone = [](std::size_t done, std::size_t total,
-                                 const SweepPoint &) {
-            std::fprintf(stderr, "\rsweep: %zu/%zu cells", done,
+        // DeviceArray serializes onDeviceDone, so the count needs no
+        // further synchronization.
+        hooks.onDeviceDone = [total, &done](std::size_t,
+                                            const MetricsSnapshot &) {
+            std::fprintf(stderr, "\rsweep: %zu/%zu cells", ++done,
                          total);
             if (done == total)
                 std::fprintf(stderr, "\n");
         };
     }
-    sweep.run(cli.threads, progress);
-    printSweepFooter(sweep, progress.cache);
+    sweep.run(cli.threads, hooks);
+    printSweepFooter(sweep.array(), hooks.cache);
     if (stopFlag().load(std::memory_order_relaxed)) {
         if (show_progress)
             std::fprintf(stderr, "\n");
         std::fprintf(stderr, "sweep cancelled after %zu/%zu cells\n",
-                     sweep.completedCount(), sweep.cellCount());
+                     sweep.array().completedCount(), total);
         if (!csv_path.empty()) {
             // Completed cells are valid and final; keep them. The
             // completed column marks the skipped ones.
@@ -280,8 +406,8 @@ runSweep(SweepRunner &sweep, const BenchCli &cli,
         sweep.writeCsvFile(csv_path);
         if (extra_csv)
             extra_csv(csv_path);
-        std::fprintf(stderr, "wrote %zu cells to %s\n",
-                     sweep.cellCount(), csv_path.c_str());
+        std::fprintf(stderr, "wrote %zu cells to %s\n", total,
+                     csv_path.c_str());
     }
 }
 

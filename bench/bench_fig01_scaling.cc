@@ -80,8 +80,9 @@ main(int argc, char **argv)
         for (const auto &chip_label : sweep.axes().variants) {
             const SsdConfig cfg = scaledConfig(
                 static_cast<std::uint32_t>(std::stoul(chip_label)));
-            const auto &m = sweep.at(size_label, SchedulerKind::VAS,
-                                     17, chip_label);
+            const auto &m = sweep.at({.trace = size_label,
+                                      .scheduler = SchedulerKind::VAS,
+                                      .variant = chip_label});
             std::printf("%8u %8llu | %12.0f %10.1f %10.1f\n",
                         cfg.geometry.numChips() *
                             cfg.geometry.diesPerChip,

@@ -56,7 +56,8 @@ main(int argc, char **argv)
         std::printf("%-8s", name.c_str());
         for (std::size_t k = 0; k < kinds.size(); ++k) {
             const double util =
-                sweep->at(name, kinds[k]).flashLevelUtilizationPct;
+                sweep->at({.trace = name, .scheduler = kinds[k]})
+                    .flashLevelUtilizationPct;
             sums[k] += util;
             std::printf(" %*.1f", column(kinds[k]).second, util);
         }

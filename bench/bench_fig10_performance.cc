@@ -39,8 +39,10 @@ main(int argc, char **argv)
             std::printf("\n");
             for (const auto &name : names) {
                 std::printf("%-8s", name.c_str());
-                for (const auto kind : kinds)
-                    std::printf(fmt, getter(sweep->at(name, kind)));
+                for (const auto kind : kinds) {
+                    std::printf(fmt, getter(sweep->at(
+                                         {.trace = name, .scheduler = kind})));
+                }
                 std::printf("\n");
             }
         };
@@ -66,11 +68,13 @@ main(int argc, char **argv)
         std::printf("\n");
         for (const auto &name : names) {
             const double vas = static_cast<double>(
-                sweep->at(name, SchedulerKind::VAS).queueStallTime);
+                sweep->at({.trace = name, .scheduler = SchedulerKind::VAS})
+                    .queueStallTime);
             std::printf("%-8s", name.c_str());
             for (const auto kind : kinds) {
                 const double stall = static_cast<double>(
-                    sweep->at(name, kind).queueStallTime);
+                    sweep->at({.trace = name, .scheduler = kind})
+                        .queueStallTime);
                 std::printf(" %10.3f", vas > 0.0 ? stall / vas : 0.0);
             }
             std::printf("\n");
@@ -85,13 +89,12 @@ main(int argc, char **argv)
         double bw_gain_vas = 0.0;
         double bw_gain_pas = 0.0;
         for (const auto &name : names) {
-            const auto &spk3 = sweep->at(name, SchedulerKind::SPK3);
-            bw_gain_vas +=
-                spk3.bandwidthKBps /
-                sweep->at(name, SchedulerKind::VAS).bandwidthKBps;
-            bw_gain_pas +=
-                spk3.bandwidthKBps /
-                sweep->at(name, SchedulerKind::PAS).bandwidthKBps;
+            const auto bw = [&](SchedulerKind kind) {
+                return sweep->at({.trace = name, .scheduler = kind})
+                    .bandwidthKBps;
+            };
+            bw_gain_vas += bw(SchedulerKind::SPK3) / bw(SchedulerKind::VAS);
+            bw_gain_pas += bw(SchedulerKind::SPK3) / bw(SchedulerKind::PAS);
         }
         std::printf(
             "\nSPK3 mean bandwidth gain: %.2fx vs VAS, %.2fx vs PAS\n",

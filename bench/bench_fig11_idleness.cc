@@ -46,13 +46,15 @@ main(int argc, char **argv)
     for (const auto &name : names) {
         std::printf("%-8s |", name.c_str());
         for (std::size_t k = 0; k < nk; ++k) {
-            const auto &m = sweep->at(name, kinds[k]);
+            const auto &m =
+                sweep->at({.trace = name, .scheduler = kinds[k]});
             inter_sum[k] += m.interChipIdlenessPct;
             std::printf(" %9.1f", m.interChipIdlenessPct);
         }
         std::printf(" |");
         for (std::size_t k = 0; k < nk; ++k) {
-            const auto &m = sweep->at(name, kinds[k]);
+            const auto &m =
+                sweep->at({.trace = name, .scheduler = kinds[k]});
             intra_sum[k] += m.intraChipIdlenessPct;
             std::printf(" %9.1f", m.intraChipIdlenessPct);
         }

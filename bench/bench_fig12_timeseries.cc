@@ -72,7 +72,8 @@ main(int argc, char **argv)
     // print as zeros instead of faulting the lookup.
     const auto series = [&sweep](SchedulerKind kind) {
         return bench::hasScheduler(sweep, kind)
-                   ? latencySeriesMs(sweep.ioResultsAt("msnfs1", kind))
+                   ? latencySeriesMs(sweep.array().ioResults(sweep.indexOf(
+                         {.trace = "msnfs1", .scheduler = kind})))
                    : std::vector<double>{};
     };
     const auto vas = series(SchedulerKind::VAS);

@@ -29,7 +29,7 @@ table(const spk::SweepRunner &sweep, spk::SchedulerKind kind)
     double idle_sum = 0.0;
     const auto &names = sweep.axes().traces;
     for (const auto &name : names) {
-        const auto &m = sweep.at(name, kind);
+        const auto &m = sweep.at({.trace = name, .scheduler = kind});
         idle_sum += m.execIdlePct;
         std::printf("%-8s %8.1f %12.1f %10.1f %8.1f\n", name.c_str(),
                     m.execBusPct, m.execContentionPct, m.execCellPct,

@@ -28,7 +28,7 @@ table(const spk::SweepRunner &sweep, spk::SchedulerKind kind)
     double sums[4] = {};
     const auto &names = sweep.axes().traces;
     for (const auto &name : names) {
-        const auto &m = sweep.at(name, kind);
+        const auto &m = sweep.at({.trace = name, .scheduler = kind});
         std::printf("%-8s %9.1f %7.1f %7.1f %7.1f\n", name.c_str(),
                     m.flpPct[0], m.flpPct[1], m.flpPct[2], m.flpPct[3]);
         for (int i = 0; i < 4; ++i)

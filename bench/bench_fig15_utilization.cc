@@ -84,7 +84,9 @@ main(int argc, char **argv)
                                      std::stoull(size_label)));
             for (const auto kind : kinds) {
                 const auto &m =
-                    sweep.at(size_label, kind, 53, chip_label);
+                    sweep.at({.trace = size_label,
+                              .scheduler = kind,
+                              .variant = chip_label});
                 std::printf(" %8.1f", m.flashLevelUtilizationPct);
                 if (kind == SchedulerKind::SPK3)
                     spk3_sum += m.flashLevelUtilizationPct;

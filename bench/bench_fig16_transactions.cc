@@ -82,23 +82,21 @@ main(int argc, char **argv)
         for (const auto &size_label : sizes) {
             std::printf("%8llu", static_cast<unsigned long long>(
                                      std::stoull(size_label)));
+            const auto txns = [&](SchedulerKind kind) {
+                return sweep
+                    .at({.trace = size_label,
+                         .scheduler = kind,
+                         .variant = chip_label})
+                    .transactions;
+            };
             for (const auto kind : kinds) {
-                const auto &m =
-                    sweep.at(size_label, kind, 59, chip_label);
                 std::printf(" %10llu",
-                            static_cast<unsigned long long>(
-                                m.transactions));
+                            static_cast<unsigned long long>(txns(kind)));
             }
             std::printf("\n");
             if (have_pair) {
-                const auto vas_txns =
-                    sweep.at(size_label, SchedulerKind::VAS, 59,
-                             chip_label)
-                        .transactions;
-                const auto spk3_txns =
-                    sweep.at(size_label, SchedulerKind::SPK3, 59,
-                             chip_label)
-                        .transactions;
+                const auto vas_txns = txns(SchedulerKind::VAS);
+                const auto spk3_txns = txns(SchedulerKind::SPK3);
                 if (vas_txns > 0) {
                     reduction_sum +=
                         100.0 *

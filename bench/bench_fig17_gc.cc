@@ -118,7 +118,9 @@ main(int argc, char **argv)
             for (const auto kind : kinds) {
                 for (const auto &v : cols) {
                     std::printf(" %10.0f",
-                                sweep.at(size_label, kind, 61, v)
+                                sweep.at({.trace = size_label,
+                                          .scheduler = kind,
+                                          .variant = v})
                                     .bandwidthKBps);
                 }
             }

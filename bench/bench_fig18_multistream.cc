@@ -103,6 +103,10 @@ main(int argc, char **argv)
     const auto &kinds = sweep.axes().schedulers;
     const auto &arbs = sweep.axes().arbiters;
     const std::string &trace = sweep.axes().traces.front();
+    const auto cell = [&](SchedulerKind kind,
+                          ArbiterKind arb) -> const MetricsSnapshot & {
+        return sweep.at({.trace = trace, .scheduler = kind, .arbiter = arb});
+    };
 
     for (const auto arb : arbs) {
         std::printf("\n(arbiter %s: per-stream IOPS / avg latency us "
@@ -112,24 +116,23 @@ main(int argc, char **argv)
         for (const auto kind : kinds)
             std::printf(" %10s", schedulerKindName(kind));
         std::printf("\n");
-        const auto &first =
-            sweep.at(trace, kinds.front(), 0, "", arb);
+        const auto &first = cell(kinds.front(), arb);
         for (std::size_t s = 0; s < first.streams.size(); ++s) {
             std::printf("%-10s %-10s",
                         first.streams[s].name.c_str(), "iops");
             for (const auto kind : kinds) {
-                const auto &m = sweep.at(trace, kind, 0, "", arb);
+                const auto &m = cell(kind, arb);
                 std::printf(" %10.0f", m.streams[s].iops);
             }
             std::printf("\n%-10s %-10s", "", "lat_us");
             for (const auto kind : kinds) {
-                const auto &m = sweep.at(trace, kind, 0, "", arb);
+                const auto &m = cell(kind, arb);
                 std::printf(" %10.0f",
                             m.streams[s].avgLatencyNs / 1000.0);
             }
             std::printf("\n%-10s %-10s", "", "p99_us");
             for (const auto kind : kinds) {
-                const auto &m = sweep.at(trace, kind, 0, "", arb);
+                const auto &m = cell(kind, arb);
                 std::printf(
                     " %10.0f",
                     static_cast<double>(m.streams[s].p99LatencyNs) /
@@ -148,12 +151,12 @@ main(int argc, char **argv)
     for (const auto arb : arbs) {
         std::printf("%-10s %-10s", arbiterKindName(arb), "bw");
         for (const auto kind : kinds) {
-            const auto &m = sweep.at(trace, kind, 0, "", arb);
+            const auto &m = cell(kind, arb);
             std::printf(" %10.0f", m.bandwidthKBps);
         }
         std::printf("\n%-10s %-10s", "", "fairness");
         for (const auto kind : kinds) {
-            const auto &m = sweep.at(trace, kind, 0, "", arb);
+            const auto &m = cell(kind, arb);
             std::printf(" %10.3f", fairnessIndex(m.streams, streams));
         }
         std::printf("\n");

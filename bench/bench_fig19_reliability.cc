@@ -84,7 +84,12 @@ main(int argc, char **argv)
     const auto &kinds = sweep.axes().schedulers;
     const auto &faults = sweep.axes().faults;
     const auto &variants = sweep.axes().variants;
-    const std::uint64_t seed = sweep.axes().seeds.front();
+    const auto cell = [&sweep](SchedulerKind kind,
+                               const std::string &variant,
+                               double fault) -> const MetricsSnapshot & {
+        return sweep.at(
+            {.scheduler = kind, .variant = variant, .fault = fault});
+    };
 
     for (const auto &variant : variants) {
         std::printf("\n(%s: p99 latency us / IOPS vs injected fault "
@@ -98,9 +103,7 @@ main(int argc, char **argv)
         for (const double f : faults) {
             std::printf("%10.0e", f);
             for (const auto kind : kinds) {
-                const MetricsSnapshot &m =
-                    sweep.at("", kind, seed, variant,
-                             ArbiterKind::RoundRobin, f);
+                const MetricsSnapshot &m = cell(kind, variant, f);
                 std::printf(" %14.1f %14.0f",
                             static_cast<double>(m.p99LatencyNs) /
                                 1000.0,
@@ -121,9 +124,7 @@ main(int argc, char **argv)
                 "r-prog", "r-erase", "failedIO");
     for (const auto kind : kinds) {
         for (const double f : faults) {
-            const MetricsSnapshot &m =
-                sweep.at("", kind, seed, cause_variant,
-                         ArbiterKind::RoundRobin, f);
+            const MetricsSnapshot &m = cell(kind, cause_variant, f);
             std::printf("%6s %10.0e %9llu %7llu %7llu %7llu %7llu "
                         "%9llu %8llu\n",
                         schedulerKindName(kind), f,
@@ -153,9 +154,7 @@ main(int argc, char **argv)
                 "rebuilt", "softdec", "sdfail", "failedIO", "degr");
     for (const auto &variant : variants) {
         for (const double f : faults) {
-            const MetricsSnapshot &m =
-                sweep.at("", econ_kind, seed, variant,
-                         ArbiterKind::RoundRobin, f);
+            const MetricsSnapshot &m = cell(econ_kind, variant, f);
             std::printf("%15s %10.0e %8llu %7llu %8llu %8llu %9llu "
                         "%8llu %8llu %6llu\n",
                         variant.c_str(), f,
@@ -181,8 +180,7 @@ main(int argc, char **argv)
     // (first scheduler, first variant): how deep the re-senses go.
     {
         const MetricsSnapshot &m =
-            sweep.at("", kinds.front(), seed, cause_variant,
-                     ArbiterKind::RoundRobin, faults.back());
+            cell(kinds.front(), cause_variant, faults.back());
         std::printf("\n(%s %s @ %.0e retry-ladder occupancy)\n",
                     schedulerKindName(kinds.front()),
                     cause_variant.c_str(), faults.back());

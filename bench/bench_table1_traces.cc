@@ -7,9 +7,9 @@
  * the reported statistics (direction mix, mean sizes, randomness).
  *
  * This exhibit summarizes traces without simulating a device, so it
- * uses SweepRunner only for axis expansion (trace generation) and the
- * common CLI; --threads is accepted but has nothing to parallelize.
- * --csv emits the summary columns instead of device metrics.
+ * takes the common CLI but only --filter (applied to the trace names,
+ * as spk::filterAxes does) and --csv, which emits the summary columns
+ * instead of device metrics, act on it.
  */
 
 #include <cstdio>
@@ -29,17 +29,6 @@ main(int argc, char **argv)
     axes.traces.clear();
     for (const auto &info : paperTraces())
         axes.traces.push_back(info.name);
-    axes.schedulers = {SchedulerKind::VAS}; // unused: no simulation
-    axes.seeds = {7};
-    axes.fidelities = {cli.fidelity};
-
-    SweepRunner sweep(filterAxes(axes, cli.filter),
-                      [](const SweepPoint &p) {
-                          DeviceJob job;
-                          job.trace = generatePaperTrace(
-                              p.trace, 3000, 1ull << 30, p.seed);
-                          return job;
-                      });
 
     std::printf("%-8s %10s %10s %8s %8s %9s %9s %8s\n", "trace",
                 "readKB", "writeKB", "reads", "writes", "rand-r%",
@@ -54,10 +43,10 @@ main(int argc, char **argv)
                "rand_write_pct,locality\n";
     }
 
-    for (const auto &name : sweep.axes().traces) {
+    for (const auto &name : filterAxes(axes, cli.filter).traces) {
         const auto &info = paperTrace(name);
         const auto s =
-            summarize(sweep.jobAt(name, SchedulerKind::VAS).trace);
+            summarize(generatePaperTrace(name, 3000, 1ull << 30, 7));
         std::printf("%-8s %10llu %10llu %8llu %8llu %9.2f %9.2f %8s\n",
                     info.name,
                     static_cast<unsigned long long>(s.readBytes / 1024),

@@ -24,8 +24,6 @@ Nvmhc::Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
 {
     if (controllers_.size() != geo_.numChannels)
         fatal("Nvmhc: need one flash controller per channel");
-    if (cfg_.queueDepth == 0)
-        fatal("Nvmhc: queue depth must be non-zero");
 
     ctx_.geo = &geo_;
     ctx_.queue = &queue_;

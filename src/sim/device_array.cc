@@ -305,46 +305,37 @@ DeviceArray::run(unsigned threads, const DeviceArrayHooks &hooks)
         return group_of[i] == kNoGroup ? nullptr : &groups[group_of[i]];
     };
 
-    if (workers <= 1) {
-        for (const std::size_t i : order) {
-            if (stopped())
-                break;
-            threadBusySeconds_[0] += runOne(i, hooks.cache, groupOf(i));
-            if (hooks.onDeviceDone)
-                hooks.onDeviceDone(i, results_[i]);
-        }
-        runWallSeconds_ = secondsSince(run_start);
-        return results_;
-    }
-
-    // Fixed pool; each worker claims the next unstarted device from
-    // an atomic cursor over the policy's order. Devices share nothing
-    // mutable, so the claim order cannot influence any result. The
-    // callback mutex only serializes observation.
+    // Each worker claims the next unstarted device from an atomic
+    // cursor over the policy's order; one worker runs inline on the
+    // caller. Devices share nothing mutable, so the claim order cannot
+    // influence any result. The callback mutex only serializes
+    // observation.
     std::atomic<std::size_t> cursor{0};
     std::mutex done_mutex;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-        pool.emplace_back([this, w, &order, &cursor, &hooks, &stopped,
-                           &done_mutex, &groupOf] {
-            while (!stopped()) {
-                const std::size_t slot =
-                    cursor.fetch_add(1, std::memory_order_relaxed);
-                if (slot >= order.size())
-                    return;
-                const std::size_t i = order[slot];
-                threadBusySeconds_[w] +=
-                    runOne(i, hooks.cache, groupOf(i));
-                if (hooks.onDeviceDone) {
-                    std::lock_guard<std::mutex> lock(done_mutex);
-                    hooks.onDeviceDone(i, results_[i]);
-                }
+    const auto work = [&](unsigned w) {
+        while (!stopped()) {
+            const std::size_t slot =
+                cursor.fetch_add(1, std::memory_order_relaxed);
+            if (slot >= order.size())
+                return;
+            const std::size_t i = order[slot];
+            threadBusySeconds_[w] += runOne(i, hooks.cache, groupOf(i));
+            if (hooks.onDeviceDone) {
+                std::lock_guard<std::mutex> lock(done_mutex);
+                hooks.onDeviceDone(i, results_[i]);
             }
-        });
+        }
+    };
+    if (workers == 1) {
+        work(0);
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(workers);
+        for (unsigned w = 0; w < workers; ++w)
+            pool.emplace_back(work, w);
+        for (auto &t : pool)
+            t.join();
     }
-    for (auto &t : pool)
-        t.join();
     runWallSeconds_ = secondsSince(run_start);
     return results_;
 }

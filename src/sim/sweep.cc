@@ -4,7 +4,6 @@
 #include <cctype>
 #include <limits>
 #include <fstream>
-#include <mutex>
 #include <ostream>
 #include <type_traits>
 #include <utility>
@@ -168,128 +167,50 @@ SweepRunner::SweepRunner(SweepAxes axes, const JobBuilder &build)
 }
 
 const std::vector<MetricsSnapshot> &
-SweepRunner::run(unsigned threads, const Progress &progress)
+SweepRunner::run(unsigned threads, const DeviceArrayHooks &hooks)
 {
-    DeviceArrayHooks hooks;
-    hooks.stop = progress.stop;
-    hooks.order = progress.order;
-    hooks.cache = progress.cache;
-    std::size_t done = 0;
-    if (progress.onCellDone) {
-        // DeviceArray already serializes onDeviceDone, so the counter
-        // needs no further synchronization.
-        hooks.onDeviceDone = [this, &progress,
-                              &done](std::size_t index,
-                                     const MetricsSnapshot &) {
-            progress.onCellDone(++done, points_.size(),
-                                points_[index]);
-        };
-    }
     return array_.run(threads, hooks);
 }
 
 std::size_t
-SweepRunner::indexOf(const std::string &trace, SchedulerKind scheduler,
-                     std::uint64_t seed, const std::string &variant,
-                     ArbiterKind arbiter, double fault,
-                     Fidelity fidelity) const
+SweepRunner::indexOf(const SweepPoint &point) const
 {
-    const auto axisIndex = [](const auto &values, const auto &value,
-                              const char *axis) {
-        const auto it =
-            std::find(values.begin(), values.end(), value);
-        if (it == values.end())
-            fatal(std::string("SweepRunner: value not on the ") +
-                  axis + " axis");
-        return static_cast<std::size_t>(it - values.begin());
+    // Axes nest in expansion order. A field left at its default
+    // addresses a single-value axis without naming its value;
+    // anything else must be on the axis. Trace and scheduler have no
+    // such default.
+    std::size_t index = 0;
+    const auto nest = [&index](const auto &values, const auto &value,
+                               bool defaulted, const char *axis) {
+        std::size_t i = 0;
+        if (!defaulted || values.size() != 1) {
+            const auto it = std::find(values.begin(), values.end(), value);
+            if (it == values.end())
+                fatal(std::string("SweepRunner: value not on the ") +
+                      axis + " axis");
+            i = static_cast<std::size_t>(it - values.begin());
+        }
+        index = index * values.size() + i;
     };
-    // The defaulted seed (0), variant ("") and arbiter (RoundRobin)
-    // arguments address a single-value axis without naming its value;
-    // anything else must match exactly.
-    const std::size_t t = axisIndex(axes_.traces, trace, "trace");
-    const std::size_t s =
-        axisIndex(axes_.schedulers, scheduler, "scheduler");
-    const std::size_t e = seed == 0 && axes_.seeds.size() == 1
-                              ? 0
-                              : axisIndex(axes_.seeds, seed, "seed");
-    const std::size_t v =
-        variant.empty() && axes_.variants.size() == 1
-            ? 0
-            : axisIndex(axes_.variants, variant, "variant");
-    const std::size_t a =
-        arbiter == ArbiterKind::RoundRobin &&
-                axes_.arbiters.size() == 1
-            ? 0
-            : axisIndex(axes_.arbiters, arbiter, "arbiter");
-    const std::size_t f =
-        fault == 0.0 && axes_.faults.size() == 1
-            ? 0
-            : axisIndex(axes_.faults, fault, "fault");
-    const std::size_t fi =
-        fidelity == Fidelity::Exact && axes_.fidelities.size() == 1
-            ? 0
-            : axisIndex(axes_.fidelities, fidelity, "fidelity");
-    return (((((t * axes_.schedulers.size() + s) *
-                   axes_.seeds.size() +
-               e) *
-                  axes_.variants.size() +
-              v) *
-                 axes_.arbiters.size() +
-             a) *
-                axes_.faults.size() +
-            f) *
-               axes_.fidelities.size() +
-           fi;
+    nest(axes_.traces, point.trace, false, "trace");
+    nest(axes_.schedulers, point.scheduler, false, "scheduler");
+    nest(axes_.seeds, point.seed, point.seed == 0, "seed");
+    nest(axes_.variants, point.variant, point.variant.empty(), "variant");
+    nest(axes_.arbiters, point.arbiter,
+         point.arbiter == ArbiterKind::RoundRobin, "arbiter");
+    nest(axes_.faults, point.fault, point.fault == 0.0, "fault");
+    nest(axes_.fidelities, point.fidelity,
+         point.fidelity == Fidelity::Exact, "fidelity");
+    return index;
 }
 
 const MetricsSnapshot &
-SweepRunner::at(const std::string &trace, SchedulerKind scheduler,
-                std::uint64_t seed, const std::string &variant,
-                ArbiterKind arbiter, double fault,
-                Fidelity fidelity) const
+SweepRunner::at(const SweepPoint &point) const
 {
-    const std::size_t index = indexOf(trace, scheduler, seed,
-                                      variant, arbiter, fault,
-                                      fidelity);
+    const std::size_t index = indexOf(point);
     if (array_.results().size() != points_.size())
         fatal("SweepRunner: results accessed before run()");
     return array_.results()[index];
-}
-
-const std::vector<IoResult> &
-SweepRunner::ioResultsAt(const std::string &trace,
-                         SchedulerKind scheduler, std::uint64_t seed,
-                         const std::string &variant,
-                         ArbiterKind arbiter, double fault,
-                         Fidelity fidelity) const
-{
-    const std::size_t index = indexOf(trace, scheduler, seed,
-                                      variant, arbiter, fault,
-                                      fidelity);
-    if (array_.results().size() != points_.size())
-        fatal("SweepRunner: results accessed before run()");
-    return array_.ioResults(index);
-}
-
-const DeviceJob &
-SweepRunner::jobAt(const std::string &trace, SchedulerKind scheduler,
-                   std::uint64_t seed, const std::string &variant,
-                   ArbiterKind arbiter, double fault,
-                   Fidelity fidelity) const
-{
-    return array_.jobs()[indexOf(trace, scheduler, seed, variant,
-                                 arbiter, fault, fidelity)];
-}
-
-bool
-SweepRunner::cellCompleted(const std::string &trace,
-                           SchedulerKind scheduler, std::uint64_t seed,
-                           const std::string &variant,
-                           ArbiterKind arbiter, double fault,
-                           Fidelity fidelity) const
-{
-    return array_.completed(indexOf(trace, scheduler, seed, variant,
-                                    arbiter, fault, fidelity));
 }
 
 MetricsSnapshot

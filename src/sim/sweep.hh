@@ -15,7 +15,6 @@
 #ifndef SPK_SIM_SWEEP_HH
 #define SPK_SIM_SWEEP_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -71,13 +70,17 @@ struct SweepAxes
  */
 SweepAxes filterAxes(SweepAxes axes, const std::string &needle);
 
-/** One cell of the expanded grid. */
+/** One cell of the expanded grid, and the key SweepRunner::at looks
+ *  a cell up by (designated initializers name only the axes that
+ *  matter: `sweep.at({.trace = "fin1", .scheduler = kind})`). Every
+ *  member has an initializer, so GCC's -Wmissing-field-initializers
+ *  accepts the fields such a lookup leaves out. */
 struct SweepPoint
 {
-    std::string trace;
+    std::string trace = "";
     SchedulerKind scheduler = SchedulerKind::SPK3;
     std::uint64_t seed = 0;
-    std::string variant;
+    std::string variant = "";
     ArbiterKind arbiter = ArbiterKind::RoundRobin;
     double fault = 0.0;
     Fidelity fidelity = Fidelity::Exact;
@@ -86,6 +89,10 @@ struct SweepPoint
 
 /**
  * Expands a SweepAxes grid into DeviceJobs and runs them sharded.
+ * It adds to DeviceArray only the axes: expansion, lookup by
+ * SweepPoint, the fleet aggregate and the CSVs. Everything else a run
+ * leaves behind (per-cell results, completion flags, timings, per-I/O
+ * series) is read from array().
  *
  * Typical use:
  * @code
@@ -100,7 +107,8 @@ struct SweepPoint
  *                         return job;
  *                     });
  *   sweep.run(cli.threads);
- *   const auto &m = sweep.at("fin1", SchedulerKind::SPK3);
+ *   const auto &m =
+ *       sweep.at({.trace = "fin1", .scheduler = SchedulerKind::SPK3});
  * @endcode
  */
 class SweepRunner
@@ -111,111 +119,37 @@ class SweepRunner
      *  (traces, base configs) once outside and copy them in. */
     using JobBuilder = std::function<DeviceJob(const SweepPoint &)>;
 
-    /** Optional observation/control for long campaigns. */
-    struct Progress
-    {
-        /** Serialized per-cell completion callback; @p done counts
-         *  cells finished so far in this run. */
-        std::function<void(std::size_t done, std::size_t total,
-                           const SweepPoint &)>
-            onCellDone;
-        /** Cooperative stop; in-flight cells finish (their results
-         *  stay valid), unclaimed cells are skipped. */
-        const std::atomic<bool> *stop = nullptr;
-
-        /** Cell claim order (wall-clock only; results are indexed by
-         *  cell). Null runs DeviceArray's default costGuidedOrder(). */
-        CellOrderPolicy order;
-
-        /** Persistent cell cache consulted before each simulation
-         *  (sim/cell_cache.hh). Not owned; null disables caching. */
-        CellCache *cache = nullptr;
-    };
-
     SweepRunner(SweepAxes axes, const JobBuilder &build);
 
     const SweepAxes &axes() const { return axes_; }
     const std::vector<SweepPoint> &points() const { return points_; }
     std::size_t cellCount() const { return points_.size(); }
 
+    /** The cells' jobs and, after run(), their results, completion
+     *  flags and timings, indexed like points(). */
+    const DeviceArray &array() const { return array_; }
+
     /**
      * Execute every cell. Thread count affects wall-clock only; the
      * per-cell snapshots are bit-identical at any value.
      */
     const std::vector<MetricsSnapshot> &
-    run(unsigned threads, const Progress &progress);
+    run(unsigned threads, const DeviceArrayHooks &hooks = {});
 
-    const std::vector<MetricsSnapshot> &
-    run(unsigned threads)
-    {
-        return run(threads, Progress{});
-    }
+    /**
+     * Flat index of the cell at @p point's axis values (its `index`
+     * field is ignored). Trace and scheduler must be on their axes.
+     * The other fields may stay at their defaults (seed 0, variant
+     * "", arbiter RoundRobin, fault 0, fidelity Exact) to address an
+     * axis that holds a single value. fatal() on any other value not
+     * on its axis, naming the axis: a typo'd label is a usage error,
+     * not a soft miss.
+     */
+    std::size_t indexOf(const SweepPoint &point) const;
 
-    /** Flat per-cell snapshots, in expansion order. */
-    const std::vector<MetricsSnapshot> &results() const
-    {
-        return array_.results();
-    }
-
-    /** Look one cell up by axis values; fatal() on an unknown label
-     *  (a typo'd trace name is a usage error, not a soft miss). The
-     *  seed, variant and arbiter arguments may be left at their
-     *  defaults when that axis holds a single value. */
-    const MetricsSnapshot &
-    at(const std::string &trace, SchedulerKind scheduler,
-       std::uint64_t seed = 0, const std::string &variant = "",
-       ArbiterKind arbiter = ArbiterKind::RoundRobin,
-       double fault = 0.0,
-       Fidelity fidelity = Fidelity::Exact) const;
-
-    /** Per-I/O series for cells whose job set captureIoResults. */
-    const std::vector<IoResult> &
-    ioResultsAt(const std::string &trace, SchedulerKind scheduler,
-                std::uint64_t seed = 0,
-                const std::string &variant = "",
-                ArbiterKind arbiter = ArbiterKind::RoundRobin,
-                double fault = 0.0,
-                Fidelity fidelity = Fidelity::Exact) const;
-
-    /** The expanded job of one cell (e.g. to summarize its trace). */
-    const DeviceJob &
-    jobAt(const std::string &trace, SchedulerKind scheduler,
-          std::uint64_t seed = 0, const std::string &variant = "",
-          ArbiterKind arbiter = ArbiterKind::RoundRobin,
-          double fault = 0.0,
-          Fidelity fidelity = Fidelity::Exact) const;
-
-    /** True once the cell ran to completion in the last run(). */
-    bool
-    cellCompleted(const std::string &trace, SchedulerKind scheduler,
-                  std::uint64_t seed = 0,
-                  const std::string &variant = "",
-                  ArbiterKind arbiter = ArbiterKind::RoundRobin,
-                  double fault = 0.0,
-                  Fidelity fidelity = Fidelity::Exact) const;
-
-    /** Cells finished during the last run(). */
-    std::size_t completedCount() const
-    {
-        return array_.completedCount();
-    }
-
-    /** Per-cell wall seconds of the last run(), expansion order
-     *  (simulation + cache bookkeeping; hits read as lookup time). */
-    const std::vector<double> &cellSeconds() const
-    {
-        return array_.cellSeconds();
-    }
-
-    /** Per-worker busy seconds of the last run(); the max/min spread
-     *  is the thread imbalance the bench footer reports. */
-    const std::vector<double> &threadBusySeconds() const
-    {
-        return array_.threadBusySeconds();
-    }
-
-    /** End-to-end wall seconds of the last run(). */
-    double runWallSeconds() const { return array_.runWallSeconds(); }
+    /** The snapshot of the cell at @p point (see indexOf); fatal()
+     *  before run(). */
+    const MetricsSnapshot &at(const SweepPoint &point) const;
 
     /** Fleet-level merge of every completed cell snapshot
      *  (uncompleted cells of a cancelled run are excluded, so the
@@ -251,12 +185,6 @@ class SweepRunner
     void writeStreamCsvFile(const std::string &path) const;
 
   private:
-    std::size_t indexOf(const std::string &trace,
-                        SchedulerKind scheduler, std::uint64_t seed,
-                        const std::string &variant,
-                        ArbiterKind arbiter, double fault,
-                        Fidelity fidelity) const;
-
     SweepAxes axes_;
     std::vector<SweepPoint> points_;
     DeviceArray array_;

@@ -187,11 +187,11 @@ TEST(SweepGolden, ShardedMatchesSequentialBitIdentical)
     for (const unsigned threads : {2u, 4u}) {
         auto sharded = makeRunner();
         sharded->run(threads);
-        ASSERT_EQ(sharded->results().size(),
-                  sequential->results().size());
+        ASSERT_EQ(sharded->array().results().size(),
+                  sequential->array().results().size());
         for (const auto &p : sequential->points()) {
-            EXPECT_EQ(sequential->results()[p.index],
-                      sharded->results()[p.index])
+            EXPECT_EQ(sequential->array().results()[p.index],
+                      sharded->array().results()[p.index])
                 << p.trace << "/" << schedulerKindName(p.scheduler)
                 << "/seed=" << p.seed << " diverged at " << threads
                 << " threads";
@@ -254,7 +254,9 @@ TEST(SweepGolden, PerCellDigestsArePinned)
                         trace.c_str(), schedulerKindName(kind),
                         static_cast<unsigned long long>(seed),
                         static_cast<unsigned long long>(
-                            digest(sweep->at(trace, kind, seed))));
+                            digest(sweep->at({.trace = trace,
+                                              .scheduler = kind,
+                                              .seed = seed}))));
                 }
             }
         }
@@ -262,7 +264,9 @@ TEST(SweepGolden, PerCellDigestsArePinned)
     }
 
     for (const auto &cell : expected) {
-        EXPECT_EQ(digest(sweep->at(cell.trace, cell.kind, cell.seed)),
+        EXPECT_EQ(digest(sweep->at({.trace = cell.trace,
+                                    .scheduler = cell.kind,
+                                    .seed = cell.seed})),
                   cell.digest)
             << cell.trace << "/" << schedulerKindName(cell.kind)
             << "/seed=" << cell.seed;
@@ -337,7 +341,9 @@ TEST(SweepGolden, ReliabilityCampaignIsPinned)
                     "        {SchedulerKind::%s, \"%s\", 0x%llxull},\n",
                     schedulerKindName(kind), variant.c_str(),
                     static_cast<unsigned long long>(
-                        digest(sweep.at("", kind, seed, variant))));
+                        digest(sweep.at({.scheduler = kind,
+                                         .seed = seed,
+                                         .variant = variant}))));
             }
         }
         std::printf("fleet 0x%llxull\n",
@@ -347,7 +353,9 @@ TEST(SweepGolden, ReliabilityCampaignIsPinned)
     }
 
     for (const auto &cell : expected) {
-        EXPECT_EQ(digest(sweep.at("", cell.kind, seed, cell.variant)),
+        EXPECT_EQ(digest(sweep.at({.scheduler = cell.kind,
+                                   .seed = seed,
+                                   .variant = cell.variant})),
                   cell.digest)
             << schedulerKindName(cell.kind) << "/" << cell.variant;
     }
@@ -361,7 +369,7 @@ TEST(SweepGolden, ReliabilityCampaignReachesEveryField)
 {
     const SweepRunner &sweep = reliabilitySweep();
     const auto reached = [&sweep](auto field) {
-        for (const auto &m : sweep.results()) {
+        for (const auto &m : sweep.array().results()) {
             if (!isDefault(m.*field))
                 return true;
         }
@@ -376,7 +384,7 @@ TEST(SweepGolden, ReliabilityCampaignReachesEveryField)
             ++index;
         });
 
-    for (const auto &m : sweep.results()) {
+    for (const auto &m : sweep.array().results()) {
         ASSERT_EQ(m.streams.size(), 2u);
         for (const StreamMetrics &s : m.streams) {
             StreamMetrics::forEachField(
@@ -450,15 +458,109 @@ TEST(SweepGolden, UnknownAxisValueDies)
 {
     auto sweep = makeRunner();
     sweep->run(1);
-    EXPECT_DEATH(sweep->at("nope", SchedulerKind::VAS, 101),
-                 "not on the trace axis");
+    EXPECT_DEATH(
+        sweep->at({.trace = "nope", .scheduler = SchedulerKind::VAS,
+                   .seed = 101}),
+        "not on the trace axis");
+    EXPECT_DEATH(sweep->at({.trace = "hm0",
+                            .scheduler = SchedulerKind::VAS,
+                            .seed = 7}),
+                 "not on the seed axis");
+    // The seed axis holds two values, so the default does not
+    // address it.
+    EXPECT_DEATH(
+        sweep->at({.trace = "hm0", .scheduler = SchedulerKind::VAS}),
+        "not on the seed axis");
+    EXPECT_DEATH(sweep->at({.trace = "hm0",
+                            .scheduler = SchedulerKind::VAS,
+                            .seed = 101,
+                            .variant = "x"}),
+                 "not on the variant axis");
+    EXPECT_DEATH(sweep->at({.trace = "hm0",
+                            .scheduler = SchedulerKind::VAS,
+                            .seed = 101,
+                            .fidelity = Fidelity::Fast}),
+                 "not on the fidelity axis");
+
+    SweepAxes spk3_only = goldenAxes();
+    spk3_only.schedulers = {SchedulerKind::SPK3};
+    const SweepRunner narrow(spk3_only,
+                             [](const SweepPoint &) { return DeviceJob{}; });
+    EXPECT_DEATH((void)narrow.indexOf({.trace = "hm0",
+                                       .scheduler = SchedulerKind::VAS,
+                                       .seed = 101}),
+                 "not on the scheduler axis");
 }
 
 TEST(SweepGolden, ResultAccessBeforeRunDies)
 {
     auto sweep = makeRunner();
-    EXPECT_DEATH(sweep->at("hm0", SchedulerKind::VAS, 101),
-                 "before run");
+    EXPECT_DEATH(
+        sweep->at({.trace = "hm0", .scheduler = SchedulerKind::VAS,
+                   .seed = 101}),
+        "before run");
+}
+
+/** Every axis multi-valued: indexOf inverts the expansion. Nothing
+ *  runs, so the jobs can stay empty. */
+TEST(SweepGolden, IndexOfFindsEveryExpandedPoint)
+{
+    SweepAxes axes;
+    axes.traces = {"a", "b"};
+    axes.schedulers = {SchedulerKind::VAS, SchedulerKind::PAS,
+                       SchedulerKind::SPK3};
+    axes.seeds = {3, 5};
+    axes.variants = {"x", "y", "z"};
+    axes.arbiters = {ArbiterKind::RoundRobin,
+                     ArbiterKind::WeightedRoundRobin};
+    axes.faults = {0.0, 1e-3};
+    axes.fidelities = {Fidelity::Exact, Fidelity::Fast};
+    const SweepRunner sweep(axes,
+                            [](const SweepPoint &) { return DeviceJob{}; });
+    ASSERT_EQ(sweep.cellCount(), 2u * 3 * 2 * 3 * 2 * 2 * 2);
+    for (const SweepPoint &p : sweep.points()) {
+        SweepPoint key = p;
+        key.index = 0; // ignored by the lookup
+        EXPECT_EQ(sweep.indexOf(key), p.index);
+    }
+}
+
+/** A field left at its default addresses an axis holding one value,
+ *  whatever that value is. */
+TEST(SweepGolden, DefaultedFieldsAddressSingleValuedAxes)
+{
+    SweepAxes axes;
+    axes.traces = {"a", "b"};
+    axes.schedulers = {SchedulerKind::VAS, SchedulerKind::SPK3};
+    axes.seeds = {59};
+    axes.variants = {"64chips"};
+    axes.arbiters = {ArbiterKind::WeightedRoundRobin};
+    axes.faults = {1e-4};
+    axes.fidelities = {Fidelity::Fast};
+    const SweepRunner sweep(axes,
+                            [](const SweepPoint &) { return DeviceJob{}; });
+    for (const SweepPoint &p : sweep.points()) {
+        EXPECT_EQ(sweep.indexOf({.trace = p.trace,
+                                 .scheduler = p.scheduler}),
+                  p.index);
+        // Naming the single value finds the same cell.
+        EXPECT_EQ(sweep.indexOf({.trace = p.trace,
+                                 .scheduler = p.scheduler,
+                                 .seed = 59,
+                                 .variant = "64chips",
+                                 .arbiter = ArbiterKind::WeightedRoundRobin,
+                                 .fault = 1e-4,
+                                 .fidelity = Fidelity::Fast}),
+                  p.index);
+    }
+    EXPECT_DEATH((void)sweep.indexOf({.trace = "a",
+                                      .scheduler = SchedulerKind::VAS,
+                                      .seed = 60}),
+                 "not on the seed axis");
+    EXPECT_DEATH((void)sweep.indexOf({.trace = "a",
+                                      .scheduler = SchedulerKind::VAS,
+                                      .fault = 0.5}),
+                 "not on the fault axis");
 }
 
 } // namespace

@@ -196,8 +196,12 @@ TEST(QueueArbiterDevice, NoTagStarvationUnderRoundRobin)
     // at a comparable rate (RR cycles the tag space).
     std::vector<HostStreamConfig> streams;
     for (int s = 0; s < 10; ++s) {
-        streams.push_back(closedLoopStream(
-            "s" + std::to_string(s), 60, 4 * s, 8, 1, 0, 100 + s));
+        // Appending, rather than `"s" + std::to_string(s)`, keeps
+        // GCC 12 at -O3 from a false -Wrestrict in the inlined insert.
+        std::string name = "s";
+        name += std::to_string(s);
+        streams.push_back(
+            closedLoopStream(name, 60, 4 * s, 8, 1, 0, 100 + s));
     }
     const MetricsSnapshot m =
         runStreams(ArbiterKind::RoundRobin, streams);

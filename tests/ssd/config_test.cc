@@ -59,6 +59,18 @@ TEST(SsdConfigHelpers, ValidateRejectsZeroWindow)
     EXPECT_DEATH(cfg.validate(), "faroWindow");
 }
 
+TEST(SsdConfigHelpers, ValidateRejectsZeroQueueDepth)
+{
+    SsdConfig cfg;
+    cfg.nvmhc.queueDepth = 0;
+    EXPECT_DEATH(cfg.validate(), "queueDepth");
+}
+
+TEST(SsdConfigHelpers, WithChipsRejectsZeroChips)
+{
+    EXPECT_DEATH((void)SsdConfig::withChips(0), "at least one chip");
+}
+
 TEST(SchedulerKindHelpers, ParseRoundTrip)
 {
     for (const auto kind :

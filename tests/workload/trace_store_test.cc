@@ -186,9 +186,7 @@ TEST(TraceStore, SweepCellsShareOneParsedCopyPerUniqueTrace)
     std::set<const void *> copies;
     std::uint64_t referenced_records = 0;
     for (const SweepPoint &p : sweep.points()) {
-        const DeviceJob &job = sweep.jobAt(
-            p.trace, p.scheduler, p.seed, p.variant, p.arbiter,
-            p.fault, p.fidelity);
+        const DeviceJob &job = sweep.array().jobs()[p.index];
         ASSERT_NE(job.trace.identity(), nullptr);
         copies.insert(job.trace.identity());
         referenced_records += job.trace.size();
