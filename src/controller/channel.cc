@@ -63,15 +63,7 @@ Channel::grantPhase(Tick earliest, Tick duration)
     const Tick grant = place(earliest, duration);
     stats_.contentionTime += grant - earliest;
     stats_.busHeldTime += duration;
-    stats_.grants += 1;
     return grant;
-}
-
-Tick
-Channel::acquire(Tick earliest, Tick duration)
-{
-    retire(earliest);
-    return grantPhase(earliest, duration);
 }
 
 ChannelGrant

@@ -32,7 +32,6 @@ struct ChannelStats
 {
     Tick busHeldTime = 0;    //!< total time the bus carried traffic
     Tick contentionTime = 0; //!< total time requesters waited
-    std::uint64_t grants = 0;
 };
 
 /** Both grant ticks of a batched (two-phase) bus reservation. */
@@ -60,28 +59,20 @@ class Channel
     std::uint32_t index() const { return index_; }
 
     /**
-     * Reserve the bus for @p duration ticks, no earlier than
-     * @p earliest. The reservation first-fits into the earliest gap
-     * left by existing bookings.
+     * Batched arbitration for a whole transaction: reserve the
+     * command/data-in phase (@p cmd_duration ticks, no earlier than
+     * @p earliest) and, when @p data_out_duration is non-zero, the
+     * data-out phase (no earlier than the command grant plus
+     * @p cell_latency). Each phase first-fits into the earliest gap
+     * left by existing bookings. Both grants are decided now, so the
+     * caller can schedule the transaction end directly instead of
+     * re-arbitrating when the cells finish.
      *
      * @pre @p earliest is the caller's current event time (so it is
      *      non-decreasing across calls). Bookings that ended before
      *      it are retired as definitively past; passing a future
      *      tick here would retire still-pending reservations and
-     *      double-book the bus. Reserve future phases through
-     *      acquirePlan() instead.
-     * @return the absolute grant (start) tick.
-     */
-    Tick acquire(Tick earliest, Tick duration);
-
-    /**
-     * Batched arbitration for a whole transaction: reserve the
-     * command/data-in phase (@p cmd_duration ticks, no earlier than
-     * @p earliest) and, when @p data_out_duration is non-zero, the
-     * data-out phase (no earlier than the command grant plus
-     * @p cell_latency). Both grants are decided now, so the caller
-     * can schedule the transaction end directly instead of
-     * re-arbitrating when the cells finish.
+     *      double-book the bus.
      */
     ChannelGrant acquirePlan(Tick earliest, Tick cmd_duration,
                              Tick cell_latency, Tick data_out_duration);

@@ -89,39 +89,12 @@ FlashController::outstanding(std::uint32_t chip_offset) const
 }
 
 std::uint32_t
-FlashController::pendingCount(std::uint32_t chip_offset) const
-{
-    return static_cast<std::uint32_t>(state_.at(chip_offset).pending.size());
-}
-
-std::uint32_t
 FlashController::tagOutstanding(std::uint32_t chip_offset,
                                 std::size_t slot) const
 {
     if (chip_offset >= state_.size())
         panic("FlashController::tagOutstanding chip offset out of range");
     return slot < tagSlots_ ? perTag_[chip_offset * tagSlots_ + slot] : 0;
-}
-
-bool
-FlashController::drained() const
-{
-    for (const auto &cs : state_) {
-        if (!cs.pending.empty() || cs.inFlight != 0)
-            return false;
-    }
-    return true;
-}
-
-std::array<std::uint64_t, 4>
-FlashController::txnPerClass() const
-{
-    std::array<std::uint64_t, 4> sum{};
-    for (const auto *chip : chips_) {
-        for (int i = 0; i < 4; ++i)
-            sum[i] += chip->stats().txnPerClass[i];
-    }
-    return sum;
 }
 
 void
@@ -217,10 +190,6 @@ FlashController::tryLaunch(std::uint32_t chip_offset)
                            txn.size());
 
     cs.inFlight += static_cast<std::uint32_t>(txn.size());
-    stats_.transactions += 1;
-    stats_.requestsServed += txn.size();
-    if (txn.size() > 1)
-        stats_.coalescedRequests += txn.size();
 
     cs.executing.assign(txn.requests().begin(), txn.requests().end());
     for (auto *req : cs.executing)

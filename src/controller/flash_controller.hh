@@ -36,10 +36,6 @@ namespace spk
 /** Aggregate controller statistics. */
 struct ControllerStats
 {
-    std::uint64_t transactions = 0;
-    std::uint64_t requestsServed = 0;
-    std::uint64_t coalescedRequests = 0; //!< served in multi-request txns
-
     /** Read-retry re-issues, total and per ladder step (bin k counts
      *  retries entering step k+1). */
     std::uint64_t readRetries = 0;
@@ -117,16 +113,7 @@ class FlashController
     std::uint32_t tagOutstanding(std::uint32_t chip_offset,
                                  std::size_t slot) const;
 
-    /** Committed-but-unstarted requests on a chip. */
-    std::uint32_t pendingCount(std::uint32_t chip_offset) const;
-
-    /** True when no request is pending or in flight anywhere. */
-    bool drained() const;
-
     const ControllerStats &stats() const { return stats_; }
-
-    /** Total transactions grouped by FLP class, summed over chips. */
-    std::array<std::uint64_t, 4> txnPerClass() const;
 
   private:
     struct PerChip

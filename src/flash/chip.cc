@@ -27,10 +27,8 @@ FlashChip::beginTransaction(Tick start, Tick end,
             cell.duration *
             static_cast<Tick>(std::popcount(cell.planeMask));
     }
-    stats_.busTime += plan.cmdPhase + plan.dataOutPhase;
     stats_.transactions += 1;
     stats_.requestsServed += n_reqs;
-    stats_.txnPerClass[static_cast<int>(flp)] += 1;
     stats_.reqPerClass[static_cast<int>(flp)] += n_reqs;
 }
 
@@ -41,17 +39,6 @@ FlashChip::extendBusy(Tick new_end)
         return;
     stats_.busyTime += new_end - busyUntil_;
     busyUntil_ = new_end;
-}
-
-double
-FlashChip::intraChipIdleness() const
-{
-    if (stats_.busyTime == 0)
-        return 0.0;
-    const double capacity = static_cast<double>(stats_.busyTime) *
-                            static_cast<double>(planesPerChip_);
-    const double active = static_cast<double>(stats_.planeActiveTime);
-    return 1.0 - active / capacity;
 }
 
 } // namespace spk

@@ -17,7 +17,6 @@
 
 #include "flash/geometry.hh"
 #include "flash/transaction.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace spk
@@ -29,10 +28,8 @@ struct ChipStats
     Tick busyTime = 0;        //!< total R/B=busy span
     Tick cellTime = 0;        //!< sum of cell phase durations
     Tick planeActiveTime = 0; //!< sum of duration x active planes
-    Tick busTime = 0;         //!< command + data-out phases
     std::uint64_t transactions = 0;
     std::uint64_t requestsServed = 0;
-    std::array<std::uint64_t, 4> txnPerClass{};  //!< by FlpClass
     std::array<std::uint64_t, 4> reqPerClass{};  //!< requests by class
 };
 
@@ -83,12 +80,6 @@ class FlashChip
     const ChipStats &stats() const { return stats_; }
 
     std::uint32_t planesPerChip() const { return planesPerChip_; }
-
-    /**
-     * Intra-chip idleness over the chip's busy spans so far:
-     * 1 - (plane-active time / (busy time x planes per chip)).
-     */
-    double intraChipIdleness() const;
 
   private:
     std::uint32_t index_;

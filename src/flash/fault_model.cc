@@ -131,16 +131,6 @@ FaultModel::dieDead(Ppn ppn, Tick now) const
 }
 
 bool
-FaultModel::dieDown(std::uint32_t chip, std::uint32_t die, Tick now) const
-{
-    if (cfg_.dieFailTick == 0 || now < cfg_.dieFailTick)
-        return false;
-    if (dieRevivedTick_ != 0 && now >= dieRevivedTick_)
-        return false;
-    return chip == cfg_.dieFailChip && die == cfg_.dieFailDie;
-}
-
-bool
 FaultModel::softDecodeFails(Ppn ppn, std::uint64_t op_seq) const
 {
     return cfg_.softDecodeFailRate > 0.0 &&

@@ -140,10 +140,6 @@ class FaultModel
     /** True when @p ppn lives on the configured dead die at @p now. */
     bool dieDead(Ppn ppn, Tick now) const;
 
-    /** True when the (chip, die) pair is the configured dead die and
-     *  it is currently down at @p now. */
-    bool dieDown(std::uint32_t chip, std::uint32_t die, Tick now) const;
-
     /**
      * Bring the failed die back online at @p now — rebuild finished
      * and the die's contents were re-materialized elsewhere. From this

@@ -31,9 +31,6 @@ inline constexpr std::uint32_t kInvalidGcBatch =
 inline constexpr std::uint32_t kEndOfRun =
     std::numeric_limits<std::uint32_t>::max();
 
-/** Printable name of a flash operation. */
-const char *flashOpName(FlashOp op);
-
 /**
  * One page-sized flash memory request.
  *

@@ -9,51 +9,6 @@
 namespace spk
 {
 
-const char *
-flashOpName(FlashOp op)
-{
-    switch (op) {
-      case FlashOp::Read:
-        return "read";
-      case FlashOp::Program:
-        return "program";
-      case FlashOp::Erase:
-        return "erase";
-    }
-    return "?";
-}
-
-const char *
-flpClassName(FlpClass c)
-{
-    switch (c) {
-      case FlpClass::NonPal:
-        return "NON-PAL";
-      case FlpClass::Pal1:
-        return "PAL1";
-      case FlpClass::Pal2:
-        return "PAL2";
-      case FlpClass::Pal3:
-        return "PAL3";
-    }
-    return "?";
-}
-
-Tick
-TransactionPlan::minDuration() const
-{
-    return std::max(cmdPhase, cellEnd) + dataOutPhase;
-}
-
-std::uint32_t
-FlashTransaction::dieCount() const
-{
-    std::uint32_t mask = 0;
-    for (const auto *req : requests_)
-        mask |= 1u << req->addr.die;
-    return static_cast<std::uint32_t>(std::popcount(mask));
-}
-
 FlpClass
 FlashTransaction::classify() const
 {

@@ -29,9 +29,6 @@ namespace spk
 /** Flash-level parallelism classes (Figure 14 of the paper). */
 enum class FlpClass : std::uint8_t { NonPal, Pal1, Pal2, Pal3 };
 
-/** Printable name of an FLP class. */
-const char *flpClassName(FlpClass c);
-
 /** One cell (array) activity inside a transaction's timeline. */
 struct CellPhase
 {
@@ -56,9 +53,6 @@ struct TransactionPlan
     Tick cellEnd = 0;      //!< relative end of the latest cell phase
     Tick dataOutPhase = 0; //!< 0 for programs and erases
     std::uint32_t planesTouched = 0;
-
-    /** Duration assuming the data-out channel grant is immediate. */
-    Tick minDuration() const;
 };
 
 /**
@@ -88,9 +82,6 @@ class FlashTransaction
 
     std::size_t size() const { return requests_.size(); }
     bool empty() const { return requests_.empty(); }
-
-    /** Number of distinct dies addressed. */
-    std::uint32_t dieCount() const;
 
     /** FLP classification of the current request set. */
     FlpClass classify() const;

@@ -8,18 +8,6 @@
 namespace spk
 {
 
-const char *
-allocationPolicyName(AllocationPolicy policy)
-{
-    switch (policy) {
-      case AllocationPolicy::ChannelStripe:
-        return "channel-stripe";
-      case AllocationPolicy::PlaneFirst:
-        return "plane-first";
-    }
-    return "?";
-}
-
 BlockManager::BlockManager(const FlashGeometry &geo,
                            std::uint32_t endurance,
                            AllocationPolicy policy, bool parity_reserve,
@@ -379,20 +367,6 @@ BlockManager::pickColdestFull() const
         }
     }
     return best;
-}
-
-std::uint64_t
-BlockManager::freePages(std::uint64_t plane_idx) const
-{
-    const Plane &plane = planes_.at(plane_idx);
-    std::uint64_t pages =
-        std::uint64_t{plane.freeBlocks} * geo_.pagesPerBlock;
-    if (plane.activeBlock >= 0) {
-        const auto &info = planeBlocks(
-            plane_idx)[static_cast<std::uint32_t>(plane.activeBlock)];
-        pages += geo_.pagesPerBlock - info.writtenPages;
-    }
-    return pages;
 }
 
 } // namespace spk

@@ -50,9 +50,6 @@ enum class AllocationPolicy : std::uint8_t
     PlaneFirst,
 };
 
-/** Printable name of an allocation policy. */
-const char *allocationPolicyName(AllocationPolicy policy);
-
 /** Book-keeping for one erase block. */
 struct BlockInfo
 {
@@ -191,9 +188,6 @@ class BlockManager
      * (greedy GC policy). Excludes the active block.
      */
     std::optional<std::uint32_t> pickGcVictim(std::uint64_t plane_idx) const;
-
-    /** Total pages a plane can still accept before needing GC. */
-    std::uint64_t freePages(std::uint64_t plane_idx) const;
 
     /** Highest erase count across all blocks (wear indicator). */
     std::uint32_t maxEraseCount() const { return maxErase_; }

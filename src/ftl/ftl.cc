@@ -530,9 +530,29 @@ Ftl::precondition(double fill_fraction, double churn_fraction, Rng &rng)
 
     // Leave the device at the GC threshold, not beyond it: the timed
     // run should start from a fragmented-but-operable state.
-    for (int rounds = 0; rounds < 1024 && gcNeeded(); ++rounds) {
+    constexpr int kMaxRounds = 1024;
+    int rounds = 0;
+    while (rounds < kMaxRounds && gcNeeded()) {
         if (collectGc().empty())
             break;
+        ++rounds;
+    }
+    // A plane holding more valid pages than its blocks above the
+    // threshold can store never gets back to it: GC keeps migrating
+    // fully valid blocks, here and in the timed run, which then
+    // completes no host I/O. Every round of the budget collecting
+    // something is that livelock's sign. A GC with nothing it can
+    // collect (no space left to migrate into on a worn-out device)
+    // ends the loop early instead.
+    if (rounds == kMaxRounds && gcNeeded()) {
+        fatal("Ftl::precondition: " +
+              std::to_string(blocks_.planesBelowGcThreshold()) + " of " +
+              std::to_string(blocks_.numPlanes()) +
+              " planes stay below the GC threshold of " +
+              std::to_string(cfg_.gcFreeBlockThreshold) +
+              " free blocks after " + std::to_string(kMaxRounds) +
+              " collections; raise the overprovisioning or the blocks "
+              "per plane, or lower the fill");
     }
 
     syncParityAfterPrecondition();

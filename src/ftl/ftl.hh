@@ -386,7 +386,8 @@ class Ftl
      * Fill the device to @p fill_fraction of logical capacity with
      * valid data, then re-write @p churn_fraction of those pages in
      * random order to fragment blocks (pre-GC conditioning,
-     * Section 5.9).
+     * Section 5.9). fatal() if GC cannot bring every plane back to
+     * the GC threshold (the device is too small for the fill).
      */
     void precondition(double fill_fraction, double churn_fraction,
                       Rng &rng);

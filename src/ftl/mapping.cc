@@ -80,20 +80,6 @@ PageMapping::bind(Lpn lpn, Ppn ppn)
 }
 
 void
-PageMapping::invalidatePhysical(Ppn ppn)
-{
-    if (ppn >= p2l_.size())
-        panic("PageMapping::invalidatePhysical out-of-range ppn");
-    const std::uint32_t lpn = p2l_[ppn];
-    if (lpn == kNone)
-        return;
-    if (l2p_[lpn] == ppn)
-        l2p_[lpn] = kNone;
-    p2l_[ppn] = kNone;
-    --live_;
-}
-
-void
 PageMapping::restore(const std::vector<std::uint32_t> &forward)
 {
     if (forward.size() != l2p_.size())

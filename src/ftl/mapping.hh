@@ -65,9 +65,6 @@ class PageMapping
      */
     Ppn bind(Lpn lpn, Ppn ppn);
 
-    /** Drop the binding at @p ppn (used when a block is erased). */
-    void invalidatePhysical(Ppn ppn);
-
     /** Number of live pages currently mapped. */
     std::uint64_t liveCount() const { return live_; }
 
@@ -82,9 +79,9 @@ class PageMapping
      * Replace the mapping with @p forward (a forwardTable() of a
      * mapping of the same size): the reverse table and the live count
      * are rebuilt from it in one pass. That is exact because bind()
-     * and invalidatePhysical() keep p2l[ppn] == lpn exactly when
-     * l2p[lpn] == ppn. Panics on a size mismatch, an out-of-range
-     * entry, or two Lpns naming one Ppn.
+     * keeps p2l[ppn] == lpn exactly when l2p[lpn] == ppn. Panics on
+     * a size mismatch, an out-of-range entry, or two Lpns naming one
+     * Ppn.
      */
     void restore(const std::vector<std::uint32_t> &forward);
 

@@ -372,8 +372,6 @@ Nvmhc::onRequestFinished(MemoryRequest *req)
             return;
         // No parity (or unreconstructible): the page is lost. Complete
         // the I/O with the error surfaced instead of hanging.
-        ++stats_.readFailures;
-        ++streamStats_[io->streamId].readFailures;
         ++io->failedPages;
     }
 
@@ -399,8 +397,6 @@ Nvmhc::finishReconstructed(MemoryRequest *req, bool ok)
         ++stats_.reconstructedReads;
         ++streamStats_[io->streamId].reconstructedReads;
     } else {
-        ++stats_.readFailures;
-        ++streamStats_[io->streamId].readFailures;
         ++io->failedPages;
     }
     finishRequestTail(req, io);

@@ -75,9 +75,6 @@ struct NvmhcStats
     std::uint64_t bytesRead = 0;
     std::uint64_t bytesWritten = 0;
 
-    /** Pages whose read came back uncorrectable (fault injection). */
-    std::uint64_t readFailures = 0;
-
     /** Host I/Os completed with at least one failed page. */
     std::uint64_t failedIos = 0;
 

@@ -1,7 +1,5 @@
 #include "sched/queue_arbiter.hh"
 
-#include <cctype>
-
 #include "sim/logging.hh"
 
 namespace spk
@@ -150,26 +148,6 @@ arbiterKindName(ArbiterKind kind)
         return "PRIO";
     }
     panic("arbiterKindName: unknown kind");
-}
-
-ArbiterKind
-parseArbiterKind(const std::string &name)
-{
-    std::string lower;
-    lower.reserve(name.size());
-    for (const char c : name)
-        lower.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c))));
-    if (lower == "rr" || lower == "roundrobin" ||
-        lower == "round-robin")
-        return ArbiterKind::RoundRobin;
-    if (lower == "wrr" || lower == "weighted" ||
-        lower == "weighted-round-robin")
-        return ArbiterKind::WeightedRoundRobin;
-    if (lower == "prio" || lower == "priority" ||
-        lower == "strict-priority")
-        return ArbiterKind::StrictPriority;
-    fatal("unknown arbiter kind: " + name);
 }
 
 std::unique_ptr<QueueArbiter>

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace spk
@@ -73,9 +72,6 @@ class QueueArbiter
 
 /** Printable name of an arbitration policy ("RR", "WRR", "PRIO"). */
 const char *arbiterKindName(ArbiterKind kind);
-
-/** Parse an arbiter name ("rr", "WRR", "prio"); fatal() on unknown. */
-ArbiterKind parseArbiterKind(const std::string &name);
 
 /** Factory: build an arbitration policy. */
 std::unique_ptr<QueueArbiter> makeArbiter(ArbiterKind kind);

@@ -11,9 +11,6 @@ logMessage(LogLevel level, const std::string &msg)
 {
     const char *prefix = "";
     switch (level) {
-      case LogLevel::Inform:
-        prefix = "info";
-        break;
       case LogLevel::Warn:
         prefix = "warn";
         break;
@@ -47,12 +44,6 @@ void
 warn(const std::string &msg)
 {
     detail::logMessage(LogLevel::Warn, msg);
-}
-
-void
-inform(const std::string &msg)
-{
-    detail::logMessage(LogLevel::Inform, msg);
 }
 
 } // namespace spk

@@ -3,8 +3,8 @@
  * Minimal gem5-flavoured logging and error helpers.
  *
  * panic() flags simulator bugs and aborts; fatal() flags user/config
- * errors and exits; warn()/inform() report conditions without stopping
- * the simulation.
+ * errors and exits; warn() reports a condition without stopping the
+ * simulation.
  */
 
 #ifndef SPK_SIM_LOGGING_HH
@@ -18,7 +18,7 @@ namespace spk
 {
 
 /** Severity used by the message helpers below. */
-enum class LogLevel { Inform, Warn, Fatal, Panic };
+enum class LogLevel { Warn, Fatal, Panic };
 
 namespace detail
 {
@@ -40,9 +40,6 @@ void logMessage(LogLevel level, const std::string &msg);
 
 /** Report a suspicious-but-survivable condition. */
 void warn(const std::string &msg);
-
-/** Report simulator status the user may care about. */
-void inform(const std::string &msg);
 
 } // namespace spk
 

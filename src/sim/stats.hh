@@ -1,20 +1,12 @@
 /**
  * @file
- * Statistics primitives used throughout the simulator.
- *
- * BusyTracker accounts resource occupancy over simulated time with
- * reference counting (a resource may be claimed by several overlapping
- * activities). Histogram collects latency-style samples with power-of-
- * two bucketing plus exact mean/min/max.
+ * BusyTracker: resource occupancy over simulated time, with reference
+ * counting (a resource may be claimed by several overlapping
+ * activities).
  */
 
 #ifndef SPK_SIM_STATS_HH
 #define SPK_SIM_STATS_HH
-
-#include <array>
-#include <cstdint>
-#include <string>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -43,84 +35,10 @@ class BusyTracker
     /** True while at least one claim is outstanding. */
     bool busy() const { return depth_ > 0; }
 
-    /** Outstanding claim depth. */
-    int depth() const { return depth_; }
-
-    /** Busy fraction of [0, now]; 0 when now == 0. */
-    double utilization(Tick now) const;
-
-    /** Forget all history and claims. */
-    void reset();
-
   private:
     int depth_ = 0;
     Tick busyStart_ = 0;
     Tick accumulated_ = 0;
-};
-
-/**
- * Latency histogram with power-of-two bucketing.
- *
- * Bucket i holds samples in [2^i, 2^(i+1)) ticks; bucket 0 also holds
- * zero. Keeps exact running mean, min and max alongside the buckets.
- */
-class Histogram
-{
-  public:
-    static constexpr int kBuckets = 64;
-
-    /** Record one sample. */
-    void add(Tick value);
-
-    /** Number of samples recorded. */
-    std::uint64_t count() const { return count_; }
-
-    /** Sum of all samples. */
-    Tick sum() const { return sum_; }
-
-    /** Arithmetic mean; 0 when empty. */
-    double mean() const;
-
-    Tick min() const { return count_ ? min_ : 0; }
-    Tick max() const { return max_; }
-
-    /**
-     * Approximate quantile (by bucket upper bound).
-     * @param q in [0, 1].
-     */
-    Tick quantile(double q) const;
-
-    /** Raw bucket counts (for reporting). */
-    const std::array<std::uint64_t, kBuckets> &buckets() const
-    {
-        return buckets_;
-    }
-
-    /** Merge another histogram into this one. */
-    void merge(const Histogram &other);
-
-    void reset();
-
-  private:
-    std::array<std::uint64_t, kBuckets> buckets_{};
-    std::uint64_t count_ = 0;
-    Tick sum_ = 0;
-    Tick min_ = kTickMax;
-    Tick max_ = 0;
-};
-
-/** Simple running average without storing samples. */
-class RunningAverage
-{
-  public:
-    void add(double v);
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    std::uint64_t count() const { return count_; }
-    void reset();
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
 };
 
 } // namespace spk

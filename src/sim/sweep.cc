@@ -213,18 +213,6 @@ SweepRunner::at(const SweepPoint &point) const
     return array_.results()[index];
 }
 
-MetricsSnapshot
-SweepRunner::aggregate() const
-{
-    std::vector<MetricsSnapshot> completed;
-    completed.reserve(points_.size());
-    for (const auto &p : points_) {
-        if (array_.completed(p.index))
-            completed.push_back(array_.results()[p.index]);
-    }
-    return DeviceArray::aggregate(completed);
-}
-
 void
 SweepRunner::writeCsv(std::ostream &os) const
 {

@@ -90,9 +90,9 @@ struct SweepPoint
 /**
  * Expands a SweepAxes grid into DeviceJobs and runs them sharded.
  * It adds to DeviceArray only the axes: expansion, lookup by
- * SweepPoint, the fleet aggregate and the CSVs. Everything else a run
- * leaves behind (per-cell results, completion flags, timings, per-I/O
- * series) is read from array().
+ * SweepPoint and the CSVs. Everything else a run leaves behind
+ * (per-cell results, completion flags, timings, per-I/O series) is
+ * read from array().
  *
  * Typical use:
  * @code
@@ -150,11 +150,6 @@ class SweepRunner
     /** The snapshot of the cell at @p point (see indexOf); fatal()
      *  before run(). */
     const MetricsSnapshot &at(const SweepPoint &point) const;
-
-    /** Fleet-level merge of every completed cell snapshot
-     *  (uncompleted cells of a cancelled run are excluded, so the
-     *  merge never dilutes percentages with zero placeholders). */
-    MetricsSnapshot aggregate() const;
 
     /**
      * Emit one CSV row per cell: the seven axis columns, a completed

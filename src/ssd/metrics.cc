@@ -1,22 +1,9 @@
 #include "ssd/metrics.hh"
 
 #include <ostream>
-#include <sstream>
 
 namespace spk
 {
-
-std::string
-MetricsSnapshot::summary() const
-{
-    std::ostringstream os;
-    os << scheduler << ": bw=" << static_cast<std::uint64_t>(bandwidthKBps)
-       << "KB/s iops=" << static_cast<std::uint64_t>(iops)
-       << " lat=" << static_cast<std::uint64_t>(avgLatencyNs / 1000.0)
-       << "us util=" << chipUtilizationPct
-       << "% txns=" << transactions;
-    return os.str();
-}
 
 std::ostream &
 operator<<(std::ostream &os, const MetricsSnapshot &m)

@@ -222,9 +222,6 @@ struct MetricsSnapshot
     /** Per-stream slices (multi-queue runs; empty otherwise). */
     std::vector<StreamMetrics> streams;
 
-    /** One-line key=value summary. */
-    std::string summary() const;
-
     /**
      * The field table: calls visit(member pointer, CSV columns, merge
      * rule) once per member, in declaration order. It is the one list

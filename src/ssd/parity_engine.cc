@@ -146,10 +146,8 @@ ParityEngine::closeStripe(StripeId stripe, const OpenStripe &os)
     const PhysAddr paddr = geo_.decompose(parity_ppn);
     const std::uint32_t chip =
         geo_.chipIndex(paddr.channel, paddr.chipInChannel);
-    if (dieIsDead(chip, pdie)) {
-        ++stats_.abandonedStripes;
+    if (dieIsDead(chip, pdie))
         return;
-    }
 
     // Members the RAM accumulator never saw (pre-populated before the
     // stripe opened here) must be re-read to compute the parity.
@@ -157,7 +155,6 @@ ParityEngine::closeStripe(StripeId stripe, const OpenStripe &os)
     if (deadActive_ && chip == deadChip_ &&
         (need & (1u << deadDie_)) != 0) {
         // A needed member's only copy is on the dead die.
-        ++stats_.abandonedStripes;
         return;
     }
 
@@ -180,10 +177,8 @@ ParityEngine::closeStripe(StripeId stripe, const OpenStripe &os)
     job.remainingReads = static_cast<std::uint32_t>(
         std::popcount(need));
     for (std::uint32_t d = 0; d < map_.dies(); ++d) {
-        if ((need & (1u << d)) != 0) {
+        if ((need & (1u << d)) != 0)
             issue(FlashOp::Read, map_.memberPpn(stripe, d), slot);
-            ++stats_.closeMemberReads;
-        }
     }
 }
 
@@ -338,10 +333,8 @@ ParityEngine::rebuildStep()
     job.remainingReads = static_cast<std::uint32_t>(
         std::popcount(survivors));
     for (std::uint32_t d = 0; d < map_.dies(); ++d) {
-        if ((survivors & (1u << d)) != 0) {
+        if ((survivors & (1u << d)) != 0)
             issue(FlashOp::Read, map_.memberPpn(stripe, d), slot);
-            ++stats_.rebuildReads;
-        }
     }
 }
 
@@ -367,7 +360,6 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
             if (--job.remainingReads == 0) {
                 if (job.failed) {
                     map_.clearParityWritten(job.stripe);
-                    ++stats_.abandonedStripes;
                     retireSlot(slot);
                 } else {
                     job.parityIssued = true;
@@ -382,7 +374,6 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
                 // Parity slots are fixed: a failed parity program
                 // cannot re-home, the stripe just loses coverage.
                 map_.clearParityWritten(job.stripe);
-                ++stats_.abandonedStripes;
             }
             retireSlot(slot);
         }
@@ -397,10 +388,6 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
             MemoryRequest *origin = job.origin;
             const bool ok = !job.failed;
             retireSlot(slot);
-            if (ok)
-                ++stats_.reconstructions;
-            else
-                ++stats_.reconstructionFailures;
             finishReconstruct_(origin, ok);
         }
         break;
@@ -418,7 +405,6 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
                                       ? onProgramFail_(job.rebuildTo)
                                       : kInvalidPage;
                 if (fresh != kInvalidPage) {
-                    ++stats_.rebuildProgramRetries;
                     job.rebuildTo = fresh;
                     issue(FlashOp::Program, fresh, slot);
                     break;

@@ -58,18 +58,9 @@ struct ParityEngineStats
     std::uint64_t partialCloses = 0;     //!< flush-window expiries
     std::uint64_t forcedCloses = 0;      //!< die-failure force-closes
     std::uint64_t rmwReads = 0;          //!< parity RMW read legs
-    std::uint64_t closeMemberReads = 0;  //!< pre-populated member
-                                         //!< re-reads at close
-    std::uint64_t abandonedStripes = 0;  //!< open stripes that lost
-                                         //!< parity coverage at a die
-                                         //!< failure
-    std::uint64_t reconstructions = 0;   //!< degraded reads recovered
-    std::uint64_t reconstructionFailures = 0;
     std::uint64_t reconstructionReads = 0; //!< survivor reads issued
     std::uint64_t rebuildPagesTotal = 0; //!< dead-die pages to rebuild
     std::uint64_t rebuildPagesRebuilt = 0;
-    std::uint64_t rebuildReads = 0;      //!< rebuild survivor reads
-    std::uint64_t rebuildProgramRetries = 0;
 };
 
 /**

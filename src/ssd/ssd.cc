@@ -448,7 +448,6 @@ Ssd::metrics() const
     Tick busy_sum = 0;
     Tick cell_sum = 0;
     Tick plane_active_sum = 0;
-    Tick chip_bus_sum = 0;
     std::array<std::uint64_t, 4> req_per_class{};
     std::uint64_t txns = 0;
     std::uint64_t reqs = 0;
@@ -457,7 +456,6 @@ Ssd::metrics() const
         busy_sum += cs.busyTime;
         cell_sum += cs.cellTime;
         plane_active_sum += cs.planeActiveTime;
-        chip_bus_sum += cs.busTime;
         txns += cs.transactions;
         reqs += cs.requestsServed;
         for (int i = 0; i < 4; ++i)

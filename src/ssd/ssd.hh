@@ -29,7 +29,6 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/slab.hh"
-#include "sim/stats.hh"
 #include "ssd/config.hh"
 #include "ssd/gc_manager.hh"
 #include "ssd/metrics.hh"

@@ -104,22 +104,4 @@ summarizeMix(const Trace &trace, std::uint32_t page_size)
     return mix;
 }
 
-std::uint64_t
-traceBytes(const Trace &trace)
-{
-    std::uint64_t total = 0;
-    for (const auto &rec : trace)
-        total += rec.sizeBytes;
-    return total;
-}
-
-std::uint64_t
-traceSpanBytes(const Trace &trace)
-{
-    std::uint64_t span = 0;
-    for (const auto &rec : trace)
-        span = std::max(span, rec.offsetBytes + rec.sizeBytes);
-    return span;
-}
-
 } // namespace spk

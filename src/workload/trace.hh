@@ -101,12 +101,6 @@ std::uint64_t recordPages(const TraceRecord &rec,
 /** Summarize @p trace as the page-level mix at @p page_size. */
 TraceMix summarizeMix(const Trace &trace, std::uint32_t page_size);
 
-/** Total bytes moved by the trace. */
-std::uint64_t traceBytes(const Trace &trace);
-
-/** Highest byte offset touched plus one (address-space span). */
-std::uint64_t traceSpanBytes(const Trace &trace);
-
 } // namespace spk
 
 #endif // SPK_WORKLOAD_TRACE_HH

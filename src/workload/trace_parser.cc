@@ -1,6 +1,5 @@
 #include "workload/trace_parser.hh"
 
-#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <vector>
@@ -38,47 +37,6 @@ parseU64(std::string_view sv, std::uint64_t &out)
     const char *end = sv.data() + sv.size();
     auto [ptr, ec] = std::from_chars(begin, end, out);
     return ec == std::errc{} && ptr == end;
-}
-
-/** Strip ASCII spaces and tabs from both ends (fio pads with ", "). */
-std::string_view
-trimmed(std::string_view sv)
-{
-    while (!sv.empty() && (sv.front() == ' ' || sv.front() == '\t'))
-        sv.remove_prefix(1);
-    while (!sv.empty() && (sv.back() == ' ' || sv.back() == '\t'))
-        sv.remove_suffix(1);
-    return sv;
-}
-
-/** Shared line-loop: parse with @p parse_line, rebase arrivals. */
-template <typename ParseLine>
-ParseResult
-parseStream(std::istream &in, ParseLine parse_line)
-{
-    ParseResult result;
-    std::string line;
-    bool have_base = false;
-    Tick base = 0;
-
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
-            continue;
-        TraceRecord rec;
-        if (!parse_line(line, rec)) {
-            ++result.skippedLines;
-            continue;
-        }
-        if (!have_base) {
-            base = rec.arrival;
-            have_base = true;
-        }
-        rec.arrival = rec.arrival >= base ? rec.arrival - base : 0;
-        result.trace.push_back(rec);
-    }
-    return result;
 }
 
 } // namespace
@@ -123,7 +81,29 @@ parseMsrLine(const std::string &line, TraceRecord &out)
 ParseResult
 parseMsrTrace(std::istream &in)
 {
-    return parseStream(in, parseMsrLine);
+    ParseResult result;
+    std::string line;
+    bool have_base = false;
+    Tick base = 0;
+
+    while (std::getline(in, line)) {
+        if (!line.empty() && line.back() == '\r')
+            line.pop_back();
+        if (line.empty())
+            continue;
+        TraceRecord rec;
+        if (!parseMsrLine(line, rec)) {
+            ++result.skippedLines;
+            continue;
+        }
+        if (!have_base) {
+            base = rec.arrival;
+            have_base = true;
+        }
+        rec.arrival = rec.arrival >= base ? rec.arrival - base : 0;
+        result.trace.push_back(rec);
+    }
+    return result;
 }
 
 ParseResult
@@ -133,280 +113,6 @@ parseMsrTraceFile(const std::string &path)
     if (!in)
         fatal("cannot open trace file: " + path);
     return parseMsrTrace(in);
-}
-
-bool
-parseFioLogLine(const std::string &line, TraceRecord &out)
-{
-    if (line.empty() || line[0] == '#')
-        return false;
-    const auto fields = splitCsv(line, 6);
-    if (fields.size() < 5)
-        return false;
-
-    std::uint64_t time_ms = 0;
-    std::uint64_t ddir = 0;
-    std::uint64_t size = 0;
-    std::uint64_t offset = 0;
-    if (!parseU64(trimmed(fields[0]), time_ms) ||
-        !parseU64(trimmed(fields[2]), ddir) ||
-        !parseU64(trimmed(fields[3]), size) ||
-        !parseU64(trimmed(fields[4]), offset)) {
-        return false;
-    }
-    // The value column (fields[1]) is the logged metric — latency,
-    // bandwidth or IOPS depending on the log flavor. Replay only
-    // needs it to be numeric so garbage lines don't slip through.
-    std::uint64_t value = 0;
-    if (!parseU64(trimmed(fields[1]), value))
-        return false;
-    if (ddir > 1)
-        return false; // trim (2) and beyond: not replayable
-    if (size == 0)
-        return false;
-
-    out.arrival = time_ms * kMillisecond;
-    out.isWrite = ddir == 1;
-    out.fua = false;
-    out.offsetBytes = offset;
-    out.sizeBytes = size;
-    return true;
-}
-
-bool
-parseBlktraceLine(const std::string &line, TraceRecord &out)
-{
-    if (line.empty() || line[0] == '#')
-        return false;
-
-    // Whitespace tokenizer: blkparse pads columns with spaces.
-    std::vector<std::string_view> fields;
-    std::size_t pos = 0;
-    while (pos < line.size() && fields.size() < 11) {
-        while (pos < line.size() &&
-               (line[pos] == ' ' || line[pos] == '\t'))
-            ++pos;
-        const std::size_t start = pos;
-        while (pos < line.size() && line[pos] != ' ' &&
-               line[pos] != '\t')
-            ++pos;
-        if (pos > start)
-            fields.emplace_back(line.data() + start, pos - start);
-    }
-    // maj,min cpu seq time pid action rwbs sector + nsectors
-    if (fields.size() < 10)
-        return false;
-    if (fields[0].find(',') == std::string_view::npos)
-        return false;
-
-    // Replay queue events only; G/I/D/C/... re-describe the same I/O.
-    if (fields[5] != "Q")
-        return false;
-
-    const std::string_view rwbs = fields[6];
-    const std::size_t w = rwbs.find('W');
-    const std::size_t r = rwbs.find('R');
-    if (rwbs.find('D') != std::string_view::npos)
-        return false; // discard: no replayable payload
-    bool is_write;
-    std::size_t op_pos;
-    if (w != std::string_view::npos) {
-        is_write = true;
-        op_pos = w;
-    } else if (r != std::string_view::npos) {
-        is_write = false;
-        op_pos = r;
-    } else {
-        return false; // flush-only / barrier: nothing to replay
-    }
-    // A leading 'F' is a flush; an 'F' after the op is FUA.
-    const bool fua = rwbs.find('F', op_pos + 1) != std::string_view::npos;
-
-    // timestamp: seconds.nanoseconds (blkparse prints 9 decimals).
-    const std::string_view ts = fields[3];
-    const std::size_t dot = ts.find('.');
-    std::uint64_t secs = 0;
-    std::uint64_t nanos = 0;
-    if (dot == std::string_view::npos) {
-        if (!parseU64(ts, secs))
-            return false;
-    } else {
-        std::string_view frac = ts.substr(dot + 1);
-        if (frac.empty() || frac.size() > 9)
-            return false;
-        if (!parseU64(ts.substr(0, dot), secs) ||
-            !parseU64(frac, nanos))
-            return false;
-        for (std::size_t i = frac.size(); i < 9; ++i)
-            nanos *= 10;
-    }
-
-    std::uint64_t sector = 0;
-    std::uint64_t nsectors = 0;
-    if (fields[8] != "+")
-        return false;
-    if (!parseU64(fields[7], sector) || !parseU64(fields[9], nsectors))
-        return false;
-    if (nsectors == 0)
-        return false;
-
-    out.arrival = secs * kSecond + nanos;
-    out.isWrite = is_write;
-    out.fua = fua;
-    out.offsetBytes = sector * 512;
-    out.sizeBytes = nsectors * 512;
-    return true;
-}
-
-ParseResult
-parseBlktraceTrace(std::istream &in)
-{
-    return parseStream(in, parseBlktraceLine);
-}
-
-ParseResult
-parseBlktraceTraceFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open trace file: " + path);
-    return parseBlktraceTrace(in);
-}
-
-namespace
-{
-
-// struct blk_io_trace layout (blktrace_api.h), little-endian on disk.
-constexpr std::uint32_t kBlkMagicMask = 0xffffff00u;
-constexpr std::uint32_t kBlkMagic = 0x65617400u;
-constexpr std::uint32_t kBlkVersion = 0x07u;
-constexpr std::size_t kBlkRecordBytes = 48;
-
-constexpr std::uint32_t kBlkTaQueue = 1; // __BLK_TA_QUEUE
-constexpr std::uint32_t kBlkTcRead = 1u << 0;
-constexpr std::uint32_t kBlkTcWrite = 1u << 1;
-constexpr std::uint32_t kBlkTcNotify = 1u << 10;
-constexpr std::uint32_t kBlkTcDiscard = 1u << 13;
-constexpr std::uint32_t kBlkTcFua = 1u << 15;
-constexpr std::uint32_t kBlkTcShift = 16;
-
-std::uint32_t
-loadLe32(const unsigned char *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t
-loadLe64(const unsigned char *p)
-{
-    return static_cast<std::uint64_t>(loadLe32(p)) |
-           static_cast<std::uint64_t>(loadLe32(p + 4)) << 32;
-}
-
-} // namespace
-
-ParseResult
-parseBlktraceBinary(std::istream &in)
-{
-    ParseResult result;
-    // (time, sequence) keys the sort: per-CPU streams interleave, and
-    // equal-time records keep their submission order.
-    struct Keyed
-    {
-        Tick time;
-        std::uint32_t sequence;
-        TraceRecord rec;
-    };
-    std::vector<Keyed> keyed;
-
-    unsigned char raw[kBlkRecordBytes];
-    while (in.read(reinterpret_cast<char *>(raw), kBlkRecordBytes)) {
-        const std::uint32_t magic = loadLe32(raw + 0);
-        if ((magic & kBlkMagicMask) != kBlkMagic ||
-            (magic & ~kBlkMagicMask) != kBlkVersion) {
-            // A binary stream with a bad magic cannot be re-synced;
-            // the remainder counts as one skip.
-            ++result.skippedLines;
-            break;
-        }
-        const std::uint32_t sequence = loadLe32(raw + 4);
-        const std::uint64_t time = loadLe64(raw + 8);
-        const std::uint64_t sector = loadLe64(raw + 16);
-        const std::uint32_t bytes = loadLe32(raw + 24);
-        const std::uint32_t action = loadLe32(raw + 28);
-        const std::uint16_t pdu_len =
-            static_cast<std::uint16_t>(raw[46]) |
-            static_cast<std::uint16_t>(raw[47]) << 8;
-        if (pdu_len != 0 &&
-            !in.ignore(static_cast<std::streamsize>(pdu_len))) {
-            ++result.skippedLines; // truncated payload
-            break;
-        }
-
-        const std::uint32_t act = action & ((1u << kBlkTcShift) - 1);
-        const std::uint32_t cat = action >> kBlkTcShift;
-        const bool is_write = (cat & kBlkTcWrite) != 0;
-        const bool is_read = (cat & kBlkTcRead) != 0;
-        if (act != kBlkTaQueue || (cat & kBlkTcNotify) ||
-            (cat & kBlkTcDiscard) || (!is_read && !is_write) ||
-            bytes == 0) {
-            ++result.skippedLines;
-            continue;
-        }
-
-        TraceRecord rec;
-        rec.arrival = time; // already nanoseconds
-        rec.isWrite = is_write;
-        rec.fua = (cat & kBlkTcFua) != 0;
-        rec.offsetBytes = sector * 512;
-        rec.sizeBytes = bytes;
-        keyed.push_back({time, sequence, rec});
-    }
-    if (in.gcount() > 0 &&
-        static_cast<std::size_t>(in.gcount()) < kBlkRecordBytes)
-        ++result.skippedLines; // trailing partial record
-
-    std::sort(keyed.begin(), keyed.end(),
-              [](const Keyed &a, const Keyed &b) {
-                  if (a.time != b.time)
-                      return a.time < b.time;
-                  return a.sequence < b.sequence;
-              });
-
-    const Tick base = keyed.empty() ? 0 : keyed.front().time;
-    result.trace.reserve(keyed.size());
-    for (auto &k : keyed) {
-        k.rec.arrival -= base;
-        result.trace.push_back(k.rec);
-    }
-    return result;
-}
-
-ParseResult
-parseBlktraceBinaryFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("cannot open trace file: " + path);
-    return parseBlktraceBinary(in);
-}
-
-ParseResult
-parseFioLogTrace(std::istream &in)
-{
-    return parseStream(in, parseFioLogLine);
-}
-
-ParseResult
-parseFioLogTraceFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open trace file: " + path);
-    return parseFioLogTrace(in);
 }
 
 } // namespace spk

@@ -1,45 +1,14 @@
 /**
  * @file
- * Parsers for on-disk block-trace formats behind the common Trace
+ * Parser for MSR Cambridge block traces (SNIA IOTTA format; the
+ * paper's cfs/hm/msnfs/proj traces [28, 33]) into the common Trace
  * type.
  *
- * MSR Cambridge (SNIA IOTTA format; the paper's cfs/hm/msnfs/proj
- * traces [28, 33]) — CSV, one I/O per line:
+ * The format is CSV, one I/O per line:
  *   Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
  * Timestamp is in Windows filetime units (100 ns); Type is "Read" or
- * "Write"; Offset and Size are in bytes.
- *
- * fio per-I/O logs (write_lat_log / write_bw_log / write_iops_log
- * output) — CSV with optional spaces, one I/O per line:
- *   time_ms, value, ddir, blocksize, offset[, priority]
- * time is milliseconds since job start; value is the logged metric
- * (latency/bandwidth — irrelevant for replay and ignored); ddir is
- * 0=read, 1=write, 2=trim (trims are skipped); blocksize and offset
- * are in bytes. Older fio versions omit the offset column — such
- * lines are rejected since replay needs the target address.
- *
- * blktrace text format (blkparse default output) — whitespace
- * separated, one event per line:
- *   maj,min cpu seq timestamp pid action rwbs sector + nsectors [proc]
- * timestamp is seconds with nanosecond decimals; sector and nsectors
- * are 512-byte units. Only queue events (action Q) of reads and
- * writes are replayed — other actions (G/I/D/C/...) describe the same
- * I/O at later pipeline stages, and discards/flushes have no
- * replayable payload; all such lines count as skipped. An 'F' in the
- * rwbs field after the R/W marks force-unit-access.
- *
- * blktrace native binary format (the per-CPU blktrace.out.<cpu>
- * files, struct blk_io_trace from blktrace_api.h) — little-endian
- * 48-byte records followed by a pdu_len payload:
- *   u32 magic (0x65617400 | version 0x07), u32 sequence,
- *   u64 time (ns), u64 sector (512 B units), u32 bytes, u32 action,
- *   u32 pid, u32 device, u32 cpu, u16 error, u16 pdu_len
- * The action word is (category << 16) | act; only queue acts
- * (__BLK_TA_QUEUE) in the read or write categories are replayed,
- * discards and flush-only barriers are skipped, and the FUA category
- * bit maps to force-unit-access. Records are sorted by (time,
- * sequence) before rebasing — per-CPU files are only ordered within
- * one CPU, so a merged or interleaved stream may be out of order.
+ * "Write"; Offset and Size are in bytes. Lines starting with '#' are
+ * comments.
  */
 
 #ifndef SPK_WORKLOAD_TRACE_PARSER_HH
@@ -72,51 +41,6 @@ ParseResult parseMsrTraceFile(const std::string &path);
 
 /** Parse one CSV line; returns false if malformed. */
 bool parseMsrLine(const std::string &line, TraceRecord &out);
-
-/**
- * Parse a fio per-I/O log from a stream. Arrival times are rebased so
- * the first replayable record arrives at tick 0. Malformed lines and
- * trims are skipped and counted.
- */
-ParseResult parseFioLogTrace(std::istream &in);
-
-/** Parse from a file path; fatal() if the file cannot be opened. */
-ParseResult parseFioLogTraceFile(const std::string &path);
-
-/**
- * Parse one fio log line; returns false if malformed or a trim
- * (direction 2 — not replayable as a read/write).
- */
-bool parseFioLogLine(const std::string &line, TraceRecord &out);
-
-/**
- * Parse a blktrace (blkparse text output) stream. Arrival times are
- * rebased so the first replayable record arrives at tick 0. Lines
- * that are not read/write queue events are skipped and counted.
- */
-ParseResult parseBlktraceTrace(std::istream &in);
-
-/** Parse from a file path; fatal() if the file cannot be opened. */
-ParseResult parseBlktraceTraceFile(const std::string &path);
-
-/**
- * Parse one blkparse line; returns false if malformed or not a
- * read/write queue (Q) event.
- */
-bool parseBlktraceLine(const std::string &line, TraceRecord &out);
-
-/**
- * Parse a native binary blktrace stream (blktrace.out.<cpu> record
- * format). Records are sorted by (time, sequence) and rebased so the
- * first replayable record arrives at tick 0. Non-queue records,
- * discards, flush-only barriers and notify messages are skipped and
- * counted; a record with a bad magic aborts the parse (a binary
- * stream cannot be re-synced) with the remainder counted as one skip.
- */
-ParseResult parseBlktraceBinary(std::istream &in);
-
-/** Parse from a file path; fatal() if the file cannot be opened. */
-ParseResult parseBlktraceBinaryFile(const std::string &path);
 
 } // namespace spk
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "flash/transaction.hh"
 
 namespace spk
@@ -41,7 +43,7 @@ TEST(Transaction, SingleRequestIsNonPal)
     txn.add(&r);
     EXPECT_TRUE(txn.valid());
     EXPECT_EQ(txn.classify(), FlpClass::NonPal);
-    EXPECT_EQ(txn.dieCount(), 1u);
+    EXPECT_EQ(txn.plan(timing(), 2048).cells.size(), 1u); // one die
 }
 
 TEST(Transaction, MultiplaneSameDieIsPal1)
@@ -64,7 +66,7 @@ TEST(Transaction, DieInterleaveIsPal2)
     txn.add(&b);
     EXPECT_TRUE(txn.valid());
     EXPECT_EQ(txn.classify(), FlpClass::Pal2);
-    EXPECT_EQ(txn.dieCount(), 2u);
+    EXPECT_EQ(txn.plan(timing(), 2048).cells.size(), 2u); // two dies
 }
 
 TEST(Transaction, CombinedIsPal3)
@@ -201,7 +203,8 @@ TEST(TransactionPlan, DieInterleaveOverlapsCellPhases)
     const Tick serial = 2 * (timing().commandOverhead +
                              timing().readLatency +
                              timing().transferTime(2048));
-    EXPECT_LT(plan.minDuration(), serial);
+    EXPECT_LT(std::max(plan.cmdPhase, plan.cellEnd) + plan.dataOutPhase,
+              serial);
 }
 
 TEST(TransactionPlan, EraseUsesEraseLatency)

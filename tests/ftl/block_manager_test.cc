@@ -50,32 +50,13 @@ countBelow(const BlockManager &bm, const FlashGeometry &g,
     return n;
 }
 
-/** Reference for freePages(): Free blocks plus the open frontier. */
-std::uint64_t
-countFreePages(const BlockManager &bm, const FlashGeometry &g,
-               std::uint64_t plane)
-{
-    std::uint64_t pages = 0;
-    for (std::uint32_t b = 0; b < g.blocksPerPlane; ++b) {
-        const BlockInfo &info = bm.block(plane, b);
-        if (info.state == BlockState::Free)
-            pages += g.pagesPerBlock;
-        else if (info.state == BlockState::Active)
-            pages += g.pagesPerBlock - info.writtenPages;
-    }
-    return pages;
-}
-
 /** Assert every kept count against its recount. */
 void
 expectCountsMatch(const BlockManager &bm, const FlashGeometry &g,
                   std::uint32_t threshold)
 {
-    for (std::uint64_t p = 0; p < bm.numPlanes(); ++p) {
+    for (std::uint64_t p = 0; p < bm.numPlanes(); ++p)
         ASSERT_EQ(bm.freeBlocks(p), countFree(bm, g, p)) << "plane " << p;
-        ASSERT_EQ(bm.freePages(p), countFreePages(bm, g, p))
-            << "plane " << p;
-    }
     ASSERT_EQ(bm.planesBelowGcThreshold(), countBelow(bm, g, threshold));
 }
 
@@ -133,14 +114,12 @@ TEST(BlockManager, ExhaustsPlaneThenReturnsNullopt)
     for (std::uint64_t i = 0; i < host_capacity; ++i)
         EXPECT_TRUE(bm.allocatePage(0).has_value());
     EXPECT_FALSE(bm.allocatePage(0).has_value());
-    EXPECT_EQ(bm.freePages(0), g.pagesPerBlock);
 
     // The GC path may consume the reserve...
     for (std::uint32_t i = 0; i < g.pagesPerBlock; ++i)
         EXPECT_TRUE(bm.allocatePage(0, /*gc_reserve=*/true).has_value());
     // ...after which the plane is truly full for everyone.
     EXPECT_FALSE(bm.allocatePage(0, true).has_value());
-    EXPECT_EQ(bm.freePages(0), 0u);
 }
 
 TEST(BlockManager, EraseReturnsBlockToFreeList)

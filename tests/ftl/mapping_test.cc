@@ -68,19 +68,6 @@ TEST(PageMapping, BindToLivePageDies)
     EXPECT_DEATH(m.bind(2, 10), "live");
 }
 
-TEST(PageMapping, InvalidatePhysicalClearsForwardMap)
-{
-    PageMapping m(geo(), 100);
-    m.bind(3, 30);
-    m.invalidatePhysical(30);
-    EXPECT_EQ(m.lookup(3), kInvalidPage);
-    EXPECT_FALSE(m.isValid(30));
-    EXPECT_EQ(m.liveCount(), 0u);
-    // Idempotent on stale pages.
-    m.invalidatePhysical(30);
-    EXPECT_EQ(m.liveCount(), 0u);
-}
-
 TEST(PageMapping, LogicalLargerThanPhysicalDies)
 {
     EXPECT_DEATH(PageMapping(geo(), geo().totalPages() + 1), "capacity");
@@ -128,8 +115,6 @@ TEST(PageMapping, RestoreRebuildsReverseMapAndLiveCount)
         while (m.isValid(ppn))
             ppn = (ppn + 1) % m.physicalPages();
         m.bind(lpn, ppn);
-        if (i % 7 == 0)
-            m.invalidatePhysical(rng.nextBelow(m.physicalPages()));
     }
 
     PageMapping copy(geo(), 100);

@@ -132,14 +132,6 @@ TEST(Allocation, PlaneFirstEnablesSameChipCoalescing)
     EXPECT_EQ(pages.size(), 1u);
 }
 
-TEST(Allocation, PolicyNamesPrintable)
-{
-    EXPECT_STREQ(allocationPolicyName(AllocationPolicy::ChannelStripe),
-                 "channel-stripe");
-    EXPECT_STREQ(allocationPolicyName(AllocationPolicy::PlaneFirst),
-                 "plane-first");
-}
-
 /** Property sweep: plane index round trip under both policies. */
 class PolicySweep : public ::testing::TestWithParam<AllocationPolicy>
 {
@@ -161,17 +153,14 @@ TEST_P(PolicySweep, GcReserveHoldsUnderChurn)
     Rng rng(33);
     const std::uint64_t working = ftl.logicalPages() / 2;
     for (int i = 0; i < 8000; ++i) {
-        (void)ftl.allocateWrite(rng.nextBelow(working));
+        // Invariant: no plane ever loses its last free block to a
+        // host write (GC must always have a destination), so every
+        // host write finds a page.
+        ASSERT_NE(ftl.allocateWrite(rng.nextBelow(working)), kInvalidPage)
+            << "write " << i;
         if (ftl.gcNeeded())
             ftl.collectGc();
-        // Invariant: no plane ever loses its last free block to a
-        // host write (GC must always have a destination).
-        if (i % 500 == 0) {
-            for (std::uint64_t p = 0; p < ftl.blocks().numPlanes(); ++p)
-                EXPECT_GE(ftl.blocks().freePages(p), 0u);
-        }
     }
-    SUCCEED();
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, PolicySweep,

@@ -149,5 +149,32 @@ TEST(GcIntegration, Spk3UsesReaddressingVasPaysRetries)
     EXPECT_GE(retries(SchedulerKind::VAS), retries(SchedulerKind::SPK3));
 }
 
+/** At 12 blocks per plane the default fill leaves more valid pages on
+ *  every plane than its blocks above the GC threshold hold, so GC can
+ *  never restore the threshold. Preconditioning must stop with the
+ *  sizing problem instead of handing over a device whose GC never
+ *  ends; two blocks more precondition cleanly. */
+TEST(GcIntegrationDeathTest, DeviceTooSmallForItsFillDies)
+{
+    const auto device = [](std::uint32_t blocks_per_plane) {
+        SsdConfig cfg = SsdConfig::withChips(8);
+        cfg.geometry.blocksPerPlane = blocks_per_plane;
+        cfg.geometry.pagesPerBlock = 16;
+        cfg.scheduler = SchedulerKind::SPK3;
+        return cfg;
+    };
+    EXPECT_DEATH(
+        {
+            Ssd ssd(device(12));
+            ssd.preconditionForGc();
+        },
+        "64 of 64 planes stay below the GC threshold.*raise the "
+        "overprovisioning or the blocks per plane, or lower the fill");
+
+    Ssd ssd(device(14));
+    ssd.preconditionForGc();
+    EXPECT_FALSE(ssd.ftl().gcNeeded());
+}
+
 } // namespace
 } // namespace spk

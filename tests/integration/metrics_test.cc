@@ -91,9 +91,9 @@ TEST(Metrics, SummaryAndStreamOutputMentionScheduler)
     ssd.submitAt(0, false, 0, 2048);
     ssd.run();
     const auto m = ssd.metrics();
-    EXPECT_NE(m.summary().find("SPK3"), std::string::npos);
     std::ostringstream os;
     os << m;
+    EXPECT_NE(os.str().find("SPK3"), std::string::npos);
     EXPECT_NE(os.str().find("bandwidth"), std::string::npos);
 }
 

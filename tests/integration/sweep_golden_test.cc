@@ -196,7 +196,9 @@ TEST(SweepGolden, ShardedMatchesSequentialBitIdentical)
                 << "/seed=" << p.seed << " diverged at " << threads
                 << " threads";
         }
-        EXPECT_TRUE(sequential->aggregate() == sharded->aggregate());
+        EXPECT_TRUE(
+            DeviceArray::aggregate(sequential->array().results()) ==
+            DeviceArray::aggregate(sharded->array().results()));
     }
 }
 
@@ -279,7 +281,8 @@ TEST(SweepGolden, FleetAggregateIsPinned)
 {
     auto sweep = makeRunner();
     sweep->run(4);
-    const MetricsSnapshot fleet = sweep->aggregate();
+    const MetricsSnapshot fleet =
+        DeviceArray::aggregate(sweep->array().results());
 
     if (std::getenv("SPK_SWEEP_GOLDEN_REGEN") != nullptr) {
         std::printf("digest=0x%llxull ios=%llu bytesRead=%llu "
@@ -333,6 +336,8 @@ TEST(SweepGolden, ReliabilityCampaignIsPinned)
 
     const SweepRunner &sweep = reliabilitySweep();
     const std::uint64_t seed = reliabilityAxes().seeds.front();
+    const std::uint64_t fleet =
+        digest(DeviceArray::aggregate(sweep.array().results()));
 
     if (std::getenv("SPK_SWEEP_GOLDEN_REGEN") != nullptr) {
         for (const auto kind : reliabilityAxes().schedulers) {
@@ -347,8 +352,7 @@ TEST(SweepGolden, ReliabilityCampaignIsPinned)
             }
         }
         std::printf("fleet 0x%llxull\n",
-                    static_cast<unsigned long long>(
-                        digest(sweep.aggregate())));
+                    static_cast<unsigned long long>(fleet));
         FAIL() << "SPK_SWEEP_GOLDEN_REGEN set: paste the table above";
     }
 
@@ -359,7 +363,7 @@ TEST(SweepGolden, ReliabilityCampaignIsPinned)
                   cell.digest)
             << schedulerKindName(cell.kind) << "/" << cell.variant;
     }
-    EXPECT_EQ(digest(sweep.aggregate()), expected_fleet);
+    EXPECT_EQ(fleet, expected_fleet);
 }
 
 /** A field that is zero in every cell would escape the digests'

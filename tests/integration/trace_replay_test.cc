@@ -121,122 +121,5 @@ TEST(TraceReplaySample, CheckedInMsrSampleRunsEndToEnd)
     }
 }
 
-TEST(TraceReplaySample, CheckedInFioSampleRunsEndToEnd)
-{
-    // Same end-to-end contract for the fio per-I/O log format: parse
-    // the committed sample, fold offsets into the device span, replay
-    // under two schedulers, and account every byte.
-    auto parsed = parseFioLogTraceFile(std::string(SPK_DATA_DIR) +
-                                       "/traces/fio_sample.log");
-    ASSERT_EQ(parsed.trace.size(), 64u);
-
-    SsdConfig cfg;
-    cfg.geometry.numChannels = 2;
-    cfg.geometry.chipsPerChannel = 4;
-    cfg.geometry.blocksPerPlane = 16;
-    cfg.geometry.pagesPerBlock = 32;
-    const std::uint64_t span =
-        cfg.geometry.totalPages() * cfg.geometry.pageSizeBytes / 2;
-    std::uint64_t read_bytes = 0;
-    std::uint64_t write_bytes = 0;
-    for (auto &rec : parsed.trace) {
-        rec.offsetBytes %= span;
-        rec.sizeBytes =
-            std::min<std::uint64_t>(rec.sizeBytes,
-                                    span - rec.offsetBytes);
-        (rec.isWrite ? write_bytes : read_bytes) += rec.sizeBytes;
-    }
-
-    for (const auto kind : {SchedulerKind::VAS, SchedulerKind::SPK3}) {
-        cfg.scheduler = kind;
-        Ssd ssd(cfg);
-        ssd.replay(parsed.trace);
-        ssd.run();
-        const auto m = ssd.metrics();
-        EXPECT_EQ(m.iosCompleted, 64u) << schedulerKindName(kind);
-        // Page-rounding only ever grows the byte counts.
-        EXPECT_GE(m.bytesRead, read_bytes) << schedulerKindName(kind);
-        EXPECT_GE(m.bytesWritten, write_bytes)
-            << schedulerKindName(kind);
-        EXPECT_GT(m.bandwidthKBps, 0.0);
-    }
-}
-
-TEST(TraceReplaySample, CheckedInBlktraceSampleRunsEndToEnd)
-{
-    // And for the blktrace text format: the committed blkparse
-    // capture replays end to end with every byte accounted.
-    auto parsed = parseBlktraceTraceFile(
-        std::string(SPK_DATA_DIR) + "/traces/blktrace_sample.txt");
-    ASSERT_EQ(parsed.trace.size(), 27u);
-
-    SsdConfig cfg;
-    cfg.geometry.numChannels = 2;
-    cfg.geometry.chipsPerChannel = 4;
-    cfg.geometry.blocksPerPlane = 16;
-    cfg.geometry.pagesPerBlock = 32;
-    const std::uint64_t span =
-        cfg.geometry.totalPages() * cfg.geometry.pageSizeBytes / 2;
-    std::uint64_t read_bytes = 0;
-    std::uint64_t write_bytes = 0;
-    for (auto &rec : parsed.trace) {
-        rec.offsetBytes %= span;
-        rec.sizeBytes = std::min<std::uint64_t>(
-            rec.sizeBytes, span - rec.offsetBytes);
-        (rec.isWrite ? write_bytes : read_bytes) += rec.sizeBytes;
-    }
-
-    for (const auto kind : {SchedulerKind::VAS, SchedulerKind::SPK3}) {
-        cfg.scheduler = kind;
-        Ssd ssd(cfg);
-        ssd.replay(parsed.trace);
-        ssd.run();
-        const auto m = ssd.metrics();
-        EXPECT_EQ(m.iosCompleted, 27u) << schedulerKindName(kind);
-        EXPECT_GE(m.bytesRead, read_bytes) << schedulerKindName(kind);
-        EXPECT_GE(m.bytesWritten, write_bytes)
-            << schedulerKindName(kind);
-        EXPECT_GT(m.bandwidthKBps, 0.0);
-    }
-}
-
-TEST(TraceReplaySample, CheckedInBlktraceBinarySampleRunsEndToEnd)
-{
-    // The native binary capture replays through the same pipeline as
-    // the text formats: parse, fold into the device span, replay.
-    auto parsed = parseBlktraceBinaryFile(
-        std::string(SPK_DATA_DIR) + "/traces/blktrace_sample.bin");
-    ASSERT_EQ(parsed.trace.size(), 24u);
-
-    SsdConfig cfg;
-    cfg.geometry.numChannels = 2;
-    cfg.geometry.chipsPerChannel = 4;
-    cfg.geometry.blocksPerPlane = 16;
-    cfg.geometry.pagesPerBlock = 32;
-    const std::uint64_t span =
-        cfg.geometry.totalPages() * cfg.geometry.pageSizeBytes / 2;
-    std::uint64_t read_bytes = 0;
-    std::uint64_t write_bytes = 0;
-    for (auto &rec : parsed.trace) {
-        rec.offsetBytes %= span;
-        rec.sizeBytes = std::min<std::uint64_t>(
-            rec.sizeBytes, span - rec.offsetBytes);
-        (rec.isWrite ? write_bytes : read_bytes) += rec.sizeBytes;
-    }
-
-    for (const auto kind : {SchedulerKind::VAS, SchedulerKind::SPK3}) {
-        cfg.scheduler = kind;
-        Ssd ssd(cfg);
-        ssd.replay(parsed.trace);
-        ssd.run();
-        const auto m = ssd.metrics();
-        EXPECT_EQ(m.iosCompleted, 24u) << schedulerKindName(kind);
-        EXPECT_GE(m.bytesRead, read_bytes) << schedulerKindName(kind);
-        EXPECT_GE(m.bytesWritten, write_bytes)
-            << schedulerKindName(kind);
-        EXPECT_GT(m.bandwidthKBps, 0.0);
-    }
-}
-
 } // namespace
 } // namespace spk

@@ -33,17 +33,9 @@ TEST(QueueArbiter, NamesRoundTrip)
     for (const auto kind :
          {ArbiterKind::RoundRobin, ArbiterKind::WeightedRoundRobin,
           ArbiterKind::StrictPriority}) {
-        EXPECT_EQ(parseArbiterKind(arbiterKindName(kind)), kind);
         EXPECT_STREQ(makeArbiter(kind)->name(),
                      arbiterKindName(kind));
     }
-    EXPECT_EQ(parseArbiterKind("round-robin"),
-              ArbiterKind::RoundRobin);
-    EXPECT_EQ(parseArbiterKind("weighted"),
-              ArbiterKind::WeightedRoundRobin);
-    EXPECT_EQ(parseArbiterKind("PRIORITY"),
-              ArbiterKind::StrictPriority);
-    EXPECT_DEATH(parseArbiterKind("nope"), "unknown arbiter");
 }
 
 TEST(QueueArbiter, RoundRobinCyclesOverBackloggedStreams)

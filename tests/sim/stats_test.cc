@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for BusyTracker, Histogram and RunningAverage.
+ * Unit tests for BusyTracker.
  */
 
 #include <gtest/gtest.h>
@@ -40,89 +40,10 @@ TEST(BusyTracker, NestedClaimsMergeIntoOneInterval)
     EXPECT_EQ(t.busyTime(100), 50u);
 }
 
-TEST(BusyTracker, UtilizationFraction)
-{
-    BusyTracker t;
-    t.claim(0);
-    t.release(25);
-    EXPECT_DOUBLE_EQ(t.utilization(100), 0.25);
-    EXPECT_DOUBLE_EQ(BusyTracker{}.utilization(0), 0.0);
-}
-
 TEST(BusyTracker, ReleaseWithoutClaimDies)
 {
     BusyTracker t;
     EXPECT_DEATH(t.release(10), "without matching claim");
-}
-
-TEST(BusyTracker, ResetClearsEverything)
-{
-    BusyTracker t;
-    t.claim(0);
-    t.release(10);
-    t.reset();
-    EXPECT_EQ(t.busyTime(100), 0u);
-    EXPECT_EQ(t.depth(), 0);
-}
-
-TEST(Histogram, MeanMinMaxCount)
-{
-    Histogram h;
-    h.add(10);
-    h.add(20);
-    h.add(30);
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_DOUBLE_EQ(h.mean(), 20.0);
-    EXPECT_EQ(h.min(), 10u);
-    EXPECT_EQ(h.max(), 30u);
-}
-
-TEST(Histogram, EmptyIsZero)
-{
-    Histogram h;
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    EXPECT_EQ(h.min(), 0u);
-    EXPECT_EQ(h.quantile(0.5), 0u);
-}
-
-TEST(Histogram, QuantileBucketsAreMonotonic)
-{
-    Histogram h;
-    for (Tick v = 1; v <= 1024; ++v)
-        h.add(v);
-    EXPECT_LE(h.quantile(0.1), h.quantile(0.5));
-    EXPECT_LE(h.quantile(0.5), h.quantile(0.99));
-}
-
-TEST(Histogram, MergeAddsCounts)
-{
-    Histogram a;
-    Histogram b;
-    a.add(5);
-    b.add(500);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_EQ(a.min(), 5u);
-    EXPECT_EQ(a.max(), 500u);
-}
-
-TEST(Histogram, ZeroLandsInFirstBucket)
-{
-    Histogram h;
-    h.add(0);
-    EXPECT_EQ(h.buckets()[0], 1u);
-}
-
-TEST(RunningAverage, Mean)
-{
-    RunningAverage avg;
-    avg.add(1.0);
-    avg.add(2.0);
-    avg.add(6.0);
-    EXPECT_DOUBLE_EQ(avg.mean(), 3.0);
-    avg.reset();
-    EXPECT_DOUBLE_EQ(avg.mean(), 0.0);
 }
 
 } // namespace

@@ -102,14 +102,5 @@ TEST(MetricsFormatting, SnapshotStreamsEveryHeadlineField)
     }
 }
 
-TEST(MetricsFormatting, SummaryIsOneLine)
-{
-    MetricsSnapshot m;
-    m.scheduler = "VAS";
-    const std::string s = m.summary();
-    EXPECT_EQ(s.find('\n'), std::string::npos);
-    EXPECT_NE(s.find("VAS"), std::string::npos);
-}
-
 } // namespace
 } // namespace spk

@@ -98,376 +98,6 @@ TEST(TraceParser, MissingFileDies)
                  "cannot open");
 }
 
-TEST(FioLogParser, ParsesWellFormedLine)
-{
-    TraceRecord rec;
-    ASSERT_TRUE(
-        parseFioLogLine("12, 524288, 1, 16384, 1048576, 0", rec));
-    EXPECT_TRUE(rec.isWrite);
-    EXPECT_EQ(rec.arrival, 12u * kMillisecond);
-    EXPECT_EQ(rec.sizeBytes, 16384u);
-    EXPECT_EQ(rec.offsetBytes, 1048576u);
-    EXPECT_FALSE(rec.fua);
-}
-
-TEST(FioLogParser, ParsesReadsAndUnpaddedLines)
-{
-    TraceRecord rec;
-    ASSERT_TRUE(parseFioLogLine("3,100,0,4096,8192", rec));
-    EXPECT_FALSE(rec.isWrite);
-    EXPECT_EQ(rec.arrival, 3u * kMillisecond);
-    // The optional sixth (priority) column is tolerated either way.
-    ASSERT_TRUE(parseFioLogLine("3,100,0,4096,8192,1", rec));
-    EXPECT_FALSE(rec.isWrite);
-}
-
-TEST(FioLogParser, SkipsTrimsAndMalformedLines)
-{
-    TraceRecord rec;
-    EXPECT_FALSE(parseFioLogLine("5, 100, 2, 4096, 0, 0", rec)); // trim
-    EXPECT_FALSE(parseFioLogLine("", rec));
-    EXPECT_FALSE(parseFioLogLine("# header", rec));
-    EXPECT_FALSE(parseFioLogLine("x, 100, 0, 4096, 0", rec));
-    EXPECT_FALSE(parseFioLogLine("5, abc, 0, 4096, 0", rec));
-    EXPECT_FALSE(parseFioLogLine("5, 100, 0, 0, 0", rec)); // zero size
-    EXPECT_FALSE(parseFioLogLine("5, 100, 0, 4096", rec)); // no offset
-}
-
-TEST(FioLogParser, StreamRebasesAndCountsSkips)
-{
-    std::istringstream in(
-        "100, 9, 0, 4096, 0, 0\n"
-        "105, 9, 2, 4096, 4096, 0\n" // trim: skipped
-        "110, 9, 1, 8192, 8192, 0\n");
-    const auto result = parseFioLogTrace(in);
-    ASSERT_EQ(result.trace.size(), 2u);
-    EXPECT_EQ(result.skippedLines, 1u);
-    EXPECT_EQ(result.trace[0].arrival, 0u);
-    EXPECT_EQ(result.trace[1].arrival, 10u * kMillisecond);
-    EXPECT_TRUE(result.trace[1].isWrite);
-}
-
-TEST(FioLogParser, ParsesCheckedInSampleLog)
-{
-    // data/traces/fio_sample.log: 64 replayable records, 3 trims and
-    // 2 comment lines (trims and comments both count as skipped).
-    const auto result = parseFioLogTraceFile(
-        std::string(SPK_DATA_DIR) + "/traces/fio_sample.log");
-    EXPECT_EQ(result.skippedLines, 5u);
-    ASSERT_EQ(result.trace.size(), 64u);
-    EXPECT_EQ(result.trace.front().arrival, 0u); // rebased
-
-    const auto s = summarize(result.trace);
-    EXPECT_EQ(s.readCount + s.writeCount, 64u);
-    EXPECT_GT(s.readCount, 0u);
-    EXPECT_GT(s.writeCount, 0u);
-    Tick prev = 0;
-    for (const auto &rec : result.trace) {
-        EXPECT_GE(rec.arrival, prev); // fio timestamps monotonic
-        prev = rec.arrival;
-        EXPECT_GT(rec.sizeBytes, 0u);
-        EXPECT_EQ(rec.offsetBytes % 4096, 0u);
-    }
-}
-
-TEST(FioLogParser, MissingFileDies)
-{
-    EXPECT_DEATH((void)parseFioLogTraceFile("/nonexistent/fio.log"),
-                 "cannot open");
-}
-
-TEST(BlktraceParser, ParsesQueueEvents)
-{
-    TraceRecord rec;
-    ASSERT_TRUE(parseBlktraceLine(
-        "  8,0    0        1     1.000000500  1293  Q   R 2384 + 16 "
-        "[fio]",
-        rec));
-    EXPECT_FALSE(rec.isWrite);
-    EXPECT_FALSE(rec.fua);
-    EXPECT_EQ(rec.arrival, kSecond + 500u);
-    EXPECT_EQ(rec.offsetBytes, 2384ull * 512);
-    EXPECT_EQ(rec.sizeBytes, 16ull * 512);
-
-    ASSERT_TRUE(parseBlktraceLine(
-        "8,16 1 9 0.5 400 Q WS 1024 + 8 [proc]", rec));
-    EXPECT_TRUE(rec.isWrite);
-    EXPECT_FALSE(rec.fua);
-    EXPECT_EQ(rec.arrival, kSecond / 2);
-    EXPECT_EQ(rec.sizeBytes, 8ull * 512);
-}
-
-TEST(BlktraceParser, DetectsFuaAndFlushPrefix)
-{
-    TraceRecord rec;
-    // 'F' after the W is force-unit-access...
-    ASSERT_TRUE(parseBlktraceLine(
-        "8,0 0 1 0.1 99 Q WFS 4096 + 8 [jbd2]", rec));
-    EXPECT_TRUE(rec.isWrite);
-    EXPECT_TRUE(rec.fua);
-    // ...a leading 'F' alone is a flush prefix, not FUA.
-    ASSERT_TRUE(parseBlktraceLine(
-        "8,0 0 1 0.1 99 Q FW 4096 + 8 [jbd2]", rec));
-    EXPECT_TRUE(rec.isWrite);
-    EXPECT_FALSE(rec.fua);
-}
-
-TEST(BlktraceParser, SkipsNonQueueAndNonRwLines)
-{
-    TraceRecord rec;
-    // Later pipeline stages of the same I/O are not replayed.
-    EXPECT_FALSE(parseBlktraceLine(
-        "8,0 0 2 0.1 99 G R 2384 + 16 [fio]", rec));
-    EXPECT_FALSE(parseBlktraceLine(
-        "8,0 0 5 0.1 99 D R 2384 + 16 [fio]", rec));
-    EXPECT_FALSE(parseBlktraceLine(
-        "8,0 1 1 0.2 0 C R 2384 + 16 [0]", rec));
-    // Discards and flush-only events carry no replayable payload.
-    EXPECT_FALSE(parseBlktraceLine(
-        "8,0 0 9 0.1 99 Q DS 65536 + 2048 [fstrim]", rec));
-    EXPECT_FALSE(
-        parseBlktraceLine("8,0 0 9 0.1 99 Q FN [jbd2]", rec));
-    // Malformed lines.
-    EXPECT_FALSE(parseBlktraceLine("", rec));
-    EXPECT_FALSE(parseBlktraceLine("CPU0 (8,0):", rec));
-    EXPECT_FALSE(parseBlktraceLine(
-        " Reads Queued: 12, 232KiB Writes Queued: 13, 301KiB", rec));
-    EXPECT_FALSE(parseBlktraceLine(
-        "8,0 0 1 0.1 99 Q R 2384 - 16 [fio]", rec)); // no '+'
-    EXPECT_FALSE(parseBlktraceLine(
-        "8,0 0 1 0.1 99 Q R 2384 + 0 [fio]", rec)); // zero sectors
-    EXPECT_FALSE(parseBlktraceLine(
-        "8,0 0 1 notatime 99 Q R 2384 + 16 [fio]", rec));
-}
-
-TEST(BlktraceParser, StreamRebasesAndCountsSkips)
-{
-    std::istringstream in(
-        "8,0 0 1 2.000000000 99 Q R 0 + 8 [fio]\n"
-        "8,0 0 2 2.000001000 99 G R 0 + 8 [fio]\n"
-        "8,0 0 3 2.000500000 99 Q W 64 + 16 [fio]\n");
-    const auto result = parseBlktraceTrace(in);
-    ASSERT_EQ(result.trace.size(), 2u);
-    EXPECT_EQ(result.skippedLines, 1u);
-    EXPECT_EQ(result.trace[0].arrival, 0u);
-    EXPECT_EQ(result.trace[1].arrival, 500u * kMicrosecond);
-    EXPECT_TRUE(result.trace[1].isWrite);
-}
-
-TEST(BlktraceParser, ParsesCheckedInSampleTrace)
-{
-    // data/traces/blktrace_sample.txt: 29 queue events of which 27
-    // are replayable reads/writes (one discard, one flush), plus
-    // non-queue pipeline events and blkparse summary lines.
-    const auto result = parseBlktraceTraceFile(
-        std::string(SPK_DATA_DIR) + "/traces/blktrace_sample.txt");
-    EXPECT_EQ(result.skippedLines, 18u);
-    ASSERT_EQ(result.trace.size(), 27u);
-    EXPECT_EQ(result.trace.front().arrival, 0u); // rebased
-
-    const auto s = summarize(result.trace);
-    EXPECT_EQ(s.readCount + s.writeCount, 27u);
-    EXPECT_GT(s.readCount, 0u);
-    EXPECT_GT(s.writeCount, 0u);
-    std::uint64_t fua = 0;
-    Tick prev = 0;
-    for (const auto &rec : result.trace) {
-        EXPECT_GE(rec.arrival, prev);
-        prev = rec.arrival;
-        EXPECT_GT(rec.sizeBytes, 0u);
-        EXPECT_EQ(rec.offsetBytes % 512, 0u);
-        fua += rec.fua ? 1 : 0;
-    }
-    EXPECT_EQ(fua, 1u); // the journal's WFS queue event
-}
-
-TEST(BlktraceParser, MissingFileDies)
-{
-    EXPECT_DEATH(
-        (void)parseBlktraceTraceFile("/nonexistent/trace.blk"),
-        "cannot open");
-}
-
-namespace
-{
-
-// Action-word helpers mirroring blktrace_api.h.
-constexpr std::uint32_t kTaQueue = 1;
-constexpr std::uint32_t kTaComplete = 8;
-constexpr std::uint32_t kTcRead = 1u << 0;
-constexpr std::uint32_t kTcWrite = 1u << 1;
-constexpr std::uint32_t kTcDiscard = 1u << 13;
-constexpr std::uint32_t kTcFua = 1u << 15;
-
-std::uint32_t
-blkAction(std::uint32_t category, std::uint32_t act)
-{
-    return (category << 16) | act;
-}
-
-/** Pack one little-endian struct blk_io_trace record. */
-std::string
-packBlkRecord(std::uint32_t seq, std::uint64_t time,
-              std::uint64_t sector, std::uint32_t bytes,
-              std::uint32_t action, std::string_view pdu = {},
-              std::uint32_t magic = 0x65617400u | 0x07u)
-{
-    std::string out;
-    const auto le32 = [&out](std::uint32_t v) {
-        for (int i = 0; i < 4; ++i)
-            out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    };
-    const auto le64 = [&out, &le32](std::uint64_t v) {
-        le32(static_cast<std::uint32_t>(v));
-        le32(static_cast<std::uint32_t>(v >> 32));
-    };
-    le32(magic);
-    le32(seq);
-    le64(time);
-    le64(sector);
-    le32(bytes);
-    le32(action);
-    le32(1234);     // pid
-    le32(0x800010); // device
-    le32(0);        // cpu
-    out.push_back(0); // error (u16)
-    out.push_back(0);
-    const auto pdu_len = static_cast<std::uint16_t>(pdu.size());
-    out.push_back(static_cast<char>(pdu_len & 0xff));
-    out.push_back(static_cast<char>(pdu_len >> 8));
-    out.append(pdu);
-    return out;
-}
-
-} // namespace
-
-TEST(BlktraceBinary, ParsesSortsAndFilters)
-{
-    // Out of time order on purpose; one record drags a pdu payload
-    // the parser must step over to stay record-aligned.
-    std::string blob;
-    blob += packBlkRecord(3, 5000, 128, 8192,
-                          blkAction(kTcWrite | kTcFua, kTaQueue));
-    blob += packBlkRecord(1, 1000, 0, 4096,
-                          blkAction(kTcRead, kTaQueue), "\x01\x02");
-    blob += packBlkRecord(2, 3000, 64, 4096,
-                          blkAction(kTcWrite, kTaComplete));
-    blob += packBlkRecord(4, 2000, 512, 4096,
-                          blkAction(kTcWrite | kTcDiscard, kTaQueue));
-    std::istringstream in(blob);
-    const auto result = parseBlktraceBinary(in);
-    ASSERT_EQ(result.trace.size(), 2u);
-    EXPECT_EQ(result.skippedLines, 2u); // complete + discard
-    EXPECT_EQ(result.trace[0].arrival, 0u);
-    EXPECT_FALSE(result.trace[0].isWrite);
-    EXPECT_EQ(result.trace[0].offsetBytes, 0u);
-    EXPECT_EQ(result.trace[0].sizeBytes, 4096u);
-    EXPECT_EQ(result.trace[1].arrival, 4000u); // 5000 rebased
-    EXPECT_TRUE(result.trace[1].isWrite);
-    EXPECT_TRUE(result.trace[1].fua);
-    EXPECT_EQ(result.trace[1].offsetBytes, 128ull * 512);
-    EXPECT_EQ(result.trace[1].sizeBytes, 8192u);
-}
-
-TEST(BlktraceBinary, EqualTimesSortBySequence)
-{
-    std::string blob;
-    blob += packBlkRecord(7, 1000, 64, 4096,
-                          blkAction(kTcWrite, kTaQueue));
-    blob += packBlkRecord(5, 1000, 0, 4096,
-                          blkAction(kTcRead, kTaQueue));
-    std::istringstream in(blob);
-    const auto result = parseBlktraceBinary(in);
-    ASSERT_EQ(result.trace.size(), 2u);
-    EXPECT_FALSE(result.trace[0].isWrite); // seq 5 first
-    EXPECT_TRUE(result.trace[1].isWrite);
-}
-
-TEST(BlktraceBinary, BadMagicAbortsParse)
-{
-    std::string blob;
-    blob += packBlkRecord(1, 1000, 0, 4096,
-                          blkAction(kTcRead, kTaQueue));
-    blob += packBlkRecord(2, 2000, 64, 4096,
-                          blkAction(kTcRead, kTaQueue), {},
-                          0xdeadbeefu);
-    blob += packBlkRecord(3, 3000, 128, 4096,
-                          blkAction(kTcRead, kTaQueue));
-    std::istringstream in(blob);
-    const auto result = parseBlktraceBinary(in);
-    EXPECT_EQ(result.trace.size(), 1u); // stops at the bad record
-    EXPECT_EQ(result.skippedLines, 1u);
-}
-
-TEST(BlktraceBinary, TruncatedTailCountsAsSkip)
-{
-    std::string blob;
-    blob += packBlkRecord(1, 1000, 0, 4096,
-                          blkAction(kTcRead, kTaQueue));
-    blob += blob.substr(0, 20); // partial second record
-    std::istringstream in(blob);
-    const auto result = parseBlktraceBinary(in);
-    EXPECT_EQ(result.trace.size(), 1u);
-    EXPECT_EQ(result.skippedLines, 1u);
-}
-
-TEST(BlktraceBinary, EmptyStreamYieldsEmptyTrace)
-{
-    std::istringstream in("");
-    const auto result = parseBlktraceBinary(in);
-    EXPECT_TRUE(result.trace.empty());
-    EXPECT_EQ(result.skippedLines, 0u);
-}
-
-TEST(BlktraceBinary, ParsesCheckedInSample)
-{
-    // data/traces/blktrace_sample.bin (scripts/make_blktrace_sample.py)
-    // mimics a two-CPU capture: the halves are concatenated, so the
-    // parser's (time, sequence) sort is load-bearing. 24 replayable
-    // queue records; 5 skipped (issue, complete, discard, flush-only
-    // barrier, notify).
-    const auto result = parseBlktraceBinaryFile(
-        std::string(SPK_DATA_DIR) + "/traces/blktrace_sample.bin");
-    EXPECT_EQ(result.skippedLines, 5u);
-    ASSERT_EQ(result.trace.size(), 24u);
-
-    const auto s = summarize(result.trace);
-    EXPECT_EQ(s.readCount, 6u);
-    EXPECT_EQ(s.writeCount, 18u);
-
-    // cpu0's first read rebases to 0; cpu1's first write lands 1 us
-    // later despite appearing after all of cpu0 in the file.
-    EXPECT_EQ(result.trace[0].arrival, 0u);
-    EXPECT_FALSE(result.trace[0].isWrite);
-    EXPECT_EQ(result.trace[0].sizeBytes, 4096u);
-    EXPECT_EQ(result.trace[1].arrival, 1000u);
-    EXPECT_TRUE(result.trace[1].isWrite);
-    EXPECT_EQ(result.trace[1].offsetBytes, 65536ull * 512);
-    EXPECT_EQ(result.trace[1].sizeBytes, 8192u);
-
-    std::uint64_t fua = 0;
-    Tick prev = 0;
-    for (const auto &rec : result.trace) {
-        EXPECT_GE(rec.arrival, prev);
-        prev = rec.arrival;
-        EXPECT_GT(rec.sizeBytes, 0u);
-        EXPECT_EQ(rec.offsetBytes % 512, 0u);
-        if (rec.fua) {
-            ++fua;
-            EXPECT_TRUE(rec.isWrite);
-            EXPECT_EQ(rec.arrival, 11000u);
-        }
-    }
-    EXPECT_EQ(fua, 1u);
-}
-
-TEST(BlktraceBinary, MissingFileDies)
-{
-    EXPECT_DEATH(
-        (void)parseBlktraceBinaryFile("/nonexistent/trace.bin"),
-        "cannot open");
-}
-
 TEST(TraceSummary, CountsDirectionsAndRandomness)
 {
     Trace trace{
@@ -485,8 +115,6 @@ TEST(TraceSummary, CountsDirectionsAndRandomness)
     EXPECT_NEAR(s.readRandomness, 100.0 * 2 / 3, 0.01);
     EXPECT_NEAR(s.writeRandomness, 50.0, 0.01);
     EXPECT_NEAR(s.readFraction(), 0.6, 1e-9);
-    EXPECT_EQ(traceBytes(trace), 3u * 4096 + 2u * 8192);
-    EXPECT_EQ(traceSpanBytes(trace), 104096u);
 }
 
 } // namespace
