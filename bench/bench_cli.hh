@@ -64,8 +64,6 @@ struct BenchCli
     Fidelity fidelity = Fidelity::Exact;
     /** Cell-cache directory; empty disables the cache. */
     std::string cacheDir;
-    /** Cell claim order: "cost" (default) or "expansion". */
-    std::string order = "cost";
 };
 
 /**
@@ -110,10 +108,6 @@ sharedOptions(BenchCli &cli)
         {"--cache", "DIR",
          "serve cells simulated before from this persistent cache",
          &cli.cacheDir},
-        {.flag = "--order",
-         .help = "cell claim order (cost: longest first); wall-clock only",
-         .target = &cli.order,
-         .choices = {"cost", "expansion"}},
     };
 }
 
@@ -368,8 +362,6 @@ runSweep(SweepRunner &sweep, const BenchCli &cli,
     DeviceArrayHooks hooks;
     hooks.stop = &stopFlag();
     hooks.cache = processCache(cli.cacheDir);
-    if (cli.order == "expansion")
-        hooks.order = expansionOrder();
     const bool show_progress = isatty(fileno(stderr)) != 0;
     const std::size_t total = sweep.cellCount();
     std::size_t done = 0;

@@ -43,7 +43,6 @@ struct IoRequest
     std::uint32_t pageCount = 0;
 
     Tick arrival = 0;    //!< host issued the request
-    Tick enqueued = 0;   //!< secured a queue tag (>= arrival if stalled)
     Tick completed = 0;  //!< all memory requests finished
 
     /** Page-sized children; filled at enqueue (preprocess). Backed
@@ -68,7 +67,6 @@ struct IoRequest
 
     bool allComposed() const { return composedCount >= pageCount; }
     bool done() const { return finishedCount >= pageCount; }
-    bool started() const { return composedCount > 0; }
 
     /** Initialize the bitmap with pageCount set bits. */
     void initBitmap();

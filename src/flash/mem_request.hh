@@ -69,7 +69,6 @@ struct MemoryRequest
      *  program); the owner decides remap vs error completion. */
     bool faultFailed = false;
 
-    Tick composedAt = 0;
     Tick committedAt = 0;
     Tick startedAt = 0;
     Tick finishedAt = 0;

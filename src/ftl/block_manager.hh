@@ -98,8 +98,6 @@ class BlockManager
                  bool parity_reserve = false,
                  std::uint32_t gc_threshold = 0);
 
-    AllocationPolicy policy() const { return policy_; }
-
     std::uint64_t numPlanes() const { return planes_.size(); }
 
     /** Blocks across all planes. */

@@ -24,6 +24,19 @@ logicalCapacity(const FlashGeometry &geo, double overprovision,
     return std::max<std::uint64_t>(pages, 1);
 }
 
+/**
+ * Report the victims a collection round left holding live pages (no
+ * space to migrate them into): one line per round, not one per victim.
+ */
+void
+warnKeptLive(std::uint32_t victims)
+{
+    if (victims != 0)
+        warn("Ftl::collectGc: no space to migrate; " +
+             std::to_string(victims) +
+             " victim(s) keep live pages, their collection aborted");
+}
+
 } // namespace
 
 Ftl::Ftl(const FlashGeometry &geo, const FtlConfig &cfg,
@@ -74,10 +87,28 @@ Ftl::allocateRotating(bool gc_reserve)
     return std::nullopt;
 }
 
-Ppn
-Ftl::allocateWrite(Lpn lpn)
+std::optional<Ppn>
+Ftl::allocateReclaiming(bool gc_reserve)
 {
-    const auto ppn = allocateRotating(/*gc_reserve=*/false);
+    auto ppn = allocateRotating(gc_reserve);
+    for (int round = 0; round < 256 && !ppn; ++round) {
+        // Collect past the admission gate: bounding the GC engine's
+        // batch table is pointless if the device runs out of space
+        // instead. The launch charges the reclaim's flash time.
+        const GcBatchList &batches =
+            collectGcImpl(/*respect_admission=*/false);
+        if (batches.empty())
+            break;
+        if (launchBatches_)
+            launchBatches_(batches);
+        ppn = allocateRotating(gc_reserve);
+    }
+    return ppn;
+}
+
+Ppn
+Ftl::bindHostWrite(Lpn lpn, std::optional<Ppn> ppn)
+{
     if (!ppn)
         return kInvalidPage;
 
@@ -89,45 +120,62 @@ Ftl::allocateWrite(Lpn lpn)
     return *ppn;
 }
 
+Ppn
+Ftl::allocateWrite(Lpn lpn)
+{
+    return bindHostWrite(lpn, allocateRotating(/*gc_reserve=*/false));
+}
+
+Ppn
+Ftl::allocateWriteReclaiming(Lpn lpn)
+{
+    return bindHostWrite(lpn, allocateReclaiming(/*gc_reserve=*/false));
+}
+
+void
+Ftl::movePage(Lpn lpn, Ppn from, Ppn to)
+{
+    mapping_.bind(lpn, to); // invalidates `from` in the mapping
+    noteInvalidated(from);
+    noteValidated(to);
+    if (readdress_)
+        readdress_(lpn, from, to);
+}
+
 bool
-Ftl::migrateAndErase(std::uint64_t plane, std::uint32_t block,
-                     GcBatch &batch)
+Ftl::migrateLivePages(std::uint64_t plane, std::uint32_t block,
+                      GcBatch &batch)
 {
     batch.planeIdx = plane;
     batch.victimBlock = block;
 
-    PhysAddr base = blocks_.planeAddr(plane);
-    base.block = block;
-    base.page = 0;
-    batch.victimBasePpn = geo_.compose(base);
+    PhysAddr addr = blocks_.planeAddr(plane);
+    addr.block = block;
+    addr.page = 0;
+    batch.victimBasePpn = geo_.compose(addr);
 
-    // Migrate every live page out of the victim.
     for (std::uint32_t page = 0; page < geo_.pagesPerBlock; ++page) {
-        PhysAddr addr = base;
         addr.page = page;
         const Ppn from = geo_.compose(addr);
         if (!mapping_.isValid(from))
             continue;
-        const Lpn lpn = mapping_.reverseLookup(from);
-
         const auto to = allocateRotating(/*gc_reserve=*/true);
-        if (!to) {
-            warn("Ftl::collectGc: no space to migrate; aborting GC");
-            break;
-        }
-        // bind() invalidates `from` internally.
-        mapping_.bind(lpn, *to);
-        noteInvalidated(from);
-        noteValidated(*to);
-
+        if (!to)
+            return false;
+        const Lpn lpn = mapping_.reverseLookup(from);
         batch.migrations.push_back(GcMigration{lpn, from, *to});
         ++stats_.pagesMigrated;
-        if (readdress_)
-            readdress_(lpn, from, *to);
+        movePage(lpn, from, *to);
     }
+    return true;
+}
 
-    // The victim holds no live data unless migration aborted.
-    if (blocks_.block(plane, block).validPages != 0)
+bool
+Ftl::migrateAndErase(std::uint64_t plane, std::uint32_t block,
+                     GcBatch &batch)
+{
+    // The victim keeps live data when its migration ran out of space.
+    if (!migrateLivePages(plane, block, batch))
         return false;
     if (faults_ &&
         faults_->eraseFails(batch.victimBasePpn,
@@ -165,6 +213,7 @@ Ftl::collectGcImpl(bool respect_admission)
         return collectGcGroups(respect_admission);
     batchScratch_.reset();
     const std::uint64_t n_planes = blocks_.numPlanes();
+    std::uint32_t kept_live = 0;
 
     for (std::uint64_t plane = 0; plane < n_planes; ++plane) {
         if (blocks_.planeDead(plane))
@@ -181,11 +230,14 @@ Ftl::collectGcImpl(bool respect_admission)
         if (!victim)
             continue;
         GcBatch &batch = batchScratch_.append();
-        if (migrateAndErase(plane, *victim, batch))
+        if (migrateAndErase(plane, *victim, batch)) {
             ++stats_.gcInvocations;
-        else
+        } else {
             batchScratch_.dropLast();
+            ++kept_live;
+        }
     }
+    warnKeptLive(kept_live);
     return batchScratch_;
 }
 
@@ -195,6 +247,7 @@ Ftl::collectGcGroups(bool respect_admission)
     batchScratch_.reset();
     const std::uint64_t n_planes = blocks_.numPlanes();
     const std::uint32_t dies = geo_.diesPerChip;
+    std::uint32_t kept_live = 0;
 
     for (std::uint64_t plane = 0; plane < n_planes; ++plane) {
         if (blocks_.planeDead(plane))
@@ -280,6 +333,7 @@ Ftl::collectGcGroups(bool respect_admission)
                 ++roundBatches_[group[d]];
             } else {
                 batchScratch_.dropLast();
+                ++kept_live;
             }
         }
         if (collected)
@@ -287,6 +341,7 @@ Ftl::collectGcGroups(bool respect_admission)
     }
     for (const GcBatch &batch : batchScratch_)
         roundBatches_[batch.planeIdx] = 0;
+    warnKeptLive(kept_live);
     return batchScratch_;
 }
 
@@ -294,12 +349,6 @@ const GcBatchList &
 Ftl::collectGc()
 {
     return collectGcImpl(/*respect_admission=*/true);
-}
-
-const GcBatchList &
-Ftl::collectGcUrgent()
-{
-    return collectGcImpl(/*respect_admission=*/false);
 }
 
 bool
@@ -327,10 +376,12 @@ Ftl::collectWearLevel()
         return batchScratch_;
     }
     GcBatch &batch = batchScratch_.append();
-    if (migrateAndErase(victim->first, victim->second, batch))
+    if (migrateAndErase(victim->first, victim->second, batch)) {
         ++stats_.wearLevelMoves;
-    else
+    } else {
         batchScratch_.dropLast();
+        warnKeptLive(1);
+    }
     return batchScratch_;
 }
 
@@ -347,30 +398,15 @@ Ftl::onProgramFail(Ppn failed)
     // the LPN) needs no re-program at all.
     Ppn fresh = kInvalidPage;
     if (lpn != kInvalidPage) {
-        auto to = allocateRotating(/*gc_reserve=*/true);
-        for (int round = 0; round < 256 && !to; ++round) {
-            // Emergency reclaim: urgent GC, launched through the GC
-            // engine so its flash time is still charged.
-            const GcBatchList &batches =
-                collectGcImpl(/*respect_admission=*/false);
-            if (batches.empty())
-                break;
-            if (launchBatches_)
-                launchBatches_(batches);
-            to = allocateRotating(/*gc_reserve=*/true);
-        }
+        const auto to = allocateReclaiming(/*gc_reserve=*/true);
         if (!to) {
             fatal("Ftl: spare capacity exhausted on plane " +
                   std::to_string(plane) +
                   " while re-homing a failed program (ppn " +
                   std::to_string(failed) + ")");
         }
-        mapping_.bind(lpn, *to); // invalidates `failed` in the mapping
-        noteInvalidated(failed);
-        noteValidated(*to);
         ++stats_.programRemaps;
-        if (readdress_)
-            readdress_(lpn, failed, *to);
+        movePage(lpn, failed, *to);
         fresh = *to;
     }
 
@@ -392,40 +428,13 @@ Ftl::retireBlockWithMigration(std::uint64_t plane, std::uint32_t block)
 
     retireScratch_.reset();
     GcBatch &batch = retireScratch_.append();
-    batch.planeIdx = plane;
-    batch.victimBlock = block;
     batch.eraseAfter = false; // Bad blocks are never erased again
-
-    PhysAddr base = blocks_.planeAddr(plane);
-    base.block = block;
-    base.page = 0;
-    batch.victimBasePpn = geo_.compose(base);
-
-    for (std::uint32_t page = 0; page < geo_.pagesPerBlock; ++page) {
-        PhysAddr addr = base;
-        addr.page = page;
-        const Ppn from = geo_.compose(addr);
-        if (!mapping_.isValid(from))
-            continue;
-        const Lpn lpn = mapping_.reverseLookup(from);
-
-        const auto to = allocateRotating(/*gc_reserve=*/true);
-        if (!to) {
-            // Data survives in place: the mapping still resolves, the
-            // block just cannot be reused. Reclaim may relocate it on
-            // a later pass.
-            warn("Ftl::retireBlock: no space to relocate live pages");
-            break;
-        }
-        mapping_.bind(lpn, *to);
-        noteInvalidated(from);
-        noteValidated(*to);
-        batch.migrations.push_back(GcMigration{lpn, from, *to});
-        ++stats_.pagesMigrated;
-        if (readdress_)
-            readdress_(lpn, from, *to);
+    if (!migrateLivePages(plane, block, batch)) {
+        // Data survives in place: the mapping still resolves, the
+        // block just cannot be reused. Reclaim may relocate it on a
+        // later pass.
+        warn("Ftl::retireBlock: no space to relocate live pages");
     }
-
     if (batch.migrations.empty()) {
         retireScratch_.dropLast();
         return;
@@ -454,25 +463,12 @@ Ftl::rebuildRelocate(Ppn from)
     if (lpn == kInvalidPage)
         return kInvalidPage; // superseded by a newer host write
 
-    auto to = allocateRotating(/*gc_reserve=*/true);
-    for (int round = 0; round < 256 && !to; ++round) {
-        const GcBatchList &batches =
-            collectGcImpl(/*respect_admission=*/false);
-        if (batches.empty())
-            break;
-        if (launchBatches_)
-            launchBatches_(batches);
-        to = allocateRotating(/*gc_reserve=*/true);
-    }
+    const auto to = allocateReclaiming(/*gc_reserve=*/true);
     if (!to) {
         fatal("Ftl: spare capacity exhausted while rebuilding ppn " +
               std::to_string(from));
     }
-    mapping_.bind(lpn, *to); // invalidates `from`
-    noteInvalidated(from);
-    noteValidated(*to);
-    if (readdress_)
-        readdress_(lpn, from, *to);
+    movePage(lpn, from, *to);
     return *to;
 }
 

@@ -272,10 +272,20 @@ class Ftl
 
     /**
      * Allocate a physical page for writing @p lpn and update the
-     * mapping. The previous copy (if any) becomes invalid.
-     * @return the new Ppn; kInvalidPage if the device is truly full.
+     * mapping. The previous copy (if any) becomes invalid. Never
+     * collects: on a full device it fails without launching flash work.
+     * @return the new Ppn; kInvalidPage if no plane has a free page.
      */
     Ppn allocateWrite(Lpn lpn);
+
+    /**
+     * allocateWrite() for a timed host write: when no plane has a free
+     * page, collect past the admission gate, launch the batches
+     * through the batch launcher (so their flash time is charged) and
+     * retry; up to 256 rounds, stopping when a round collects nothing.
+     * @return the new Ppn; kInvalidPage if reclaim freed nothing.
+     */
+    Ppn allocateWriteReclaiming(Lpn lpn);
 
     /**
      * True when at least one live plane is below the GC threshold.
@@ -288,7 +298,7 @@ class Ftl
      * counts as deferred) planes the predicate rejects — the device
      * wires this to the GC engine's live-batch bound so the flat
      * batch table stays statically sizable. Deferred planes are
-     * retried when a batch retires (GcManager's retirement hook).
+     * retried when a batch retires (GcManager::collect).
      * @p pending counts the batches this collection round has already
      * produced for the plane and not yet launched: with parity, a
      * plane collected as a sibling of an earlier group can come up
@@ -312,13 +322,6 @@ class Ftl
      */
     const GcBatchList &collectGc();
 
-    /**
-     * collectGc() without the admission gate: the emergency reclaim
-     * path (write allocation failed) must make space now even if a
-     * plane is over its live-batch bound.
-     */
-    const GcBatchList &collectGcUrgent();
-
     /** True when the erase-count spread exceeds the threshold. */
     bool wearLevelNeeded() const;
 
@@ -336,9 +339,9 @@ class Ftl
     }
 
     /**
-     * Register the GC-engine launcher used by the fault-recovery
-     * paths (block retirement, emergency reclaim inside
-     * onProgramFail): the FTL hands it batches whose flash time must
+     * Register the GC-engine launcher used by emergency reclaim
+     * (allocateWriteReclaiming, onProgramFail, rebuildRelocate) and
+     * block retirement: the FTL hands it batches whose flash time must
      * be charged immediately, outside the regular collectGc() flow.
      */
     using BatchLaunchFn = std::function<void(const GcBatchList &)>;
@@ -418,6 +421,30 @@ class Ftl
     /** Pick the next plane for allocation (channel-stripe rotation). */
     std::optional<Ppn> allocateRotating(bool gc_reserve);
 
+    /** allocateRotating(), reclaiming as allocateWriteReclaiming()
+     *  describes when it fails. */
+    std::optional<Ppn> allocateReclaiming(bool gc_reserve);
+
+    /** Bind @p lpn to @p ppn as a host write; kInvalidPage when
+     *  @p ppn is empty. */
+    Ppn bindHostWrite(Lpn lpn, std::optional<Ppn> ppn);
+
+    /**
+     * Move the live page of @p lpn from @p from to @p to: rebind the
+     * mapping, fix both blocks' valid counts and fire the readdressing
+     * callback.
+     */
+    void movePage(Lpn lpn, Ppn from, Ppn to);
+
+    /**
+     * Move every live page out of (plane, block), recording the moves
+     * and the victim in @p batch.
+     * @return false when space ran out first; the moves made so far
+     *         stay applied.
+     */
+    bool migrateLivePages(std::uint64_t plane, std::uint32_t block,
+                          GcBatch &batch);
+
     /**
      * Migrate every live page out of (plane, block) and erase it,
      * recording the work in @p batch.
@@ -433,7 +460,8 @@ class Ftl
     /** Increment valid count for the block owning @p ppn. */
     void noteValidated(Ppn ppn);
 
-    /** Shared victim loop behind collectGc/collectGcUrgent. */
+    /** Victim loop behind collectGc (gated) and emergency reclaim
+     *  (ungated). */
     const GcBatchList &collectGcImpl(bool respect_admission);
 
     /** Stripe-consistent (block-group) victim loop used when parity

@@ -101,21 +101,8 @@ Nvmhc::controllerFor(std::uint32_t chip)
 void
 Nvmhc::translate(MemoryRequest &req)
 {
-    const auto allocate_with_reclaim = [this](Lpn lpn) {
-        Ppn ppn = ftl_.allocateWrite(lpn);
-        for (int round = 0; round < 256 && ppn == kInvalidPage;
-             ++round) {
-            const bool progress =
-                reclaim_ ? reclaim_() : !ftl_.collectGc().empty();
-            if (!progress)
-                break;
-            ppn = ftl_.allocateWrite(lpn);
-        }
-        return ppn;
-    };
-
     if (req.op == FlashOp::Program) {
-        req.ppn = allocate_with_reclaim(req.lpn);
+        req.ppn = ftl_.allocateWriteReclaiming(req.lpn);
         if (req.ppn == kInvalidPage)
             fatal("Nvmhc: device out of space");
     } else {
@@ -123,7 +110,7 @@ Nvmhc::translate(MemoryRequest &req)
         if (req.ppn == kInvalidPage) {
             // Reading a never-written page: backfill a mapping, as if
             // the data existed before the trace started.
-            req.ppn = allocate_with_reclaim(req.lpn);
+            req.ppn = ftl_.allocateWriteReclaiming(req.lpn);
             if (req.ppn == kInvalidPage)
                 fatal("Nvmhc: cannot backfill read mapping");
             if (StripeParityMap *pm = ftl_.parityMap()) {
@@ -185,7 +172,6 @@ Nvmhc::enqueue(const PendingSubmission &sub)
     io->firstLpn = sub.firstLpn;
     io->pageCount = sub.pageCount;
     io->arrival = sub.arrival;
-    io->enqueued = now;
     io->completed = 0;
     io->composedCount = 0;
     io->finishedCount = 0;
@@ -298,7 +284,6 @@ Nvmhc::composeDone(MemoryRequest *req)
 {
     req->composing = false;
     req->composed = true;
-    req->composedAt = events_.now();
     ++stats_.requestsComposed;
 
     if (req->tag >= slots_.size() || !slots_[req->tag].active)
@@ -415,7 +400,6 @@ Nvmhc::finishRequestTail(MemoryRequest *req, IoRequest *io)
     if (!io->clearBit(req->idxInIo))
         panic("Nvmhc: completion bitmap bit already clear");
     io->finishedCount++;
-    sched_->onFinish(*req);
 
     if (io->done()) {
         io->completed = now;

@@ -193,37 +193,18 @@ class Nvmhc : private SchedulerView
 
     const NvmhcStats &stats() const { return stats_; }
 
-    /** Number of configured submission queues (streams). */
-    std::uint32_t streamCount() const
-    {
-        return static_cast<std::uint32_t>(streamStats_.size());
-    }
-
     /** Per-stream slice of the aggregate statistics. */
     const NvmhcStats &streamStats(std::uint32_t stream) const
     {
         return streamStats_[stream];
     }
 
-    IoScheduler &scheduler() { return *sched_; }
-    const QueueArbiter &arbiter() const { return *arbiter_; }
     const RingDeque<IoRequest *> &queue() const { return queue_; }
 
     /** Hook run after every enqueue (the device's GC trigger check). */
     void setAfterEnqueueHook(std::function<void()> hook)
     {
         afterEnqueue_ = std::move(hook);
-    }
-
-    /**
-     * Emergency space reclaim used when write allocation fails. The
-     * hook must run one GC round (and charge its flash time) and
-     * return whether any block was reclaimed. Without a hook the FTL
-     * is invoked directly (mapping-only).
-     */
-    void setReclaimHook(std::function<bool()> hook)
-    {
-        reclaim_ = std::move(hook);
     }
 
   private:
@@ -285,7 +266,6 @@ class Nvmhc : private SchedulerView
     NvmhcConfig cfg_;
     IoCompleteFn onIoComplete_;
     std::function<void()> afterEnqueue_;
-    std::function<bool()> reclaim_;
     ReconstructFn reconstruct_;
 
     /**

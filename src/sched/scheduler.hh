@@ -153,9 +153,6 @@ class IoScheduler
      */
     virtual void onComposed(const MemoryRequest &req) { (void)req; }
 
-    /** A memory request finished at the flash level. */
-    virtual void onFinish(const MemoryRequest &req) { (void)req; }
-
     /** Whether the FTL should deliver readdressing callbacks. */
     virtual bool wantsReaddressing() const { return false; }
 };

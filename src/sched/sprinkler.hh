@@ -85,10 +85,6 @@ class SprinklerScheduler : public IoScheduler
         return faro_ ? window_ : 1;
     }
 
-    bool riosEnabled() const { return rios_; }
-    bool faroEnabled() const { return faro_; }
-    std::uint32_t window() const { return window_; }
-
   private:
     /** Append @p req to its chip's bucket. */
     void bucketPush(MemoryRequest &req);

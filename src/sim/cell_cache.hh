@@ -75,8 +75,6 @@ class CellCache
      *  cache is an accelerator, not a store of record). */
     void store(const DeviceJob &job, const MetricsSnapshot &m);
 
-    const std::string &dir() const { return dir_; }
-
     std::uint64_t hits() const { return hits_.load(); }
     std::uint64_t misses() const { return misses_.load(); }
     std::uint64_t stores() const { return stores_.load(); }

@@ -103,9 +103,6 @@ struct DeviceJob
 using CellOrderPolicy = std::function<std::vector<std::size_t>(
     const std::vector<DeviceJob> &)>;
 
-/** Claim cells in expansion (job-list) order — the legacy behavior. */
-CellOrderPolicy expansionOrder();
-
 /**
  * Longest-job-first: predict each cell's cost with the analytic
  * estimator (trace length, fidelity, preconditioning, fault rate —
@@ -223,8 +220,6 @@ class DeviceArray
     }
 
     const std::vector<DeviceJob> &jobs() const { return jobs_; }
-
-    std::size_t deviceCount() const { return jobs_.size(); }
 
     /**
      * Wall-clock seconds job @p index took in the last run() —

@@ -189,8 +189,6 @@ class RingDeque
     iterator end() { return {this, count_}; }
     const_iterator begin() const { return {this, 0}; }
     const_iterator end() const { return {this, count_}; }
-    const_iterator cbegin() const { return begin(); }
-    const_iterator cend() const { return end(); }
 
     /** Backing-buffer capacity (its high-water mark). */
     std::size_t capacity() const { return buf_.size(); }

@@ -32,9 +32,6 @@ class BusyTracker
     /** Accumulated busy time up to @p now. */
     Tick busyTime(Tick now) const;
 
-    /** True while at least one claim is outstanding. */
-    bool busy() const { return depth_ > 0; }
-
   private:
     int depth_ = 0;
     Tick busyStart_ = 0;

@@ -5,16 +5,14 @@
 namespace spk
 {
 
-GcManager::GcManager(EventQueue &events, const FlashGeometry &geo,
+GcManager::GcManager(const FlashGeometry &geo, Ftl &ftl,
                      std::vector<FlashController *> controllers,
                      Slab<MemoryRequest> &arena,
-                     std::function<void()> on_all_done,
                      std::uint32_t max_live_per_plane)
-    : events_(events),
-      geo_(geo),
+    : geo_(geo),
+      ftl_(ftl),
       controllers_(std::move(controllers)),
       arena_(arena),
-      onAllDone_(std::move(on_all_done)),
       maxLivePerPlane_(max_live_per_plane)
 {
     if (maxLivePerPlane_ == 0)
@@ -27,6 +25,26 @@ GcManager::GcManager(EventQueue &events, const FlashGeometry &geo,
     batches_.reserve(planes * maxLivePerPlane_);
     freeSlots_.reserve(planes * maxLivePerPlane_);
     livePerPlane_.assign(planes, 0);
+}
+
+void
+GcManager::collect()
+{
+    // One collectGc round reclaims at most one block per needy plane;
+    // loop (bounded) until every plane regains its threshold headroom.
+    for (int round = 0; round < 64 && ftl_.gcNeeded(); ++round) {
+        const GcBatchList &batches = ftl_.collectGc();
+        if (batches.empty())
+            break;
+        launch(batches);
+    }
+    // Static wear leveling (disabled unless configured): one cold
+    // block per trigger keeps the overhead bounded.
+    if (ftl_.wearLevelNeeded()) {
+        const GcBatchList &batches = ftl_.collectWearLevel();
+        if (!batches.empty())
+            launch(batches);
+    }
 }
 
 FlashController &
@@ -61,7 +79,6 @@ GcManager::issue(FlashOp op, Ppn ppn, std::uint32_t slot)
     req->translated = true;
     req->composed = true;
     req->isGc = true;
-    req->composedAt = events_.now();
     req->gcBatch = slot;
 
     controllerFor(req->chip).commit(req, /*front=*/true);
@@ -125,10 +142,13 @@ GcManager::retireSlot(std::uint32_t slot)
     --livePerPlane_[plane];
     freeSlots_.push_back(slot);
     --liveBatches_;
-    // The plane regained an admission share: let the device retry
-    // any collection the bound deferred.
-    if (onBatchRetired_)
-        onBatchRetired_();
+    // The plane regained an admission share: retry collection, but
+    // only when the bound deferred some since the last retry (without
+    // deferrals, collection triggers on host enqueue alone).
+    if (ftl_.stats().gcDeferrals > deferralsSeen_) {
+        deferralsSeen_ = ftl_.stats().gcDeferrals;
+        collect();
+    }
 }
 
 void
@@ -148,9 +168,9 @@ GcManager::onRequestFinished(MemoryRequest *req)
     // can hand the hot object straight back.
     arena_.releaseScrubbed(req);
 
-    // The fail hook and the retirement hook below can re-enter
+    // Re-homing a failed program and retiring a slot can re-enter
     // launch() and grow the batch table, so batches_[slot] must be
-    // re-resolved after every hook call (no cached references).
+    // re-resolved after either (no cached references).
     switch (op) {
       case FlashOp::Read: {
         if (pair == kInvalidPage)
@@ -166,12 +186,11 @@ GcManager::onRequestFinished(MemoryRequest *req)
         break;
       }
       case FlashOp::Program: {
-        if (failed && onProgramFail_) {
-            const Ppn fresh = onProgramFail_(ppn);
+        if (failed) {
+            const Ppn fresh = ftl_.onProgramFail(ppn);
             if (fresh != kInvalidPage) {
                 // Re-home the migration onto the replacement page; the
                 // batch completes when the re-issue finishes.
-                ++stats_.migrationProgramRetries;
                 issue(FlashOp::Program, fresh, slot);
                 break;
             }
@@ -197,10 +216,6 @@ GcManager::onRequestFinished(MemoryRequest *req)
         retireSlot(slot);
         break;
     }
-
-    // A chip just freed up: let the host scheduler re-poll.
-    if (onAllDone_)
-        onAllDone_();
 }
 
 } // namespace spk

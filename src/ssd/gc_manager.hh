@@ -3,11 +3,11 @@
  * Garbage-collection execution engine.
  *
  * The FTL performs victim selection and mapping migration eagerly
- * (mapping state is cheap); this manager charges the flash time: one
- * read + one program per migrated live page, then one erase per
- * reclaimed block. GC requests are committed ahead of host requests
- * (they hold the chip hostage exactly as the paper's Section 5.9
- * stress test intends).
+ * (mapping state is cheap); this manager decides when collection runs
+ * and charges the flash time: one read + one program per migrated
+ * live page, then one erase per reclaimed block. GC requests are
+ * committed ahead of host requests (they hold the chip hostage
+ * exactly as the paper's Section 5.9 stress test intends).
  *
  * Steady-state execution is allocation-free: requests come from the
  * device-wide MemoryRequest arena and carry their batch membership
@@ -20,14 +20,12 @@
 #define SPK_SSD_GC_MANAGER_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "controller/flash_controller.hh"
 #include "flash/geometry.hh"
 #include "flash/mem_request.hh"
 #include "ftl/ftl.hh"
-#include "sim/event_queue.hh"
 #include "sim/slab.hh"
 
 namespace spk
@@ -47,10 +45,6 @@ struct GcManagerStats
     /** Migration reads that came back uncorrectable (fault model);
      *  the paired program still runs so the batch completes. */
     std::uint64_t migrationReadFailures = 0;
-
-    /** Migration programs re-issued to a replacement page after a
-     *  program failure. */
-    std::uint64_t migrationProgramRetries = 0;
 };
 
 /** Default per-plane live-batch admission bound (see GcManager). */
@@ -67,25 +61,33 @@ class GcManager
 {
   public:
     /**
-     * @param events shared event queue
      * @param geo device geometry
+     * @param ftl translation layer: collects the batches collect()
+     *        launches and re-homes failed migration programs (must
+     *        outlive the manager)
      * @param controllers per-channel controllers
      * @param arena device-wide MemoryRequest arena (shared with the
      *        host path; must outlive the manager)
-     * @param on_all_done called whenever a GC request completes
-     *        (used to re-poll the scheduler)
      * @param max_live_per_plane admission bound: at most this many
      *        batches of one plane may be live at once, which makes
      *        the flat batch table statically sizable (planes x bound)
      *        instead of growing with the GC backlog under overload.
      *        Must be >= 1.
      */
-    GcManager(EventQueue &events, const FlashGeometry &geo,
+    GcManager(const FlashGeometry &geo, Ftl &ftl,
               std::vector<FlashController *> controllers,
               Slab<MemoryRequest> &arena,
-              std::function<void()> on_all_done,
               std::uint32_t max_live_per_plane =
                   kDefaultGcBatchesPerPlane);
+
+    /**
+     * Collect and launch, while any plane is below the GC threshold
+     * (bounded rounds), then one static wear-leveling move if one is
+     * due. The device runs this after every host enqueue; a batch
+     * retirement runs it again when the admission bound deferred a
+     * collection since the last retry.
+     */
+    void collect();
 
     /**
      * Begin executing a set of batches produced by Ftl::collectGc.
@@ -114,28 +116,10 @@ class GcManager
     }
 
     /**
-     * Invoked whenever a batch retires (its erase completed), after
-     * the slot and its admission share are recycled. The device uses
-     * it to retry collection deferred by the admission bound.
+     * Flash-level completion upcall for GC requests. A migration
+     * program that failed on flash is re-homed by Ftl::onProgramFail
+     * and re-issued to the replacement page.
      */
-    void setBatchRetiredHook(std::function<void()> hook)
-    {
-        onBatchRetired_ = std::move(hook);
-    }
-
-    /**
-     * Invoked when a migration program reports a fault-injected
-     * failure. Receives the failed destination Ppn and returns the
-     * replacement page to re-program, or kInvalidPage when the
-     * mapping was superseded and no re-program is needed (the device
-     * wires this to Ftl::onProgramFail).
-     */
-    void setProgramFailHook(std::function<Ppn(Ppn)> hook)
-    {
-        onProgramFail_ = std::move(hook);
-    }
-
-    /** Flash-level completion upcall for GC requests. */
     void onRequestFinished(MemoryRequest *req);
 
     /** True when no GC work is outstanding. */
@@ -161,7 +145,7 @@ class GcManager
     /** Acquire a free batch slot, growing the flat table if needed. */
     std::uint32_t acquireBatchSlot();
 
-    /** Recycle a finished batch slot and fire the retirement hook. */
+    /** Recycle a finished batch slot; retry deferred collection. */
     void retireSlot(std::uint32_t slot);
 
     /** Arena-acquire + commit a GC memory request for @p slot. */
@@ -169,13 +153,10 @@ class GcManager
 
     FlashController &controllerFor(std::uint32_t chip);
 
-    EventQueue &events_;
     FlashGeometry geo_;
+    Ftl &ftl_;
     std::vector<FlashController *> controllers_;
     Slab<MemoryRequest> &arena_;
-    std::function<void()> onAllDone_;
-    std::function<void()> onBatchRetired_;
-    std::function<Ppn(Ppn)> onProgramFail_;
 
     std::vector<BatchSlot> batches_;       //!< flat recycled-slot table
     std::vector<std::uint32_t> freeSlots_; //!< recycled slot ids (LIFO)
@@ -184,6 +165,8 @@ class GcManager
     std::uint32_t maxLivePerPlane_;
     std::uint32_t liveBatches_ = 0;
     std::uint64_t nextReqId_ = 1ull << 60; //!< distinct from host ids
+    /** FTL deferral count at the last admission-bound retry. */
+    std::uint64_t deferralsSeen_ = 0;
     GcManagerStats stats_;
 };
 

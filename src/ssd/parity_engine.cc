@@ -12,16 +12,14 @@ ParityEngine::ParityEngine(EventQueue &events, const FlashGeometry &geo,
                            Ftl &ftl,
                            std::vector<FlashController *> controllers,
                            Slab<MemoryRequest> &arena,
-                           const ParityConfig &cfg,
-                           std::function<void()> on_all_done)
+                           const ParityConfig &cfg)
     : events_(events),
       geo_(geo),
       ftl_(ftl),
       map_(*ftl.parityMap()),
       controllers_(std::move(controllers)),
       arena_(arena),
-      cfg_(cfg),
-      onAllDone_(std::move(on_all_done))
+      cfg_(cfg)
 {
     if (!ftl.parityMap())
         panic("ParityEngine: FTL has no stripe map (parity off)");
@@ -73,7 +71,6 @@ ParityEngine::issue(FlashOp op, Ppn ppn, std::uint32_t slot)
     req->translated = true;
     req->composed = true;
     req->isParity = true;
-    req->composedAt = events_.now();
     req->parityJob = slot;
 
     controllerFor(req->chip).commit(req, /*front=*/true);
@@ -401,9 +398,7 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
                 issue(FlashOp::Program, job.rebuildTo, slot);
         } else {
             if (failed) {
-                const Ppn fresh = onProgramFail_
-                                      ? onProgramFail_(job.rebuildTo)
-                                      : kInvalidPage;
+                const Ppn fresh = ftl_.onProgramFail(job.rebuildTo);
                 if (fresh != kInvalidPage) {
                     job.rebuildTo = fresh;
                     issue(FlashOp::Program, fresh, slot);
@@ -418,9 +413,6 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
         }
         break;
     }
-
-    if (onAllDone_)
-        onAllDone_();
 }
 
 } // namespace spk

@@ -78,13 +78,10 @@ class ParityEngine
      * @param controllers per-channel controllers
      * @param arena device-wide MemoryRequest arena
      * @param cfg parity knobs (flush window, rebuild pacing)
-     * @param on_all_done called whenever a parity request completes
-     *        (used to re-poll the host scheduler)
      */
     ParityEngine(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
                  std::vector<FlashController *> controllers,
-                 Slab<MemoryRequest> &arena, const ParityConfig &cfg,
-                 std::function<void()> on_all_done);
+                 Slab<MemoryRequest> &arena, const ParityConfig &cfg);
 
     /**
      * A data-page program completed successfully (host write, GC
@@ -121,19 +118,14 @@ class ParityEngine
         onRebuildComplete_ = std::move(hook);
     }
 
-    /** Program-failure re-home (wired to Ftl::onProgramFail). */
-    void setProgramFailHook(std::function<Ppn(Ppn)> hook)
-    {
-        onProgramFail_ = std::move(hook);
-    }
-
-    /** Flash-level completion upcall for parity requests. */
+    /**
+     * Flash-level completion upcall for parity requests. A rebuild
+     * program that failed on flash is re-homed by Ftl::onProgramFail.
+     */
     void onRequestFinished(MemoryRequest *req);
 
     /** True when no parity flash work is outstanding. */
     bool idle() const { return liveJobs_ == 0 && !rebuildActive_; }
-
-    bool rebuildActive() const { return rebuildActive_; }
 
     const ParityEngineStats &stats() const { return stats_; }
 
@@ -198,10 +190,8 @@ class ParityEngine
     std::vector<FlashController *> controllers_;
     Slab<MemoryRequest> &arena_;
     ParityConfig cfg_;
-    std::function<void()> onAllDone_;
     FinishReconstructFn finishReconstruct_;
     std::function<void()> onRebuildComplete_;
-    std::function<Ppn(Ppn)> onProgramFail_;
 
     std::unordered_map<StripeId, OpenStripe> open_;
     std::uint64_t nextToken_ = 0;

@@ -44,9 +44,8 @@ Ssd::Ssd(const SsdConfig &cfg)
     for (auto &ctrl : controllers_)
         raw_controllers.push_back(ctrl.get());
 
-    gc_ = std::make_unique<GcManager>(events_, geo, raw_controllers,
+    gc_ = std::make_unique<GcManager>(geo, *ftl_, raw_controllers,
                                       requestArena_,
-                                      [this] { nvmhc_->kick(); },
                                       cfg_.gcMaxLiveBatchesPerPlane);
 
     std::unique_ptr<IoScheduler> sched =
@@ -67,42 +66,18 @@ Ssd::Ssd(const SsdConfig &cfg)
             }
         });
 
-    nvmhc_->setAfterEnqueueHook([this] { maybeCollectGc(); });
-    nvmhc_->setReclaimHook([this] {
-        // Emergency reclaim: a write found no free page. Collect past
-        // the admission bound — bounding the batch table is pointless
-        // if the device runs out of space instead.
-        const GcBatchList &batches = ftl_->collectGcUrgent();
-        if (batches.empty())
-            return false;
-        gc_->launch(batches, /*urgent=*/true);
-        return true;
-    });
+    nvmhc_->setAfterEnqueueHook([this] { gc_->collect(); });
     ftl_->setGcAdmission([this](std::uint64_t plane, std::uint32_t pending) {
         return !gc_->planeSaturated(plane, pending);
-    });
-    gc_->setBatchRetiredHook([this] {
-        // Retry only when the admission bound actually deferred work;
-        // otherwise batch retirement keeps its pre-bound behavior
-        // (collection triggers on enqueue alone).
-        if (ftl_->stats().gcDeferrals > gcDeferralsSeen_) {
-            gcDeferralsSeen_ = ftl_->stats().gcDeferrals;
-            maybeCollectGc();
-        }
     });
     ftl_->setReaddressCallback([this](Lpn lpn, Ppn from, Ppn to) {
         nvmhc_->readdress(lpn, from, to);
     });
-
-    // Fault plumbing: the FTL launches block-retirement migration
-    // batches through the GC engine (urgent — retirement must not be
-    // deferred by the admission bound), and GC migration programs that
-    // fail on flash are re-homed by the FTL.
+    // Emergency reclaim and block retirement must not wait for the
+    // admission bound: they launch past it.
     ftl_->setBatchLauncher([this](const GcBatchList &batches) {
         gc_->launch(batches, /*urgent=*/true);
     });
-    gc_->setProgramFailHook(
-        [this](Ppn failed) { return ftl_->onProgramFail(failed); });
 
     // Die-level parity: the engine keeps stripe parity consistent,
     // serves degraded reads by reconstruction and rebuilds a failed
@@ -110,13 +85,11 @@ Ssd::Ssd(const SsdConfig &cfg)
     if (cfg_.parity.enabled) {
         parity_ = std::make_unique<ParityEngine>(
             events_, geo, *ftl_, raw_controllers, requestArena_,
-            cfg_.parity, [this] { nvmhc_->kick(); });
+            cfg_.parity);
         parity_->setFinishReconstructHook(
             [this](MemoryRequest *req, bool ok) {
                 nvmhc_->finishReconstructed(req, ok);
             });
-        parity_->setProgramFailHook(
-            [this](Ppn failed) { return ftl_->onProgramFail(failed); });
         parity_->setRebuildCompleteHook([this] {
             ftl_->reviveDie(cfg_.fault.dieFailChip,
                             cfg_.fault.dieFailDie);
@@ -150,38 +123,23 @@ Ssd::onRequestFinished(MemoryRequest *req)
     const FlashOp op = req->op;
     const Ppn ppn = req->ppn;
     const bool failed = req->faultFailed;
+    const bool internal = req->isParity || req->isGc;
     if (req->isParity)
         parity_->onRequestFinished(req);
     else if (req->isGc)
         gc_->onRequestFinished(req);
     else
         nvmhc_->onRequestFinished(req);
+    // A GC or parity request just freed its chip: let the host
+    // scheduler re-poll (a host completion re-polls by itself).
+    if (internal)
+        nvmhc_->kick();
     // Every successful data-page program (host, GC migration, rebuild
     // relocation) is a stripe member the parity engine must track;
     // parity-slot programs are the engine's own closes.
     if (parity_ && op == FlashOp::Program && !failed &&
         !ftl_->parityMap()->isParityPage(ppn))
         parity_->onDataProgram(ppn);
-}
-
-void
-Ssd::maybeCollectGc()
-{
-    // One collectGc round reclaims at most one block per needy plane;
-    // loop (bounded) until every plane regains its threshold headroom.
-    for (int round = 0; round < 64 && ftl_->gcNeeded(); ++round) {
-        const GcBatchList &batches = ftl_->collectGc();
-        if (batches.empty())
-            break;
-        gc_->launch(batches);
-    }
-    // Static wear leveling (disabled unless configured): one cold
-    // block per trigger keeps the overhead bounded.
-    if (ftl_->wearLevelNeeded()) {
-        const GcBatchList &batches = ftl_->collectWearLevel();
-        if (!batches.empty())
-            gc_->launch(batches);
-    }
 }
 
 std::pair<Lpn, std::uint32_t>
@@ -218,7 +176,6 @@ Ssd::submitAt(Tick when, bool is_write, std::uint64_t offset_bytes,
 
     const auto [first, pages] = pageSpan(offset_bytes, size_bytes);
 
-    lastArrival_ = std::max(lastArrival_, when);
     ++submitted_;
     events_.schedule(when, [this, is_write, first = first,
                             pages = pages, fua, when] {
@@ -274,7 +231,6 @@ Ssd::replayStreams(std::vector<HostStreamConfig> streams)
         for (const auto &rec : scfg.trace) {
             if (rec.arrival < events_.now())
                 fatal("Ssd::replayStreams arrival in the past");
-            lastArrival_ = std::max(lastArrival_, rec.arrival);
             ++submitted_;
             events_.schedule(rec.arrival,
                              [this, sid] { onStreamArrival(sid); });

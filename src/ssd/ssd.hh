@@ -148,10 +148,7 @@ class Ssd
     Ftl &ftl() { return *ftl_; }
     const GcManager &gc() const { return *gc_; }
 
-    /** Die-parity engine; nullptr when SsdConfig::parity is off. */
-    const ParityEngine *parity() const { return parity_.get(); }
     const SsdConfig &config() const { return cfg_; }
-    const FaultModel &faults() const { return faults_; }
     const std::vector<std::unique_ptr<FlashChip>> &chips() const
     {
         return chips_;
@@ -161,18 +158,11 @@ class Ssd
         return channels_;
     }
 
-    /** Attached stream configs (empty for implicit-stream runs). */
-    const std::vector<HostStreamConfig> &hostStreams() const
-    {
-        return streamCfgs_;
-    }
-
   private:
-    /** Route flash completions to the NVMHC or the GC manager. */
+    /** Route flash completions to their owner (NVMHC, GC manager or
+     *  parity engine), then re-poll the host scheduler after GC and
+     *  parity work, since a chip may just have freed up. */
     void onRequestFinished(MemoryRequest *req);
-
-    /** Post-enqueue hook: trigger GC when any plane runs low. */
-    void maybeCollectGc();
 
     /** Arrival event of stream @p sid's next record fired. */
     void onStreamArrival(std::uint32_t sid);
@@ -228,11 +218,7 @@ class Ssd
     std::unique_ptr<ParityEngine> parity_;
 
     std::vector<IoResult> results_;
-    Tick lastArrival_ = 0;
     std::uint64_t submitted_ = 0; //!< total I/Os ever submitted
-
-    /** FTL deferral count at the last admission-bound retry. */
-    std::uint64_t gcDeferralsSeen_ = 0;
 
     /** Multi-queue front-end state (empty unless replayStreams()). */
     std::vector<HostStreamConfig> streamCfgs_;

@@ -52,12 +52,11 @@ TEST(IoRequest, StateHelpers)
     IoRequest io;
     io.pageCount = 2;
     io.initBitmap();
-    EXPECT_FALSE(io.started());
+    EXPECT_EQ(io.composedCount, 0u);
     EXPECT_FALSE(io.allComposed());
     EXPECT_FALSE(io.done());
 
     io.composedCount = 1;
-    EXPECT_TRUE(io.started());
     EXPECT_FALSE(io.allComposed());
 
     io.composedCount = 2;

@@ -241,10 +241,7 @@ TEST_P(FtlGcTrigger, MatchesPlaneScanAtEveryStep)
             check();
             if (written && !ftl.gcNeeded())
                 continue;
-            if (!written || i % 3 == 0)
-                ftl.collectGcUrgent();
-            else
-                ftl.collectGc();
+            ftl.collectGc();
             check();
         }
     };

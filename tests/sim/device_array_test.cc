@@ -46,6 +46,13 @@ makeJobs(unsigned devices, SchedulerKind kind = SchedulerKind::SPK3)
     return jobs;
 }
 
+/** Claim cells in job-list order. */
+const CellOrderPolicy kJobListOrder = [](const std::vector<DeviceJob> &jobs) {
+    std::vector<std::size_t> order(jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    return order;
+};
+
 TEST(DeviceArray, ShardedMatchesSequentialBitForBit)
 {
     const auto jobs = makeJobs(8);
@@ -244,16 +251,16 @@ TEST(DeviceArray, RandomShuffledOrdersAreBitIdentical)
 {
     // The cell-order policy redirects which cell a worker claims
     // next; results are indexed by cell, so ANY permutation must be
-    // bit-identical to expansion order. Exercise several seeded
+    // bit-identical to job-list order. Exercise several seeded
     // random shuffles at several thread counts.
     auto jobs = makeJobs(6);
     jobs[1].fidelity = Fidelity::Fast;
     jobs[4].fidelity = Fidelity::Fast;
 
-    DeviceArrayHooks expansion;
-    expansion.order = expansionOrder();
+    DeviceArrayHooks job_list;
+    job_list.order = kJobListOrder;
     DeviceArray reference(jobs);
-    reference.run(1, expansion);
+    reference.run(1, job_list);
 
     std::mt19937_64 rng(1234);
     for (const unsigned threads : {1u, 2u, 4u}) {
@@ -284,10 +291,10 @@ TEST(DeviceArray, CostGuidedDefaultMatchesExpansionOrderResults)
     auto jobs = makeJobs(4);
     jobs[2].fidelity = Fidelity::Fast;
 
-    DeviceArrayHooks expansion;
-    expansion.order = expansionOrder();
+    DeviceArrayHooks job_list;
+    job_list.order = kJobListOrder;
     DeviceArray reference(jobs);
-    reference.run(1, expansion);
+    reference.run(1, job_list);
 
     DeviceArray cost_guided(jobs);
     cost_guided.run(2); // hooks default to costGuidedOrder()
@@ -516,7 +523,7 @@ TEST(DeviceArrayImages, CancelledRunKeepsCompletedCellsExact)
         // users left that never run.
         std::atomic<bool> stop{false};
         DeviceArrayHooks hooks;
-        hooks.order = expansionOrder();
+        hooks.order = kJobListOrder;
         hooks.stop = &stop;
         hooks.onDeviceDone = [&stop](std::size_t,
                                      const MetricsSnapshot &) {

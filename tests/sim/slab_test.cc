@@ -180,6 +180,7 @@ TEST(SlabGcCrossCheck, RandomBatchStormMatchesMapModel)
     std::vector<std::unique_ptr<Channel>> channels;
     std::vector<std::unique_ptr<FlashController>> controllers;
     std::vector<FlashController *> raw;
+    Ftl ftl(geo, FtlConfig{});
     std::unique_ptr<GcManager> gc;
 
     MapModel model;
@@ -201,7 +202,7 @@ TEST(SlabGcCrossCheck, RandomBatchStormMatchesMapModel)
             }));
         raw.push_back(controllers.back().get());
     }
-    gc = std::make_unique<GcManager>(events, geo, raw, arena, nullptr);
+    gc = std::make_unique<GcManager>(geo, ftl, raw, arena);
 
     Rng rng(99);
     std::uint64_t launched = 0;

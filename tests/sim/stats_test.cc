@@ -18,15 +18,16 @@ TEST(BusyTracker, SimpleInterval)
     t.claim(100);
     t.release(150);
     EXPECT_EQ(t.busyTime(200), 50u);
-    EXPECT_FALSE(t.busy());
+    // Released: later ticks add nothing.
+    EXPECT_EQ(t.busyTime(300), 50u);
 }
 
 TEST(BusyTracker, OpenIntervalCountsUpToNow)
 {
     BusyTracker t;
     t.claim(10);
-    EXPECT_TRUE(t.busy());
     EXPECT_EQ(t.busyTime(60), 50u);
+    EXPECT_EQ(t.busyTime(70), 60u);
 }
 
 TEST(BusyTracker, NestedClaimsMergeIntoOneInterval)
@@ -35,7 +36,8 @@ TEST(BusyTracker, NestedClaimsMergeIntoOneInterval)
     t.claim(0);
     t.claim(10);
     t.release(20);
-    EXPECT_TRUE(t.busy());
+    // One claim is still open: busy time keeps growing.
+    EXPECT_EQ(t.busyTime(30), 30u);
     t.release(50);
     EXPECT_EQ(t.busyTime(100), 50u);
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Direct unit tests for the GC execution engine: per-batch
- * read -> program -> erase sequencing against real controllers.
+ * read -> program -> erase sequencing against real controllers, and
+ * the retry of collections the admission bound deferred.
  */
 
 #include <gtest/gtest.h>
@@ -27,9 +28,8 @@ struct Fixture
     std::vector<std::unique_ptr<FlashController>> controllers;
     std::vector<FlashController *> raw;
     Slab<MemoryRequest> arena;
+    std::unique_ptr<Ftl> ftl;
     std::unique_ptr<GcManager> gc;
-    int drainedCalls = 0;
-    int retiredCalls = 0;
 
     /** Every completed request in completion order (op recorded). */
     std::vector<FlashOp> completedOps;
@@ -57,10 +57,17 @@ struct Fixture
                 }));
             raw.push_back(controllers.back().get());
         }
-        gc = std::make_unique<GcManager>(events, geo, raw, arena,
-                                         [this] { ++drainedCalls; },
-                                         cap);
-        gc->setBatchRetiredHook([this] { ++retiredCalls; });
+        ftl = std::make_unique<Ftl>(geo, FtlConfig{});
+        gc = std::make_unique<GcManager>(geo, *ftl, raw, arena, cap);
+    }
+
+    /** Rewrite a few hot pages until some plane needs collection; the
+     *  stale copies give GC victims to reclaim. */
+    void
+    fillUntilGcNeeded()
+    {
+        for (Lpn lpn = 0; !ftl->gcNeeded(); ++lpn)
+            ASSERT_NE(ftl->allocateWrite(lpn % 4), kInvalidPage);
     }
 
     GcBatch &
@@ -155,17 +162,6 @@ TEST(GcManager, MultipleBatchesRunConcurrently)
     EXPECT_EQ(f.completedOps.size(), 2u * (2 + 2) + 2);
 }
 
-TEST(GcManager, ProgressCallbackFiresPerCompletion)
-{
-    Fixture f;
-    GcBatchList batches;
-    f.makeBatch(batches, 2);
-    f.gc->launch(batches);
-    f.events.run();
-    // One callback per finished GC request (2R + 2P + 1E).
-    EXPECT_EQ(f.drainedCalls, 5);
-}
-
 TEST(GcManager, UnknownCompletionDies)
 {
     Fixture f;
@@ -173,15 +169,45 @@ TEST(GcManager, UnknownCompletionDies)
     EXPECT_DEATH(f.gc->onRequestFinished(&bogus), "unknown");
 }
 
-TEST(GcManager, RetirementHookFiresPerBatch)
+TEST(GcManager, RetiredBatchRetriesDeferredCollection)
 {
     Fixture f;
+    f.fillUntilGcNeeded();
+    bool admit = false;
+    f.ftl->setGcAdmission(
+        [&admit](std::uint64_t, std::uint32_t) { return admit; });
+
+    // A batch in flight, and a collection the gate defers.
     GcBatchList batches;
     f.makeBatch(batches, 2);
     f.gc->launch(batches);
-    EXPECT_EQ(f.retiredCalls, 0);
+    f.gc->collect();
+    EXPECT_GT(f.ftl->stats().gcDeferrals, 0u);
+    EXPECT_EQ(f.ftl->stats().gcInvocations, 0u);
+    EXPECT_EQ(f.gc->stats().batches, 1u);
+
+    // The batch retires once the gate admits again: the deferred
+    // collection runs then, and its batches run to completion.
+    admit = true;
     f.events.run();
-    EXPECT_EQ(f.retiredCalls, 1);
+    EXPECT_GT(f.ftl->stats().gcInvocations, 0u);
+    EXPECT_GT(f.gc->stats().batches, 1u);
+    EXPECT_TRUE(f.gc->idle());
+}
+
+TEST(GcManager, RetiredBatchCollectsNothingWithoutDeferral)
+{
+    Fixture f;
+    f.fillUntilGcNeeded();
+    GcBatchList batches;
+    f.makeBatch(batches, 2);
+    f.gc->launch(batches);
+    f.events.run();
+    // Collection triggers on host enqueue; a retirement alone retries
+    // only what the admission bound deferred, and nothing was.
+    EXPECT_TRUE(f.ftl->gcNeeded());
+    EXPECT_EQ(f.ftl->stats().gcInvocations, 0u);
+    EXPECT_EQ(f.gc->stats().batches, 1u);
 }
 
 TEST(GcManager, AdmissionBoundTracksLiveBatchesPerPlane)
@@ -200,7 +226,6 @@ TEST(GcManager, AdmissionBoundTracksLiveBatchesPerPlane)
     // Retirement returns the admission shares.
     EXPECT_EQ(f.gc->liveBatchesOnPlane(0), 0u);
     EXPECT_FALSE(f.gc->planeSaturated(0));
-    EXPECT_EQ(f.retiredCalls, 2);
     EXPECT_EQ(f.gc->stats().overCapLaunches, 0u);
 }
 
@@ -235,8 +260,9 @@ TEST(GcManager, UrgentLaunchBypassesBoundAndIsCounted)
 
 /**
  * FTL-side deferral, deterministically: a needy plane whose admission
- * the predicate rejects is skipped and counted; the urgent variant
- * collects it anyway (emergency reclaim must not be gated).
+ * the predicate rejects is skipped and counted; a host write that
+ * finds the plane full collects it anyway (emergency reclaim must not
+ * be gated).
  */
 TEST(GcAdmission, FtlDefersRejectedPlanesAndCountsThem)
 {
@@ -252,13 +278,12 @@ TEST(GcAdmission, FtlDefersRejectedPlanesAndCountsThem)
     cfg.gcFreeBlockThreshold = 2;
 
     Ftl ftl(geo, cfg);
-    // Rewrite a handful of hot pages until the single plane is below
-    // the GC threshold; the stale copies give GC victims to reclaim.
+    // Rewrite a handful of hot pages until a host write finds the
+    // single plane full; the stale copies give GC victims to reclaim.
     Lpn lpn = 0;
-    while (!ftl.gcNeeded()) {
-        ASSERT_NE(ftl.allocateWrite(lpn % 4), kInvalidPage);
+    while (ftl.allocateWrite(lpn % 4) != kInvalidPage)
         ++lpn;
-    }
+    ASSERT_TRUE(ftl.gcNeeded());
 
     bool admit = false;
     ftl.setGcAdmission(
@@ -269,8 +294,9 @@ TEST(GcAdmission, FtlDefersRejectedPlanesAndCountsThem)
     EXPECT_EQ(ftl.stats().gcDeferrals, 1u);
     EXPECT_TRUE(ftl.gcNeeded());
 
-    // Urgent collection ignores the gate entirely.
-    EXPECT_FALSE(ftl.collectGcUrgent().empty());
+    // The reclaiming write collects past the gate, then writes.
+    EXPECT_NE(ftl.allocateWriteReclaiming(lpn % 4), kInvalidPage);
+    EXPECT_GT(ftl.stats().gcInvocations, 0u);
     EXPECT_EQ(ftl.stats().gcDeferrals, 1u);
 
     // Once admitted again, normal collection proceeds.

@@ -195,6 +195,40 @@ INSTANTIATE_TEST_SUITE_P(
                faultsName(std::get<2>(info.param));
     });
 
+/**
+ * What a worn-out device does next: after the wear-out profile's run,
+ * a second preconditioning pass leaves every plane below the GC
+ * threshold with blocks retired at endurance, and GC cannot migrate
+ * (its warning comes once per collection round). A further timed
+ * stream must end in fatal("device out of space"), not livelock.
+ */
+TEST(SsdImageDeathTest, WornOutDeviceRunsOutOfSpace)
+{
+    for (const bool parity : {false, true}) {
+        SCOPED_TRACE(parity ? "parity on" : "parity off");
+        const SsdConfig cfg =
+            imageConfig(SchedulerKind::VAS, parity, Faults::Wearout);
+        Ssd ssd(cfg);
+        ssd.preconditionForGc();
+        const std::uint64_t span = cfg.geometry.totalPages() *
+                                   cfg.geometry.pageSizeBytes / 2;
+        ssd.replay(
+            fixedSizeStream(300, 8192, 0.9, span, 2 * kMicrosecond, 23));
+        ssd.run();
+        ssd.preconditionForGc(0.02, 1.0);
+        const BlockManager &blocks = ssd.ftl().blocks();
+        ASSERT_EQ(blocks.planesBelowGcThreshold(), blocks.numPlanes());
+        ASSERT_GT(blocks.badBlocks(), 0u);
+
+        Trace more =
+            fixedSizeStream(300, 8192, 0.9, span, 2 * kMicrosecond, 29);
+        for (TraceRecord &rec : more)
+            rec.arrival += ssd.events().now();
+        ssd.replay(more);
+        EXPECT_DEATH(ssd.run(), "Nvmhc: device out of space");
+    }
+}
+
 TEST(SsdImageDeathTest, RestoreIntoDeviceThatTookIoPanics)
 {
     const SsdConfig cfg = imageConfig(SchedulerKind::VAS, false,

@@ -62,8 +62,7 @@ TEST(BenchCli, EveryOptionParsesIntoItsVariable)
     Extras e;
     const bench::BenchCli cli = parse(
         {"--threads", "3", "--filter", "hm", "--csv", "out.csv",
-         "--fidelity", "FAST", "--cache", "dir", "--order", "expansion",
-         "--switch", "--count", "4000000000", "--big",
+         "--fidelity", "FAST", "--cache", "dir", "--switch", "--count", "4000000000", "--big",
          "18446744073709551615", "--frac", "-1.5e-3", "--name", "",
          "--mode", "b"},
         e);
@@ -72,7 +71,6 @@ TEST(BenchCli, EveryOptionParsesIntoItsVariable)
     EXPECT_EQ(cli.csv, "out.csv");
     EXPECT_EQ(cli.fidelity, Fidelity::Fast);
     EXPECT_EQ(cli.cacheDir, "dir");
-    EXPECT_EQ(cli.order, "expansion");
     EXPECT_TRUE(e.flag);
     EXPECT_EQ(e.count, 4000000000u);
     EXPECT_EQ(e.big, 18446744073709551615ull);
@@ -86,7 +84,6 @@ TEST(BenchCli, UnsetOptionsKeepTheirInitialValues)
     Extras e;
     const bench::BenchCli cli = parse({}, e);
     EXPECT_EQ(cli.threads, bench::defaultThreads());
-    EXPECT_EQ(cli.order, "cost");
     EXPECT_EQ(cli.fidelity, Fidelity::Exact);
     EXPECT_FALSE(e.flag);
     EXPECT_EQ(e.count, 7u);
@@ -142,7 +139,6 @@ TEST(BenchCli, MalformedInputExitsTwo)
     exitsTwo({"--frac", "0.5s"}, "--frac: invalid value");
     exitsTwo({"--frac", "inf"}, "--frac: invalid value");
     exitsTwo({"--mode", "c"}, "--mode: invalid value 'c', expected a\\|b");
-    exitsTwo({"--order", "fifo"}, "--order: invalid value");
     exitsTwo({"--fidelity", "slow"}, "--fidelity: invalid value");
 }
 
