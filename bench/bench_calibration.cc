@@ -2,8 +2,9 @@
  * @file
  * Calibration harness for the analytic fast-mode estimator.
  *
- * Re-runs a reduced grid of every simulation-bearing exhibit (fig01,
- * fig06, fig10-17, fig18, fig19 — twelve in total) with a
+ * Re-runs a sample of every simulation-bearing exhibit's grid
+ * (bench/exhibits.hh: fig01, fig06, fig10-17, fig18, fig19 — twelve
+ * in total) at fewer I/Os per cell, with a
  * two-fidelity axis, so each cell is evaluated once by the
  * event-accurate engine and once by sim/estimator.hh through the
  * exact same SweepRunner dispatch path. The per-metric relative
@@ -18,9 +19,8 @@
  * ready-to-paste EstimatorConstants::calibrated() body and the error
  * table the fitted constants would produce.
  *
- * --filter restricts by exhibit name ("--filter fig15"). The hidden
- * "smoke" exhibit (tiny 8-chip grid, sub-second) only runs when
- * explicitly filtered for; the calibration_smoke ctest uses it.
+ * Every sampled axis value is checked to lie on its exhibit's axis.
+ * --filter restricts by exhibit name ("--filter fig15").
  *
  * Exit status is 1 when the pooled bandwidth median error exceeds 75%
  * — a gross-breakage tripwire, far above the committed calibration
@@ -40,10 +40,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_cli.hh"
-#include "bench/bench_util.hh"
+#include "bench/exhibits.hh"
 #include "sim/estimator.hh"
-#include "workload/fio_job.hh"
 
 namespace
 {
@@ -55,12 +53,11 @@ const char *const kMetricNames[kNumMetrics] = {"bw", "iops", "lat",
                                                "p99"};
 
 /** One (exact, fast) cell pair plus everything --fit needs to
- *  re-evaluate candidate constants against it. */
+ *  re-evaluate candidate constants against it (the job says the
+ *  scheduler and whether the device was preconditioned). */
 struct Anchor
 {
     std::string exhibit;
-    std::size_t sched = 0;
-    bool gc = false;
     const DeviceJob *job = nullptr;
     const MetricsSnapshot *exact = nullptr;
     const MetricsSnapshot *fast = nullptr;
@@ -100,281 +97,53 @@ median(std::vector<double> v)
     return m;
 }
 
-/** Scaled-geometry config shared by the fig15/16 reductions. */
-SsdConfig
-sizeSweepConfig(SchedulerKind kind, std::uint32_t chips)
-{
-    SsdConfig cfg = SsdConfig::withChips(chips);
-    cfg.geometry.blocksPerPlane = chips >= 512 ? 6 : 24;
-    cfg.geometry.pagesPerBlock = 32;
-    cfg.scheduler = kind;
-    return cfg;
-}
-
-/** Reduced paperTraceSweep: a trace subset and fewer I/Os per cell,
- *  with the two-fidelity axis attached. */
-std::unique_ptr<SweepRunner>
-reducedPaperSweep(std::vector<std::string> trace_names,
-                  std::vector<SchedulerKind> schedulers,
-                  std::uint64_t seed, std::uint64_t n_ios)
-{
-    SweepAxes axes;
-    axes.traces = std::move(trace_names);
-    axes.schedulers = std::move(schedulers);
-    axes.seeds = {seed};
-    axes.fidelities = {Fidelity::Exact, Fidelity::Fast};
-
-    const std::uint64_t span =
-        bench::spanFor(bench::evalConfig(SchedulerKind::VAS));
-    auto store = std::make_shared<TraceStore>();
-    for (const auto &name : axes.traces)
-        store->intern(name, generatePaperTrace(name, n_ios, span, seed));
-
-    return std::make_unique<SweepRunner>(
-        axes, [store = std::move(store)](const SweepPoint &p) {
-            DeviceJob job;
-            job.cfg = bench::evalConfig(p.scheduler);
-            job.trace = store->ref(p.trace);
-            return job;
-        });
-}
-
+/**
+ * One exhibit's sample: its grid at fewer I/Os per cell, and the axis
+ * values kept, which span its regimes (trace locality classes,
+ * transfer sizes, chip counts, GC preconditioning). Figure 19 keeps
+ * its fault-free, unprotected cells: fault injection is out of the
+ * estimator's scope (bench/README.md, "When not to trust fast mode").
+ */
 struct Exhibit
 {
     const char *name;
-    bool hidden = false; //!< only runs under an explicit --filter
-    std::function<std::unique_ptr<SweepRunner>()> build;
+    std::function<bench::Grid()> grid;
+    bench::AxisSample sample;
 };
 
 std::vector<Exhibit>
 exhibits()
 {
-    std::vector<Exhibit> out;
-
-    // fig01: VAS scaling across chip counts, sequential reads.
-    out.push_back({"fig01", false, [] {
-        SweepAxes axes;
-        axes.traces = {"4", "64"}; // xfer KB
-        axes.schedulers = {SchedulerKind::VAS};
-        axes.seeds = {17};
-        axes.variants = {"16", "64", "256"}; // chips
-        axes.fidelities = {Fidelity::Exact, Fidelity::Fast};
-        return std::make_unique<SweepRunner>(
-            axes, [](const SweepPoint &p) {
-                const auto size_kb = std::stoull(p.trace);
-                const auto chips = static_cast<std::uint32_t>(
-                    std::stoul(p.variant));
-                DeviceJob job;
-                job.cfg = SsdConfig::withChips(chips);
-                job.cfg.geometry.blocksPerPlane =
-                    chips >= 512 ? 4 : 16;
-                job.cfg.geometry.pagesPerBlock = 32;
-                job.cfg.scheduler = SchedulerKind::VAS;
-                const std::uint64_t span =
-                    bench::spanFor(job.cfg, 0.5);
-                const std::uint64_t n_ios = std::max<std::uint64_t>(
-                    16, (6ull << 20) / (size_kb << 10));
-                job.trace =
-                    fixedSizeStream(n_ios, size_kb << 10, 0.0, span,
-                                    2 * kMicrosecond, p.seed);
-                return job;
-            });
-    }});
-
-    // fig06/10/11/13/14: Table-1 trace sweeps on the evaluation
-    // geometry, trace subsets chosen to span the locality classes.
-    out.push_back({"fig06", false, [] {
-        return reducedPaperSweep(
-            {"cfs0", "hm0", "msnfs1", "msnfs3", "proj0", "proj3"},
-            {SchedulerKind::VAS, SchedulerKind::PAS,
-             SchedulerKind::SPK3},
-            29, 600);
-    }});
-    out.push_back({"fig10", false, [] {
-        return reducedPaperSweep({"cfs1", "hm1", "msnfs0", "proj4"},
-                                 bench::allSchedulers(), 31, 600);
-    }});
-    out.push_back({"fig11", false, [] {
-        return reducedPaperSweep({"cfs3", "msnfs2", "proj1"},
-                                 bench::allSchedulers(), 37, 600);
-    }});
-    out.push_back({"fig12", false, [] {
-        return reducedPaperSweep({"msnfs1"},
-                                 {SchedulerKind::VAS,
-                                  SchedulerKind::PAS,
-                                  SchedulerKind::SPK3},
-                                 41, 1000);
-    }});
-    out.push_back({"fig13", false, [] {
-        return reducedPaperSweep(
-            {"cfs2", "hm0", "proj2"},
-            {SchedulerKind::PAS, SchedulerKind::SPK3}, 43, 600);
-    }});
-    out.push_back({"fig14", false, [] {
-        return reducedPaperSweep({"cfs4", "msnfs1"},
-                                 {SchedulerKind::PAS,
-                                  SchedulerKind::SPK1,
-                                  SchedulerKind::SPK2,
-                                  SchedulerKind::SPK3},
-                                 47, 600);
-    }});
-
-    // fig15: transfer-size x chip-count utilization sweep.
-    out.push_back({"fig15", false, [] {
-        SweepAxes axes;
-        axes.traces = {"4", "64", "1024"}; // xfer KB
-        axes.schedulers = {SchedulerKind::VAS, SchedulerKind::SPK1,
-                           SchedulerKind::SPK2, SchedulerKind::SPK3};
-        axes.seeds = {53};
-        axes.variants = {"64", "256"}; // chips
-        axes.fidelities = {Fidelity::Exact, Fidelity::Fast};
-        return std::make_unique<SweepRunner>(
-            axes, [](const SweepPoint &p) {
-                const auto size_kb = std::stoull(p.trace);
-                const auto chips = static_cast<std::uint32_t>(
-                    std::stoul(p.variant));
-                DeviceJob job;
-                job.cfg = sizeSweepConfig(p.scheduler, chips);
-                const std::uint64_t span =
-                    bench::spanFor(job.cfg, 0.5);
-                const std::uint64_t n_ios = std::max<std::uint64_t>(
-                    16, (2ull << 20) / (size_kb << 10));
-                job.trace = fixedSizeStream(n_ios, size_kb << 10,
-                                            0.6, span, 0, p.seed);
-                return job;
-            });
-    }});
-
-    // fig16: transaction-count sweep (paced arrivals, 64 chips).
-    out.push_back({"fig16", false, [] {
-        SweepAxes axes;
-        axes.traces = {"4", "64", "1024"}; // xfer KB
-        axes.schedulers = {SchedulerKind::VAS, SchedulerKind::SPK1,
-                           SchedulerKind::SPK2, SchedulerKind::SPK3};
-        axes.seeds = {59};
-        axes.fidelities = {Fidelity::Exact, Fidelity::Fast};
-        return std::make_unique<SweepRunner>(
-            axes, [](const SweepPoint &p) {
-                const auto size_kb = std::stoull(p.trace);
-                DeviceJob job;
-                job.cfg = sizeSweepConfig(p.scheduler, 64);
-                const std::uint64_t span =
-                    bench::spanFor(job.cfg, 0.5);
-                const std::uint64_t n_ios = std::max<std::uint64_t>(
-                    16, (2ull << 20) / (size_kb << 10));
-                job.trace = fixedSizeStream(n_ios, size_kb << 10,
-                                            0.6, span,
-                                            2 * kMicrosecond, p.seed);
-                return job;
-            });
-    }});
-
-    // fig17: write-heavy sweep with and without GC preconditioning.
-    out.push_back({"fig17", false, [] {
-        SweepAxes axes;
-        axes.traces = {"4", "64"}; // xfer KB
-        axes.schedulers = {SchedulerKind::VAS, SchedulerKind::PAS,
-                           SchedulerKind::SPK3};
-        axes.seeds = {61};
-        axes.variants = {"64", "64-GC"};
-        axes.fidelities = {Fidelity::Exact, Fidelity::Fast};
-        return std::make_unique<SweepRunner>(
-            axes, [](const SweepPoint &p) {
-                const auto size_kb = std::stoull(p.trace);
-                const auto chips = static_cast<std::uint32_t>(
-                    std::stoul(p.variant));
-                DeviceJob job;
-                job.cfg = SsdConfig::withChips(chips);
-                job.cfg.geometry.blocksPerPlane = 16;
-                job.cfg.geometry.pagesPerBlock = 32;
-                job.cfg.scheduler = p.scheduler;
-                job.cfg.ftl.overprovision = 0.15;
-                job.preconditionGc = p.variant.ends_with("-GC");
-                const std::uint64_t span =
-                    bench::spanFor(job.cfg, 0.6);
-                const std::uint64_t n_ios = std::max<std::uint64_t>(
-                    16, (2ull << 20) / (size_kb << 10));
-                job.trace = fixedSizeStream(n_ios, size_kb << 10,
-                                            0.9, span,
-                                            5 * kMicrosecond, p.seed);
-                return job;
-            });
-    }});
-
-    // fig18: multi-stream fio job under two arbiters.
-    out.push_back({"fig18", false, [] {
-        const char *job_env = std::getenv("SPK_FIO_JOB");
-        const std::string job_path =
-            job_env != nullptr
-                ? job_env
-                : std::string(SPK_DATA_DIR "/jobs/fig18_mixed.fio");
-        const std::vector<HostStreamConfig> streams =
-            parseFioJobFile(job_path);
-        SweepAxes axes;
-        axes.traces = {"fig18_mixed"};
-        axes.schedulers = {SchedulerKind::VAS, SchedulerKind::PAS,
-                           SchedulerKind::SPK3};
-        axes.seeds = {31};
-        axes.arbiters = {ArbiterKind::RoundRobin,
-                         ArbiterKind::WeightedRoundRobin};
-        axes.fidelities = {Fidelity::Exact, Fidelity::Fast};
-        return std::make_unique<SweepRunner>(
-            axes, [streams](const SweepPoint &p) {
-                DeviceJob job;
-                job.cfg = bench::evalConfig(p.scheduler);
-                job.cfg.nvmhc.arbiter = p.arbiter;
-                job.streams = streams;
-                return job;
-            });
-    }});
-
-    // fig19: the reliability exhibit's fault-free baseline. Fault
-    // injection itself is out of the estimator's scope (see the
-    // "when not to trust fast mode" notes in bench/README.md).
-    out.push_back({"fig19", false, [] {
-        SweepAxes axes;
-        axes.traces = {"mixed8k"};
-        axes.schedulers = {SchedulerKind::VAS, SchedulerKind::PAS,
-                           SchedulerKind::SPK3};
-        axes.seeds = {71};
-        axes.fidelities = {Fidelity::Exact, Fidelity::Fast};
-        SsdConfig parity_base =
-            bench::evalConfig(SchedulerKind::VAS);
-        parity_base.parity.enabled = true;
-        const std::uint64_t span = bench::spanFor(parity_base, 0.6);
-        const TraceRef trace = fixedSizeStream(1200, 8192, 0.5, span,
-                                            5 * kMicrosecond, 71);
-        return std::make_unique<SweepRunner>(
-            axes, [trace](const SweepPoint &p) {
-                DeviceJob job;
-                job.cfg = bench::evalConfig(p.scheduler);
-                job.trace = trace;
-                return job;
-            });
-    }});
-
-    // smoke: sub-second grid for the calibration_smoke ctest; not
-    // part of the twelve-exhibit campaign.
-    out.push_back({"smoke", true, [] {
-        SweepAxes axes;
-        axes.traces = {"smoke8k"};
-        axes.schedulers = {SchedulerKind::VAS, SchedulerKind::SPK3};
-        axes.seeds = {97};
-        axes.fidelities = {Fidelity::Exact, Fidelity::Fast};
-        SsdConfig probe = bench::evalConfig(SchedulerKind::VAS, 8);
-        const std::uint64_t span = bench::spanFor(probe, 0.5);
-        const TraceRef trace = fixedSizeStream(200, 8192, 0.5, span,
-                                            2 * kMicrosecond, 97);
-        return std::make_unique<SweepRunner>(
-            axes, [trace](const SweepPoint &p) {
-                DeviceJob job;
-                job.cfg = bench::evalConfig(p.scheduler, 8);
-                job.trace = trace;
-                return job;
-            });
-    }});
-
-    return out;
+    using bench::bytesBudget;
+    return {
+        {"fig01", [] { return bench::fig01Grid(bytesBudget(6ull << 20)); },
+         {.traces = {"4", "64"}, .variants = {"16", "64", "256"}}},
+        {"fig06", [] { return bench::fig06Grid(600); },
+         {.traces = {"cfs0", "hm0", "msnfs1", "msnfs3", "proj0",
+                     "proj3"}}},
+        {"fig10", [] { return bench::fig10Grid(600); },
+         {.traces = {"cfs1", "hm1", "msnfs0", "proj4"}}},
+        {"fig11", [] { return bench::fig11Grid(600); },
+         {.traces = {"cfs3", "msnfs2", "proj1"}}},
+        {"fig12", [] { return bench::fig12Grid(1000); }, {}},
+        {"fig13", [] { return bench::fig13Grid(600); },
+         {.traces = {"cfs2", "hm0", "proj2"}}},
+        {"fig14", [] { return bench::fig14Grid(600); },
+         {.traces = {"cfs4", "msnfs1"}}},
+        {"fig15", [] { return bench::fig15Grid(bytesBudget(2ull << 20)); },
+         {.traces = {"4", "64", "1024"}, .variants = {"64", "256"}}},
+        {"fig16", [] { return bench::fig16Grid(bytesBudget(2ull << 20)); },
+         {.traces = {"4", "64", "1024"}, .variants = {"64"}}},
+        {"fig17", [] { return bench::fig17Grid(bytesBudget(2ull << 20)); },
+         {.traces = {"4", "64"}, .variants = {"64", "64-GC"}}},
+        {"fig18", [] { return bench::fig18Grid(); },
+         {.schedulers = {SchedulerKind::VAS, SchedulerKind::PAS,
+                         SchedulerKind::SPK3},
+          .arbiters = {ArbiterKind::RoundRobin,
+                       ArbiterKind::WeightedRoundRobin}}},
+        {"fig19", [] { return bench::fig19Grid(1200); },
+         {.variants = {"parity=off"}, .faults = {0.0}}},
+    };
 }
 
 /** Per-exhibit and pooled error rows for one set of snapshots. The
@@ -409,7 +178,6 @@ printErrorTable(
                           "iops_med_pct,lat_med_pct,p99_med_pct\n");
     }
 
-    std::array<std::vector<double>, kNumMetrics> pooled;
     const auto emitRow =
         [&](const std::string &name,
             const std::vector<std::array<double, kNumMetrics>> &errs) {
@@ -417,38 +185,29 @@ printErrorTable(
             for (const auto &e : errs)
                 for (std::size_t m = 0; m < kNumMetrics; ++m)
                     cols[m].push_back(e[m]);
-            const double bw_max =
-                *std::max_element(cols[0].begin(), cols[0].end());
+            // bw median, bw max, then the other medians, in percent.
+            const double v[] = {
+                100.0 * median(cols[0]),
+                100.0 * *std::max_element(cols[0].begin(), cols[0].end()),
+                100.0 * median(cols[1]), 100.0 * median(cols[2]),
+                100.0 * median(cols[3])};
             std::printf("%-8s %6zu %8.1f %8.1f %9.1f %8.1f %8.1f\n",
-                        name.c_str(), errs.size(),
-                        100.0 * median(cols[0]), 100.0 * bw_max,
-                        100.0 * median(cols[1]),
-                        100.0 * median(cols[2]),
-                        100.0 * median(cols[3]));
-            if (csv != nullptr) {
-                std::fprintf(csv,
-                             "%s,%zu,%.2f,%.2f,%.2f,%.2f,%.2f\n",
-                             name.c_str(), errs.size(),
-                             100.0 * median(cols[0]), 100.0 * bw_max,
-                             100.0 * median(cols[1]),
-                             100.0 * median(cols[2]),
-                             100.0 * median(cols[3]));
-            }
+                        name.c_str(), errs.size(), v[0], v[1], v[2], v[3],
+                        v[4]);
+            if (csv != nullptr)
+                std::fprintf(csv, "%s,%zu,%.2f,%.2f,%.2f,%.2f,%.2f\n",
+                             name.c_str(), errs.size(), v[0], v[1], v[2],
+                             v[3], v[4]);
         };
 
+    std::vector<std::array<double, kNumMetrics>> pooled;
     for (const auto &name : order) {
-        emitRow(name, per_exhibit[name]);
-        for (const auto &e : per_exhibit[name])
-            for (std::size_t m = 0; m < kNumMetrics; ++m)
-                pooled[m].push_back(e[m]);
+        const auto &errs = per_exhibit[name];
+        emitRow(name, errs);
+        pooled.insert(pooled.end(), errs.begin(), errs.end());
     }
-
-    std::vector<std::array<double, kNumMetrics>> pooled_rows;
-    for (std::size_t i = 0; i < pooled[0].size(); ++i)
-        pooled_rows.push_back({pooled[0][i], pooled[1][i],
-                               pooled[2][i], pooled[3][i]});
-    if (!pooled_rows.empty())
-        emitRow("pooled", pooled_rows);
+    if (!pooled.empty())
+        emitRow("pooled", pooled);
     if (csv != nullptr) {
         std::fclose(csv);
         std::printf("wrote error table to %s\n", csv_path.c_str());
@@ -522,7 +281,7 @@ fitConstants(const std::vector<Anchor> &anchors)
 
     std::vector<const Anchor *> all_cells;
     for (const auto &a : anchors)
-        if (!a.gc)
+        if (!a.job->preconditionGc)
             all_cells.push_back(&a);
 
     // The channel buses are shared hardware, so bus efficiency is one
@@ -549,7 +308,8 @@ fitConstants(const std::vector<Anchor> &anchors)
              ++s) {
             std::vector<const Anchor *> cells;
             for (const auto &a : anchors)
-                if (a.sched == s && !a.gc)
+                if (static_cast<std::size_t>(a.job->cfg.scheduler) == s &&
+                    !a.job->preconditionGc)
                     cells.push_back(&a);
             if (cells.empty())
                 continue;
@@ -606,7 +366,7 @@ fitConstants(const std::vector<Anchor> &anchors)
 
     std::vector<const Anchor *> gc_cells;
     for (const auto &a : anchors)
-        if (a.gc)
+        if (a.job->preconditionGc)
             gc_cells.push_back(&a);
     if (!gc_cells.empty()) {
         double best = -1.0;
@@ -673,12 +433,13 @@ main(int argc, char **argv)
     std::vector<std::pair<const char *,
                           std::unique_ptr<SweepRunner>>>
         runs;
-    for (auto &ex : exhibits()) {
-        if (needle.empty() ? ex.hidden
-                           : lower(ex.name).find(needle) ==
-                                 std::string::npos)
+    for (const Exhibit &ex : exhibits()) {
+        if (lower(ex.name).find(needle) == std::string::npos)
             continue;
-        runs.emplace_back(ex.name, ex.build());
+        bench::Grid grid = bench::sampleGrid(ex.name, ex.grid(), ex.sample);
+        grid.axes.fidelities = {Fidelity::Exact, Fidelity::Fast};
+        runs.emplace_back(ex.name, std::make_unique<SweepRunner>(
+                                       std::move(grid.axes), grid.build));
     }
     if (runs.empty())
         fatal("--filter " + cli.filter + " matches no exhibit");
@@ -707,8 +468,6 @@ main(int argc, char **argv)
                 continue;
             Anchor a;
             a.exhibit = name;
-            a.sched = static_cast<std::size_t>(p.scheduler);
-            a.gc = p.variant.ends_with("-GC");
             a.job = &sweep->array().jobs()[p.index];
             a.exact = &sweep->array().results()[p.index - 1];
             a.fast = &sweep->array().results()[p.index];
@@ -727,9 +486,7 @@ main(int argc, char **argv)
                 "cell %-6s %-4s chips=%-4u wf=%.2f pages/io=%.1f "
                 "bw %.0f/%.0f lat %.0f/%.0f p99 %llu/%llu util "
                 "%.1f/%.1f\n",
-                a.exhibit.c_str(),
-                schedulerKindName(
-                    static_cast<SchedulerKind>(a.sched)),
+                a.exhibit.c_str(), schedulerKindName(j.cfg.scheduler),
                 j.cfg.geometry.numChips(), mix.writePageFraction(),
                 mix.records == 0
                     ? 0.0

@@ -6,8 +6,6 @@
  * controller (VAS), resource conflicts addressed (PAS), and both
  * challenges removed -- parallelism dependency relaxed plus high
  * transactional locality (SPK3 serves as the realized potential).
- *
- * Sweep axes: sixteen paper traces x {VAS, PAS, SPK3}, sharded.
  */
 
 #include <cstdio>
@@ -15,8 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "bench/bench_cli.hh"
-#include "bench/bench_util.hh"
+#include "bench/exhibits.hh"
 
 int
 main(int argc, char **argv)
@@ -26,15 +23,13 @@ main(int argc, char **argv)
     bench::printHeader("Figure 6",
                        "flash-level utilization: VAS vs PAS vs potential");
 
-    const auto sweep = bench::paperTraceSweep(
-        {SchedulerKind::VAS, SchedulerKind::PAS, SchedulerKind::SPK3},
-        29, cli.filter, cli.fidelity);
-    bench::runSweep(*sweep, cli);
+    SweepRunner sweep = bench::exhibitSweep(bench::fig06Grid(), cli);
+    bench::runSweep(sweep, cli);
 
     // Column labels follow the surviving scheduler axis, so --filter
     // never prints a value under another scheduler's header. SPK3
     // realizes the paper's "potential" scenario.
-    const auto &kinds = sweep->axes().schedulers;
+    const auto &kinds = sweep.axes().schedulers;
     const auto column = [](SchedulerKind kind) {
         return kind == SchedulerKind::SPK3
                    ? std::pair<const char *, int>{"potential %", 12}
@@ -52,11 +47,11 @@ main(int argc, char **argv)
     std::printf("\n");
 
     std::vector<double> sums(kinds.size(), 0.0);
-    for (const auto &name : sweep->axes().traces) {
+    for (const auto &name : sweep.axes().traces) {
         std::printf("%-8s", name.c_str());
         for (std::size_t k = 0; k < kinds.size(); ++k) {
             const double util =
-                sweep->at({.trace = name, .scheduler = kinds[k]})
+                sweep.at({.trace = name, .scheduler = kinds[k]})
                     .flashLevelUtilizationPct;
             sums[k] += util;
             std::printf(" %*.1f", column(kinds[k]).second, util);
@@ -64,7 +59,7 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    const double n = static_cast<double>(sweep->axes().traces.size());
+    const double n = static_cast<double>(sweep.axes().traces.size());
     std::printf("%-8s", "mean");
     for (std::size_t k = 0; k < kinds.size(); ++k)
         std::printf(" %*.1f", column(kinds[k]).second, sums[k] / n);

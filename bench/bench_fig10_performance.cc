@@ -5,16 +5,12 @@
  *
  * (a) bandwidth, (b) IOPS, (c) average device-level latency,
  * (d) queue stall time normalized to VAS.
- *
- * Sweep axes: sixteen paper traces x all five schedulers (the largest
- * exhibit grid, 80 cells), sharded through SweepRunner.
  */
 
 #include <cstdio>
 #include <string>
 
-#include "bench/bench_cli.hh"
-#include "bench/bench_util.hh"
+#include "bench/exhibits.hh"
 
 int
 main(int argc, char **argv)
@@ -23,13 +19,11 @@ main(int argc, char **argv)
     const bench::BenchCli cli = bench::parseCli(argc, argv);
     bench::printHeader("Figure 10", "bandwidth / IOPS / latency / stall");
 
-    const auto sweep =
-        bench::paperTraceSweep(bench::allSchedulers(), 31, cli.filter,
-                               cli.fidelity);
-    bench::runSweep(*sweep, cli);
+    SweepRunner sweep = bench::exhibitSweep(bench::fig10Grid(), cli);
+    bench::runSweep(sweep, cli);
 
-    const auto &names = sweep->axes().traces;
-    const auto &kinds = sweep->axes().schedulers;
+    const auto &names = sweep.axes().traces;
+    const auto &kinds = sweep.axes().schedulers;
 
     const auto print_metric =
         [&](const char *title, auto getter, const char *fmt) {
@@ -40,7 +34,7 @@ main(int argc, char **argv)
             for (const auto &name : names) {
                 std::printf("%-8s", name.c_str());
                 for (const auto kind : kinds) {
-                    std::printf(fmt, getter(sweep->at(
+                    std::printf(fmt, getter(sweep.at(
                                          {.trace = name, .scheduler = kind})));
                 }
                 std::printf("\n");
@@ -59,7 +53,7 @@ main(int argc, char **argv)
         [](const MetricsSnapshot &m) { return m.avgLatencyNs / 1000.0; },
         " %10.0f");
 
-    const bool have_vas = bench::hasScheduler(*sweep, SchedulerKind::VAS);
+    const bool have_vas = bench::hasScheduler(sweep, SchedulerKind::VAS);
     if (have_vas) {
         std::printf("\n(d: queue stall time, normalized to VAS)\n%-8s",
                     "trace");
@@ -68,12 +62,12 @@ main(int argc, char **argv)
         std::printf("\n");
         for (const auto &name : names) {
             const double vas = static_cast<double>(
-                sweep->at({.trace = name, .scheduler = SchedulerKind::VAS})
+                sweep.at({.trace = name, .scheduler = SchedulerKind::VAS})
                     .queueStallTime);
             std::printf("%-8s", name.c_str());
             for (const auto kind : kinds) {
                 const double stall = static_cast<double>(
-                    sweep->at({.trace = name, .scheduler = kind})
+                    sweep.at({.trace = name, .scheduler = kind})
                         .queueStallTime);
                 std::printf(" %10.3f", vas > 0.0 ? stall / vas : 0.0);
             }
@@ -83,14 +77,14 @@ main(int argc, char **argv)
 
     // Aggregate shape check.
     const bool have_all =
-        have_vas && bench::hasScheduler(*sweep, SchedulerKind::PAS) &&
-        bench::hasScheduler(*sweep, SchedulerKind::SPK3);
+        have_vas && bench::hasScheduler(sweep, SchedulerKind::PAS) &&
+        bench::hasScheduler(sweep, SchedulerKind::SPK3);
     if (have_all && !names.empty()) {
         double bw_gain_vas = 0.0;
         double bw_gain_pas = 0.0;
         for (const auto &name : names) {
             const auto bw = [&](SchedulerKind kind) {
-                return sweep->at({.trace = name, .scheduler = kind})
+                return sweep.at({.trace = name, .scheduler = kind})
                     .bandwidthKBps;
             };
             bw_gain_vas += bw(SchedulerKind::SPK3) / bw(SchedulerKind::VAS);

@@ -5,16 +5,13 @@
  * (a) inter-chip idleness -- chips idle while work is pending;
  * (b) intra-chip idleness -- die/plane capacity idle inside busy
  *     chips -- for all five schedulers across the sixteen workloads.
- *
- * Sweep axes: sixteen paper traces x five schedulers, sharded.
  */
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench/bench_cli.hh"
-#include "bench/bench_util.hh"
+#include "bench/exhibits.hh"
 
 int
 main(int argc, char **argv)
@@ -23,13 +20,11 @@ main(int argc, char **argv)
     const bench::BenchCli cli = bench::parseCli(argc, argv);
     bench::printHeader("Figure 11", "inter- and intra-chip idleness");
 
-    const auto sweep =
-        bench::paperTraceSweep(bench::allSchedulers(), 37, cli.filter,
-                               cli.fidelity);
-    bench::runSweep(*sweep, cli);
+    SweepRunner sweep = bench::exhibitSweep(bench::fig11Grid(), cli);
+    bench::runSweep(sweep, cli);
 
-    const auto &names = sweep->axes().traces;
-    const auto &kinds = sweep->axes().schedulers;
+    const auto &names = sweep.axes().traces;
+    const auto &kinds = sweep.axes().schedulers;
     const std::size_t nk = kinds.size();
 
     std::printf("%-8s |", "trace");
@@ -47,14 +42,14 @@ main(int argc, char **argv)
         std::printf("%-8s |", name.c_str());
         for (std::size_t k = 0; k < nk; ++k) {
             const auto &m =
-                sweep->at({.trace = name, .scheduler = kinds[k]});
+                sweep.at({.trace = name, .scheduler = kinds[k]});
             inter_sum[k] += m.interChipIdlenessPct;
             std::printf(" %9.1f", m.interChipIdlenessPct);
         }
         std::printf(" |");
         for (std::size_t k = 0; k < nk; ++k) {
             const auto &m =
-                sweep->at({.trace = name, .scheduler = kinds[k]});
+                sweep.at({.trace = name, .scheduler = kinds[k]});
             intra_sum[k] += m.intraChipIdlenessPct;
             std::printf(" %9.1f", m.intraChipIdlenessPct);
         }

@@ -4,18 +4,15 @@
  *
  * Replays the first 3000 I/Os of msnfs1 and prints per-I/O
  * device-level latency for VAS vs PAS (12a) and VAS vs SPK3 (12b),
- * sampled every 50 completions to keep the table readable.
- *
- * Sweep axes: one trace x {VAS, PAS, SPK3}, with per-I/O results
- * captured through DeviceArray (captureIoResults).
+ * sampled every 50 completions to keep the table readable; the cells
+ * capture their per-I/O results (captureIoResults).
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <vector>
 
-#include "bench/bench_cli.hh"
-#include "bench/bench_util.hh"
+#include "bench/exhibits.hh"
 
 namespace
 {
@@ -39,25 +36,13 @@ main(int argc, char **argv)
     const bench::BenchCli cli = bench::parseCli(argc, argv);
     bench::printHeader("Figure 12", "latency time series, msnfs1");
 
-    SweepAxes axes;
-    axes.traces = {"msnfs1"};
-    axes.schedulers = {SchedulerKind::VAS, SchedulerKind::PAS,
-                       SchedulerKind::SPK3};
-    axes.seeds = {41};
-    axes.fidelities = {cli.fidelity};
-
-    const SsdConfig probe = bench::evalConfig(SchedulerKind::VAS);
-    const TraceRef trace = generatePaperTrace("msnfs1", 3000,
-                                           bench::spanFor(probe), 41);
-
-    SweepRunner sweep(filterAxes(axes, cli.filter),
-                      [&trace](const SweepPoint &p) {
-                          DeviceJob job;
-                          job.cfg = bench::evalConfig(p.scheduler);
-                          job.trace = trace;
-                          job.captureIoResults = true;
-                          return job;
-                      });
+    bench::Grid grid = bench::fig12Grid();
+    grid.build = [build = std::move(grid.build)](const SweepPoint &p) {
+        DeviceJob job = build(p);
+        job.captureIoResults = true;
+        return job;
+    };
+    SweepRunner sweep = bench::exhibitSweep(std::move(grid), cli);
     bench::runSweep(sweep, cli);
 
     if (cli.fidelity == Fidelity::Fast) {

@@ -5,16 +5,12 @@
  * Splits chip-time capacity into bus operation, bus contention,
  * memory (cell) operation and idle shares, for PAS (13a) and SPK3
  * (13b) across the sixteen workloads.
- *
- * Sweep axes: sixteen paper traces x {PAS, SPK3}, sharded; traces
- * are generated once per workload (not once per cell).
  */
 
 #include <cstdio>
 #include <string>
 
-#include "bench/bench_cli.hh"
-#include "bench/bench_util.hh"
+#include "bench/exhibits.hh"
 
 namespace
 {
@@ -48,13 +44,11 @@ main(int argc, char **argv)
     const bench::BenchCli cli = bench::parseCli(argc, argv);
     bench::printHeader("Figure 13", "execution time breakdown");
 
-    const auto sweep = bench::paperTraceSweep(
-        {SchedulerKind::PAS, SchedulerKind::SPK3}, 43, cli.filter,
-        cli.fidelity);
-    bench::runSweep(*sweep, cli);
+    SweepRunner sweep = bench::exhibitSweep(bench::fig13Grid(), cli);
+    bench::runSweep(sweep, cli);
 
-    for (const auto kind : sweep->axes().schedulers)
-        table(*sweep, kind);
+    for (const auto kind : sweep.axes().schedulers)
+        table(sweep, kind);
     bench::printShapeNote(
         "paper: SPK3 raises the memory-operation share and cuts system "
         "idle by ~40% vs PAS; bus contention grows slightly in "

@@ -5,16 +5,13 @@
  * Share of memory requests served at each FLP level (NON-PAL, PAL1 =
  * plane sharing, PAL2 = die interleaving, PAL3 = both) for PAS, SPK1,
  * SPK2 and SPK3 across the sixteen workloads.
- *
- * Sweep axes: sixteen paper traces x {PAS, SPK1, SPK2, SPK3}.
  */
 
 #include <cstdio>
 #include <map>
 #include <string>
 
-#include "bench/bench_cli.hh"
-#include "bench/bench_util.hh"
+#include "bench/exhibits.hh"
 
 namespace
 {
@@ -49,15 +46,12 @@ main(int argc, char **argv)
     const bench::BenchCli cli = bench::parseCli(argc, argv);
     bench::printHeader("Figure 14", "FLP breakdown per scheduler");
 
-    const auto sweep = bench::paperTraceSweep(
-        {SchedulerKind::PAS, SchedulerKind::SPK1, SchedulerKind::SPK2,
-         SchedulerKind::SPK3},
-        47, cli.filter, cli.fidelity);
-    bench::runSweep(*sweep, cli);
+    SweepRunner sweep = bench::exhibitSweep(bench::fig14Grid(), cli);
+    bench::runSweep(sweep, cli);
 
     std::map<SchedulerKind, double> pal3;
-    for (const auto kind : sweep->axes().schedulers)
-        pal3[kind] = table(*sweep, kind);
+    for (const auto kind : sweep.axes().schedulers)
+        pal3[kind] = table(sweep, kind);
 
     if (pal3.size() == 4) {
         std::printf("\nPAL3 means: PAS %.1f%%, SPK1 %.1f%%, SPK2 %.1f%%, "

@@ -3,33 +3,14 @@
  * Figure 15: chip utilization vs transfer size and device scale.
  *
  * Sweeps transfer sizes 4 KB .. 4 MB at 64 / 256 / 1024 flash chips
- * for VAS, SPK1, SPK2 and SPK3 (the paper's Fig. 15a-c).
- *
- * Sweep axes: transfer size (trace axis) x scheduler x chip count
- * (variant axis) — 132 cells, the widest sharded fan-out.
+ * for VAS, SPK1, SPK2 and SPK3 (the paper's Fig. 15a-c): 132 cells,
+ * the widest sharded fan-out.
  */
 
 #include <cstdio>
 #include <string>
 
-#include "bench/bench_cli.hh"
-#include "bench/bench_util.hh"
-
-namespace
-{
-
-spk::SsdConfig
-scaled(spk::SchedulerKind kind, std::uint32_t chips)
-{
-    using namespace spk;
-    SsdConfig cfg = SsdConfig::withChips(chips);
-    cfg.geometry.blocksPerPlane = chips >= 512 ? 6 : 24;
-    cfg.geometry.pagesPerBlock = 32;
-    cfg.scheduler = kind;
-    return cfg;
-}
-
-} // namespace
+#include "bench/exhibits.hh"
 
 int
 main(int argc, char **argv)
@@ -38,33 +19,7 @@ main(int argc, char **argv)
     const bench::BenchCli cli = bench::parseCli(argc, argv);
     bench::printHeader("Figure 15", "chip utilization sweep");
 
-    SweepAxes axes;
-    axes.traces = {"4",   "8",   "16",  "32",  "64",  "128",
-                   "256", "512", "1024", "2048", "4096"}; // xfer KB
-    axes.schedulers = {SchedulerKind::VAS, SchedulerKind::SPK1,
-                       SchedulerKind::SPK2, SchedulerKind::SPK3};
-    axes.seeds = {53};
-    axes.variants = {"64", "256", "1024"}; // chips
-    axes.fidelities = {cli.fidelity};
-
-    SweepRunner sweep(
-        filterAxes(axes, cli.filter), [](const SweepPoint &p) {
-            const auto size_kb = std::stoull(p.trace);
-            const auto chips =
-                static_cast<std::uint32_t>(std::stoul(p.variant));
-            DeviceJob job;
-            job.cfg = scaled(p.scheduler, chips);
-            const std::uint64_t span = bench::spanFor(job.cfg, 0.5);
-            // Saturating burst: enough bytes to keep every chip
-            // fed, delivered back-to-back (queue always full).
-            const std::uint64_t budget = std::min<std::uint64_t>(
-                192ull << 20, (16ull << 20) * (chips / 64));
-            const std::uint64_t n_ios = std::max<std::uint64_t>(
-                48, budget / (size_kb << 10));
-            job.trace = fixedSizeStream(n_ios, size_kb << 10, 0.6,
-                                        span, 0, p.seed);
-            return job;
-        });
+    SweepRunner sweep = bench::exhibitSweep(bench::fig15Grid(), cli);
     bench::runSweep(sweep, cli);
 
     const auto &sizes = sweep.axes().traces;

@@ -5,32 +5,12 @@
  * Total flash transactions vs transfer size at 64 and 1024 chips for
  * VAS, SPK1, SPK2 and SPK3. FARO's over-commitment should roughly
  * halve the transaction count by coalescing.
- *
- * Sweep axes: transfer size (trace axis) x scheduler x chip count
- * (variant axis), sharded.
  */
 
 #include <cstdio>
 #include <string>
 
-#include "bench/bench_cli.hh"
-#include "bench/bench_util.hh"
-
-namespace
-{
-
-spk::SsdConfig
-scaled(spk::SchedulerKind kind, std::uint32_t chips)
-{
-    using namespace spk;
-    SsdConfig cfg = SsdConfig::withChips(chips);
-    cfg.geometry.blocksPerPlane = chips >= 512 ? 6 : 24;
-    cfg.geometry.pagesPerBlock = 32;
-    cfg.scheduler = kind;
-    return cfg;
-}
-
-} // namespace
+#include "bench/exhibits.hh"
 
 int
 main(int argc, char **argv)
@@ -39,30 +19,7 @@ main(int argc, char **argv)
     const bench::BenchCli cli = bench::parseCli(argc, argv);
     bench::printHeader("Figure 16", "flash transaction counts");
 
-    SweepAxes axes;
-    axes.traces = {"4", "16", "64", "256", "1024", "4096"}; // xfer KB
-    axes.schedulers = {SchedulerKind::VAS, SchedulerKind::SPK1,
-                       SchedulerKind::SPK2, SchedulerKind::SPK3};
-    axes.seeds = {59};
-    axes.variants = {"64", "1024"}; // chips
-    axes.fidelities = {cli.fidelity};
-
-    SweepRunner sweep(
-        filterAxes(axes, cli.filter), [](const SweepPoint &p) {
-            const auto size_kb = std::stoull(p.trace);
-            const auto chips =
-                static_cast<std::uint32_t>(std::stoul(p.variant));
-            DeviceJob job;
-            job.cfg = scaled(p.scheduler, chips);
-            const std::uint64_t span = bench::spanFor(job.cfg, 0.5);
-            const std::uint64_t budget = 16ull << 20;
-            const std::uint64_t n_ios = std::max<std::uint64_t>(
-                24, budget / (size_kb << 10));
-            job.trace = fixedSizeStream(n_ios, size_kb << 10, 0.6,
-                                        span, 2 * kMicrosecond,
-                                        p.seed);
-            return job;
-        });
+    SweepRunner sweep = bench::exhibitSweep(bench::fig16Grid(), cli);
     bench::runSweep(sweep, cli);
 
     const auto &sizes = sweep.axes().traces;

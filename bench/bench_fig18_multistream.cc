@@ -16,13 +16,10 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "bench/bench_cli.hh"
-#include "bench/bench_util.hh"
-#include "workload/fio_job.hh"
+#include "bench/exhibits.hh"
 
 namespace
 {
@@ -67,33 +64,12 @@ main(int argc, char **argv)
     bench::printHeader("Figure 18",
                        "multi-stream throughput / latency / fairness");
 
-    const char *job_env = std::getenv("SPK_FIO_JOB");
-    const std::string job_path =
-        job_env != nullptr ? job_env
-                           : std::string(SPK_DATA_DIR
-                                         "/jobs/fig18_mixed.fio");
-    const std::vector<HostStreamConfig> streams =
-        parseFioJobFile(job_path);
-    std::printf("job file: %s (%zu streams)\n", job_path.c_str(),
-                streams.size());
-
-    SweepAxes axes;
-    axes.traces = {"fig18_mixed"};
-    axes.schedulers = bench::allSchedulers();
-    axes.seeds = {31};
-    axes.arbiters = {ArbiterKind::RoundRobin,
-                     ArbiterKind::WeightedRoundRobin,
-                     ArbiterKind::StrictPriority};
-    axes.fidelities = {cli.fidelity};
-
-    SweepRunner sweep(filterAxes(axes, cli.filter),
-                      [&streams](const SweepPoint &p) {
-                          DeviceJob job;
-                          job.cfg = bench::evalConfig(p.scheduler);
-                          job.cfg.nvmhc.arbiter = p.arbiter;
-                          job.streams = streams;
-                          return job;
-                      });
+    SweepRunner sweep = bench::exhibitSweep(bench::fig18Grid(), cli);
+    // Every cell replays the same streams.
+    const std::vector<HostStreamConfig> &streams =
+        sweep.array().jobs().front().streams;
+    std::printf("job file: %s (%zu streams)\n",
+                bench::fig18JobPath().c_str(), streams.size());
     bench::runSweep(sweep, cli, cli.csv,
                     [&sweep](const std::string &path) {
                         sweep.writeStreamCsvFile(path +

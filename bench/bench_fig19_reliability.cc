@@ -3,30 +3,17 @@
  * Reliability exhibit: scheduling under NAND fault injection.
  *
  * Tail latency and throughput vs injected fault rate for VAS, PAS and
- * SPK3 on a mixed random workload. The fault axis value f becomes the
- * transient read-error rate; program and erase failures are injected
- * at f/10 (program/erase disturb is rarer than read noise). A second
- * table breaks the injected faults down by cause and recovery path:
- * read-retry ladder steps, uncorrectable pages, program remaps and
- * retired blocks.
- *
- * The variant axis compares die-level RAID protection levels:
- *   parity=off      no redundancy (the historical behavior)
- *   parity=on       die-parity striping + soft-decode ladder stage
- *   parity=rebuild  parity=on plus a mid-run die failure with online
- *                   rebuild — degraded reads reconstruct, the rebuild
- *                   restores redundancy
- *
- * Sweep axes: scheduler x fault rate x parity variant (single
- * workload, single seed).
+ * SPK3 on a mixed random workload, under three die-level RAID
+ * protection levels (fig19Grid in bench/exhibits.hh maps the fault
+ * and variant axes onto the device). A second table breaks the
+ * injected faults down by cause and recovery path: read-retry ladder
+ * steps, uncorrectable pages, program remaps and retired blocks.
  */
 
-#include <cstdint>
 #include <cstdio>
 #include <string>
 
-#include "bench/bench_cli.hh"
-#include "bench/bench_util.hh"
+#include "bench/exhibits.hh"
 
 int
 main(int argc, char **argv)
@@ -35,47 +22,7 @@ main(int argc, char **argv)
     const bench::BenchCli cli = bench::parseCli(argc, argv);
     bench::printHeader("Reliability", "scheduling under fault injection");
 
-    SweepAxes axes;
-    axes.schedulers = {SchedulerKind::VAS, SchedulerKind::PAS,
-                       SchedulerKind::SPK3};
-    axes.seeds = {71};
-    axes.faults = {0.0, 1e-4, 1e-3, 1e-2, 5e-2};
-    axes.variants = {"parity=off", "parity=on", "parity=rebuild"};
-    axes.fidelities = {cli.fidelity};
-
-    // Size the shared workload span for the smallest logical capacity
-    // in the grid (parity reserves 1/D of every chip), so every
-    // variant replays the identical trace.
-    SsdConfig parity_base = bench::evalConfig(SchedulerKind::VAS);
-    parity_base.parity.enabled = true;
-    const std::uint64_t span = bench::spanFor(parity_base, 0.6);
-    // Mixed random stream: enough writes to fill blocks and drive GC
-    // (program/erase faults need programs and erase pulses to fire).
-    const TraceRef trace =
-        fixedSizeStream(3000, 8192, 0.5, span, 5 * kMicrosecond, 71);
-
-    SweepRunner sweep(filterAxes(axes, cli.filter),
-                      [&trace](const SweepPoint &p) {
-                          DeviceJob job;
-                          job.cfg = bench::evalConfig(p.scheduler);
-                          job.cfg.fault.readTransientRate = p.fault;
-                          job.cfg.fault.programFailRate = p.fault / 10;
-                          job.cfg.fault.eraseFailRate = p.fault / 10;
-                          if (p.variant != "parity=off") {
-                              job.cfg.parity.enabled = true;
-                              job.cfg.fault.softDecodeEnabled = true;
-                          }
-                          if (p.variant == "parity=rebuild") {
-                              job.cfg.fault.dieFailTick =
-                                  4 * kMillisecond;
-                              job.cfg.fault.dieFailChip = 0;
-                              job.cfg.fault.dieFailDie = 0;
-                              job.cfg.parity.rebuildPageInterval =
-                                  5 * kMicrosecond;
-                          }
-                          job.trace = trace;
-                          return job;
-                      });
+    SweepRunner sweep = bench::exhibitSweep(bench::fig19Grid(), cli);
     bench::runSweep(sweep, cli);
 
     // All lookups below use the *filtered* axes: a --filter can strip

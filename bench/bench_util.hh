@@ -1,10 +1,7 @@
 /**
  * @file
- * Shared helpers for the benchmark harness: run one workload on one
- * scheduler configuration and print table rows in a uniform format.
- *
- * Every bench binary regenerates one exhibit (table or figure) of the
- * paper; see DESIGN.md section 4 for the mapping.
+ * Shared helpers for the benchmark harness: the evaluation device, the
+ * workload span, and the exhibits' header and shape-note lines.
  */
 
 #ifndef SPK_BENCH_BENCH_UTIL_HH
@@ -13,8 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,17 +40,27 @@ allSchedulers()
     return kinds;
 }
 
-/** Paper evaluation geometry scaled for offline runtime. */
+/**
+ * @p chips chips under @p kind with @p blocks blocks of 32 pages per
+ * plane. Small planes keep mapping tables small while preserving
+ * chip/die/plane parallelism: the experiments exercise scheduling,
+ * not capacity.
+ */
 inline SsdConfig
-evalConfig(SchedulerKind kind, std::uint32_t num_chips = 64)
+scaledConfig(SchedulerKind kind, std::uint32_t chips, std::uint32_t blocks)
 {
-    SsdConfig cfg = SsdConfig::withChips(num_chips);
-    // Keep mapping tables small while preserving chip/die/plane
-    // parallelism: the experiments exercise scheduling, not capacity.
-    cfg.geometry.blocksPerPlane = 24;
+    SsdConfig cfg = SsdConfig::withChips(chips);
+    cfg.geometry.blocksPerPlane = blocks;
     cfg.geometry.pagesPerBlock = 32;
     cfg.scheduler = kind;
     return cfg;
+}
+
+/** Paper evaluation geometry scaled for offline runtime. */
+inline SsdConfig
+evalConfig(SchedulerKind kind)
+{
+    return scaledConfig(kind, 64, 24);
 }
 
 /** Span that fits comfortably inside the logical capacity. */
@@ -67,48 +72,6 @@ spanFor(const SsdConfig &cfg, double fraction = 0.5)
         (1.0 - cfg.ftl.overprovision) *
         static_cast<double>(cfg.geometry.pageSizeBytes);
     return static_cast<std::uint64_t>(logical * fraction);
-}
-
-/**
- * The sweep shared by the Table 1-workload exhibits (Figures 6 and
- * 10-14): the sixteen paper traces (1200 I/Os each) crossed with
- * @p schedulers on the evaluation geometry. Traces are generated once
- * per surviving workload (evalConfig only varies in the scheduler
- * field, so the span — and hence the trace — is
- * scheduler-independent) and interned in a shared TraceStore, so
- * every cell of a workload references the same parsed copy; @p filter
- * is applied before expansion so filtered-out cells cost nothing.
- */
-inline std::unique_ptr<SweepRunner>
-paperTraceSweep(std::vector<SchedulerKind> schedulers,
-                std::uint64_t seed, const std::string &filter,
-                Fidelity fidelity = Fidelity::Exact)
-{
-    SweepAxes axes;
-    axes.traces.clear();
-    for (const auto &info : paperTraces())
-        axes.traces.push_back(info.name);
-    axes.schedulers = std::move(schedulers);
-    axes.seeds = {seed};
-    axes.fidelities = {fidelity};
-    const SweepAxes filtered = filterAxes(axes, filter);
-
-    const std::uint64_t span =
-        spanFor(evalConfig(SchedulerKind::VAS));
-    auto store = std::make_shared<TraceStore>();
-    for (const auto &name : filtered.traces) {
-        store->intern(name, [&] {
-            return generatePaperTrace(name, 1200, span, seed);
-        });
-    }
-
-    return std::make_unique<SweepRunner>(
-        filtered, [store = std::move(store)](const SweepPoint &p) {
-            DeviceJob job;
-            job.cfg = evalConfig(p.scheduler);
-            job.trace = store->ref(p.trace);
-            return job;
-        });
 }
 
 /** True when @p kind survived the sweep's scheduler filter. */

@@ -300,26 +300,6 @@ BlockManager::revivePlane(std::uint64_t plane_idx)
         ++belowGc_;
 }
 
-std::optional<std::uint32_t>
-BlockManager::pickGcVictim(std::uint64_t plane_idx) const
-{
-    const Plane &plane = planes_.at(plane_idx);
-    if (plane.dead)
-        return std::nullopt;
-    std::optional<std::uint32_t> best;
-    std::uint32_t best_valid = std::numeric_limits<std::uint32_t>::max();
-    for (std::uint32_t b = 0; b < geo_.blocksPerPlane; ++b) {
-        const auto &info = planeBlocks(plane_idx)[b];
-        if (info.state != BlockState::Full)
-            continue;
-        if (info.validPages < best_valid) {
-            best_valid = info.validPages;
-            best = b;
-        }
-    }
-    return best;
-}
-
 std::pair<std::uint32_t, std::uint32_t>
 BlockManager::eraseSpread() const
 {

@@ -181,12 +181,6 @@ class BlockManager
     /** Planes taken offline by die failure. */
     std::uint64_t deadPlanes() const { return deadPlanes_; }
 
-    /**
-     * Victim with the fewest valid pages among Full blocks of a plane
-     * (greedy GC policy). Excludes the active block.
-     */
-    std::optional<std::uint32_t> pickGcVictim(std::uint64_t plane_idx) const;
-
     /** Highest erase count across all blocks (wear indicator). */
     std::uint32_t maxEraseCount() const { return maxErase_; }
 

@@ -97,10 +97,11 @@ Ftl::allocateReclaiming(bool gc_reserve)
         // instead. The launch charges the reclaim's flash time.
         const GcBatchList &batches =
             collectGcImpl(/*respect_admission=*/false);
-        if (batches.empty())
-            break;
+        const bool reclaimed = batches.reclaimed();
         if (launchBatches_)
             launchBatches_(batches);
+        if (!reclaimed)
+            break;
         ppn = allocateRotating(gc_reserve);
     }
     return ppn;
@@ -171,12 +172,18 @@ Ftl::migrateLivePages(std::uint64_t plane, std::uint32_t block,
 }
 
 bool
-Ftl::migrateAndErase(std::uint64_t plane, std::uint32_t block,
-                     GcBatch &batch)
+Ftl::collectVictim(std::uint64_t plane, std::uint32_t block)
 {
-    // The victim keeps live data when its migration ran out of space.
-    if (!migrateLivePages(plane, block, batch))
+    GcBatch &batch = batchScratch_.append();
+    if (!migrateLivePages(plane, block, batch)) {
+        // Out of space: the victim keeps live data and is not erased,
+        // but the moves made so far are launched and charged.
+        if (batch.migrations.empty())
+            batchScratch_.dropLast();
+        else
+            batch.eraseAfter = false;
         return false;
+    }
     if (faults_ &&
         faults_->eraseFails(batch.victimBasePpn,
                             blocks_.block(plane, block).eraseCount + 1)) {
@@ -209,44 +216,19 @@ Ftl::parityForgetBlock(std::uint64_t plane, std::uint32_t block)
 const GcBatchList &
 Ftl::collectGcImpl(bool respect_admission)
 {
-    if (parityMap_)
-        return collectGcGroups(respect_admission);
     batchScratch_.reset();
     const std::uint64_t n_planes = blocks_.numPlanes();
-    std::uint32_t kept_live = 0;
-
-    for (std::uint64_t plane = 0; plane < n_planes; ++plane) {
-        if (blocks_.planeDead(plane))
-            continue;
-        if (blocks_.freeBlocks(plane) >= cfg_.gcFreeBlockThreshold)
-            continue;
-        if (respect_admission && gcAdmit_ && !gcAdmit_(plane, 0)) {
-            // Live-batch bound reached: defer this plane's collection
-            // until a batch retires (the device retries then).
-            ++stats_.gcDeferrals;
-            continue;
-        }
-        const auto victim = blocks_.pickGcVictim(plane);
-        if (!victim)
-            continue;
-        GcBatch &batch = batchScratch_.append();
-        if (migrateAndErase(plane, *victim, batch)) {
-            ++stats_.gcInvocations;
-        } else {
-            batchScratch_.dropLast();
-            ++kept_live;
-        }
-    }
-    warnKeptLive(kept_live);
-    return batchScratch_;
-}
-
-const GcBatchList &
-Ftl::collectGcGroups(bool respect_admission)
-{
-    batchScratch_.reset();
-    const std::uint64_t n_planes = blocks_.numPlanes();
-    const std::uint32_t dies = geo_.diesPerChip;
+    // With parity, GC collects block groups: the same block on every
+    // sibling plane (same chip and plane-in-die on each die), so every
+    // stripe of the group empties atomically and none is left with a
+    // stale parity member. Without parity a group is one plane.
+    const std::uint32_t members = parityMap_ ? geo_.diesPerChip : 1;
+    // Batches this round holds for a plane: with parity, a plane
+    // collected as a sibling of an earlier group can come up again
+    // under its own index. Without parity each plane comes up once.
+    const auto pending = [this](std::uint64_t plane) {
+        return parityMap_ ? roundBatches_[plane] : 0u;
+    };
     std::uint32_t kept_live = 0;
 
     for (std::uint64_t plane = 0; plane < n_planes; ++plane) {
@@ -255,41 +237,41 @@ Ftl::collectGcGroups(bool respect_admission)
         if (blocks_.freeBlocks(plane) >= cfg_.gcFreeBlockThreshold)
             continue;
 
-        // Sibling planes: same chip and plane-in-die on every die.
-        // Collecting whole block groups keeps stripes consistent —
-        // every stripe of the group empties atomically, so no stripe
-        // is left with a stale parity member.
-        PhysAddr addr = blocks_.planeAddr(plane);
-        std::uint64_t group[kMaxDiesPerChip];
-        for (std::uint32_t d = 0; d < dies; ++d) {
-            PhysAddr sib = addr;
-            sib.die = d;
-            group[d] = blocks_.planeIndexOf(sib);
+        std::uint64_t group[kMaxDiesPerChip] = {plane};
+        if (parityMap_) {
+            PhysAddr sib = blocks_.planeAddr(plane);
+            for (std::uint32_t d = 0; d < members; ++d) {
+                sib.die = d;
+                group[d] = blocks_.planeIndexOf(sib);
+            }
         }
 
         bool deferred = false;
         if (respect_admission && gcAdmit_) {
-            for (std::uint32_t d = 0; d < dies && !deferred; ++d) {
+            for (std::uint32_t d = 0; d < members && !deferred; ++d) {
                 if (!blocks_.planeDead(group[d]) &&
-                    !gcAdmit_(group[d], roundBatches_[group[d]]))
+                    !gcAdmit_(group[d], pending(group[d])))
                     deferred = true;
             }
         }
         if (deferred) {
+            // Live-batch bound reached: defer this collection until a
+            // batch retires (the device retries then).
             ++stats_.gcDeferrals;
             continue;
         }
 
-        // Eligible group with the fewest live pages: every live member
-        // Full (or an empty Free/Bad block), dead members drained —
-        // their pages await rebuild and the survivors must stay put.
+        // Eligible group with the fewest live pages (the first such):
+        // every live member Full (or an empty Free/Bad block), dead
+        // members drained -- their pages await rebuild and the
+        // survivors must stay put.
         std::optional<std::uint32_t> best;
         std::uint64_t best_valid = ~0ull;
         for (std::uint32_t b = 0; b < geo_.blocksPerPlane; ++b) {
             bool eligible = false;
             bool blocked = false;
             std::uint64_t valid = 0;
-            for (std::uint32_t d = 0; d < dies && !blocked; ++d) {
+            for (std::uint32_t d = 0; d < members && !blocked; ++d) {
                 const BlockInfo &info = blocks_.block(group[d], b);
                 if (blocks_.planeDead(group[d])) {
                     if (info.validPages != 0)
@@ -322,25 +304,26 @@ Ftl::collectGcGroups(bool respect_admission)
             continue;
 
         bool collected = false;
-        for (std::uint32_t d = 0; d < dies; ++d) {
-            if (blocks_.planeDead(group[d]))
+        for (std::uint32_t d = 0; d < members; ++d) {
+            const std::uint64_t member = group[d];
+            if (blocks_.planeDead(member) ||
+                blocks_.block(member, *best).state != BlockState::Full)
                 continue;
-            if (blocks_.block(group[d], *best).state != BlockState::Full)
-                continue;
-            GcBatch &batch = batchScratch_.append();
-            if (migrateAndErase(group[d], *best, batch)) {
+            const std::size_t held = batchScratch_.size();
+            if (collectVictim(member, *best))
                 collected = true;
-                ++roundBatches_[group[d]];
-            } else {
-                batchScratch_.dropLast();
+            else
                 ++kept_live;
-            }
+            if (parityMap_ && batchScratch_.size() > held)
+                ++roundBatches_[member];
         }
         if (collected)
             ++stats_.gcInvocations;
     }
-    for (const GcBatch &batch : batchScratch_)
-        roundBatches_[batch.planeIdx] = 0;
+    if (parityMap_) {
+        for (const GcBatch &batch : batchScratch_)
+            roundBatches_[batch.planeIdx] = 0;
+    }
     warnKeptLive(kept_live);
     return batchScratch_;
 }
@@ -375,13 +358,10 @@ Ftl::collectWearLevel()
         ++stats_.gcDeferrals;
         return batchScratch_;
     }
-    GcBatch &batch = batchScratch_.append();
-    if (migrateAndErase(victim->first, victim->second, batch)) {
+    if (collectVictim(victim->first, victim->second))
         ++stats_.wearLevelMoves;
-    } else {
-        batchScratch_.dropLast();
+    else
         warnKeptLive(1);
-    }
     return batchScratch_;
 }
 
@@ -529,7 +509,7 @@ Ftl::precondition(double fill_fraction, double churn_fraction, Rng &rng)
     constexpr int kMaxRounds = 1024;
     int rounds = 0;
     while (rounds < kMaxRounds && gcNeeded()) {
-        if (collectGc().empty())
+        if (!collectGc().reclaimed())
             break;
         ++rounds;
     }

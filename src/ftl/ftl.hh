@@ -115,8 +115,10 @@ struct GcBatch
 
     /**
      * Charge a flash erase once the migrations complete. False for
-     * block-retirement batches (program/erase failure): the victim is
-     * Bad and is never erased, only drained of live data.
+     * block-retirement batches (program/erase failure), whose victim
+     * is Bad and never erased again, and for a victim whose migration
+     * ran out of space: it keeps live data, and only the moves made
+     * are charged.
      */
     bool eraseAfter = true;
 };
@@ -185,6 +187,16 @@ class GcBatchList
 
     std::size_t size() const { return used_; }
     bool empty() const { return used_ == 0; }
+
+    /** True when some batch erases its victim: the collection that
+     *  produced the list collected at least one victim whole. */
+    bool
+    reclaimed() const
+    {
+        return std::any_of(begin(), end(), [](const GcBatch &batch) {
+            return batch.eraseAfter;
+        });
+    }
     const GcBatch &operator[](std::size_t i) const { return storage_[i]; }
     const GcBatch *begin() const { return storage_.data(); }
     const GcBatch *end() const { return storage_.data() + used_; }
@@ -315,7 +327,10 @@ class Ftl
      * Run victim selection + mapping migration for every plane below
      * threshold. Mapping state changes immediately; the returned
      * batches let the device charge flash-time for the work. Fires
-     * the readdressing callback per migrated page.
+     * the readdressing callback per migrated page. A victim whose
+     * migration runs out of space keeps its batch of the moves made,
+     * without the erase (GcBatch::eraseAfter), so every move counted
+     * in FtlStats::pagesMigrated is in some returned batch.
      *
      * The returned list references recycled internal storage: it is
      * valid only until the next collectGc()/collectWearLevel() call.
@@ -447,12 +462,12 @@ class Ftl
 
     /**
      * Migrate every live page out of (plane, block) and erase it,
-     * recording the work in @p batch.
-     * @return false if migration could not complete (no destination
-     *         space); partial migrations remain applied either way.
+     * recording the work as a new batch of batchScratch_.
+     * @return false when space ran out first: the moves made stay
+     *         applied, in a batch that does not erase (none if no page
+     *         moved).
      */
-    bool migrateAndErase(std::uint64_t plane, std::uint32_t block,
-                         GcBatch &batch);
+    bool collectVictim(std::uint64_t plane, std::uint32_t block);
 
     /** Decrement valid count for the block owning @p ppn. */
     void noteInvalidated(Ppn ppn);
@@ -461,13 +476,10 @@ class Ftl
     void noteValidated(Ppn ppn);
 
     /** Victim loop behind collectGc (gated) and emergency reclaim
-     *  (ungated). */
+     *  (ungated). It collects block groups, one plane each without
+     *  parity and the D sibling planes with it, so stripes empty
+     *  atomically. */
     const GcBatchList &collectGcImpl(bool respect_admission);
-
-    /** Stripe-consistent (block-group) victim loop used when parity
-     *  is on: all members of a group are collected together so their
-     *  stripes empty atomically. */
-    const GcBatchList &collectGcGroups(bool respect_admission);
 
     /** Forget the stripe membership of an erased block. */
     void parityForgetBlock(std::uint64_t plane, std::uint32_t block);
@@ -501,8 +513,8 @@ class Ftl
     /** Scratch for fault-driven block retirement; separate from
      *  batchScratch_ because retirement can interleave with GC. */
     GcBatchList retireScratch_;
-    /** Per plane: batches the running collectGcGroups round has put
-     *  in batchScratch_ (sized only with parity; zero between rounds). */
+    /** Per plane: batches the running collectGcImpl round has put in
+     *  batchScratch_ (sized only with parity; zero between rounds). */
     std::vector<std::uint32_t> roundBatches_;
 };
 

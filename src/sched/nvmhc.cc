@@ -71,7 +71,7 @@ Nvmhc::configureStreams(const std::vector<StreamInfo> &infos)
     if (infos.empty())
         fatal("Nvmhc::configureStreams: need at least one stream");
     if (!queue_.empty() || waitingTotal_ != 0 || engineBusy_ ||
-        stats_.iosSubmitted != 0)
+        stats().iosSubmitted != 0)
         fatal("Nvmhc::configureStreams called with traffic in flight");
 
     const auto n = static_cast<std::uint32_t>(infos.size());
@@ -84,6 +84,15 @@ Nvmhc::configureStreams(const std::vector<StreamInfo> &infos)
     }
     arbiter_ = makeArbiter(cfg_.arbiter);
     arbiter_->prepare(n);
+}
+
+NvmhcStats
+Nvmhc::stats() const
+{
+    NvmhcStats sum;
+    for (const NvmhcStats &s : streamStats_)
+        sum += s;
+    return sum;
 }
 
 std::uint32_t
@@ -137,7 +146,6 @@ Nvmhc::submit(bool is_write, Lpn first_lpn, std::uint32_t page_count,
     if (stream >= waiting_.size())
         fatal("Nvmhc::submit on unconfigured stream " +
               std::to_string(stream));
-    ++stats_.iosSubmitted;
     ++streamStats_[stream].iosSubmitted;
     if (outstandingIos() == 0)
         active_.claim(events_.now());
@@ -176,7 +184,6 @@ Nvmhc::enqueue(const PendingSubmission &sub)
     io->composedCount = 0;
     io->finishedCount = 0;
     io->failedPages = 0;
-    stats_.queueStallTime += now - sub.arrival;
     streamStats_[sub.stream].queueStallTime += now - sub.arrival;
     ++streamStates_[sub.stream].inDevice;
     io->initBitmap(); // reuses the recycled slot's bitmap capacity
@@ -284,7 +291,6 @@ Nvmhc::composeDone(MemoryRequest *req)
 {
     req->composing = false;
     req->composed = true;
-    ++stats_.requestsComposed;
 
     if (req->tag >= slots_.size() || !slots_[req->tag].active)
         panic("Nvmhc::composeDone orphan request");
@@ -305,7 +311,6 @@ Nvmhc::retryStale(MemoryRequest *req, IoRequest *io)
     // verdict against the old location no longer applies.
     req->retryAttempt = 0;
     req->faultFailed = false;
-    ++stats_.staleRetries;
     ++streamStats_[io->streamId].staleRetries;
     const Ppn fresh = ftl_.translateRead(req->lpn);
     if (fresh == kInvalidPage)
@@ -379,7 +384,6 @@ Nvmhc::finishReconstructed(MemoryRequest *req, bool ok)
     }
 
     if (ok) {
-        ++stats_.reconstructedReads;
         ++streamStats_[io->streamId].reconstructedReads;
     } else {
         ++io->failedPages;
@@ -403,22 +407,16 @@ Nvmhc::finishRequestTail(MemoryRequest *req, IoRequest *io)
 
     if (io->done()) {
         io->completed = now;
-        ++stats_.iosCompleted;
         NvmhcStats &ss = streamStats_[io->streamId];
         ++ss.iosCompleted;
-        if (io->failedPages != 0) {
-            ++stats_.failedIos;
+        if (io->failedPages != 0)
             ++ss.failedIos;
-        }
         const std::uint64_t bytes =
             std::uint64_t{io->pageCount} * geo_.pageSizeBytes;
-        if (io->isWrite) {
-            stats_.bytesWritten += bytes;
+        if (io->isWrite)
             ss.bytesWritten += bytes;
-        } else {
-            stats_.bytesRead += bytes;
+        else
             ss.bytesRead += bytes;
-        }
         --streamStates_[io->streamId].inDevice;
         onIoComplete_(*io);
 

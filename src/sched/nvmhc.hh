@@ -81,6 +81,21 @@ struct NvmhcStats
     /** Failed reads served via die-parity reconstruction instead of
      *  an error completion. */
     std::uint64_t reconstructedReads = 0;
+
+    NvmhcStats &
+    operator+=(const NvmhcStats &o)
+    {
+        iosSubmitted += o.iosSubmitted;
+        iosCompleted += o.iosCompleted;
+        requestsComposed += o.requestsComposed;
+        staleRetries += o.staleRetries;
+        queueStallTime += o.queueStallTime;
+        bytesRead += o.bytesRead;
+        bytesWritten += o.bytesWritten;
+        failedIos += o.failedIos;
+        reconstructedReads += o.reconstructedReads;
+        return *this;
+    }
 };
 
 /**
@@ -191,7 +206,8 @@ class Nvmhc : private SchedulerView
         return active_.busyTime(now);
     }
 
-    const NvmhcStats &stats() const { return stats_; }
+    /** The aggregate statistics: the sum of the stream slices. */
+    NvmhcStats stats() const;
 
     /** Per-stream slice of the aggregate statistics. */
     const NvmhcStats &streamStats(std::uint32_t stream) const
@@ -289,7 +305,7 @@ class Nvmhc : private SchedulerView
     std::unique_ptr<QueueArbiter> arbiter_;
     /** Arbiter view, maintained incrementally (waiting/inDevice). */
     std::vector<QueueArbiter::StreamState> streamStates_;
-    /** Per-stream slices of stats_ (same counters, same points). */
+    /** Every counter, one slice per stream (see stats()). */
     std::vector<NvmhcStats> streamStats_;
 
     std::uint64_t nextReqId_ = 0;
@@ -310,7 +326,6 @@ class Nvmhc : private SchedulerView
 
     bool engineBusy_ = false;
     BusyTracker active_;
-    NvmhcStats stats_;
     SchedulerContext ctx_;
 };
 

@@ -31,12 +31,14 @@ void
 GcManager::collect()
 {
     // One collectGc round reclaims at most one block per needy plane;
-    // loop (bounded) until every plane regains its threshold headroom.
+    // loop (bounded) until every plane regains its threshold headroom,
+    // or a round collects no victim whole.
     for (int round = 0; round < 64 && ftl_.gcNeeded(); ++round) {
         const GcBatchList &batches = ftl_.collectGc();
-        if (batches.empty())
-            break;
+        const bool reclaimed = batches.reclaimed();
         launch(batches);
+        if (!reclaimed)
+            break;
     }
     // Static wear leveling (disabled unless configured): one cold
     // block per trigger keeps the overhead bounded.
@@ -206,7 +208,8 @@ GcManager::onRequestFinished(MemoryRequest *req)
                 ++stats_.erases;
                 issue(FlashOp::Erase, batch.victimBasePpn, slot);
             } else {
-                // Retirement batch: the victim is Bad, never erased.
+                // Retirement batch (the victim is Bad, never erased)
+                // or a victim GC could not finish (it keeps live data).
                 retireSlot(slot);
             }
         }

@@ -138,7 +138,9 @@ class GcManager
         std::uint64_t planeIdx = 0; //!< admission accounting
         std::uint64_t remainingPrograms = 0;
         bool eraseIssued = false;
-        bool eraseAfter = true; //!< false: retirement batch, no erase
+        /** False for a retirement batch and an unfinished victim:
+         *  no erase follows the programs. */
+        bool eraseAfter = true;
         bool live = false;
     };
 

@@ -1,7 +1,5 @@
 #include "workload/trace_store.hh"
 
-#include "sim/logging.hh"
-
 namespace spk
 {
 
@@ -36,16 +34,6 @@ TraceRef::emptyTrace()
 }
 
 TraceRef
-TraceStore::intern(const std::string &name, Trace trace)
-{
-    const auto it = traces_.find(name);
-    if (it != traces_.end())
-        return it->second;
-    return traces_.emplace(name, TraceRef(std::move(trace)))
-        .first->second;
-}
-
-TraceRef
 TraceStore::intern(const std::string &name,
                    const std::function<Trace()> &parse)
 {
@@ -53,15 +41,6 @@ TraceStore::intern(const std::string &name,
     if (it != traces_.end())
         return it->second;
     return traces_.emplace(name, TraceRef(parse())).first->second;
-}
-
-TraceRef
-TraceStore::ref(const std::string &name) const
-{
-    const auto it = traces_.find(name);
-    if (it == traces_.end())
-        fatal("TraceStore: no trace named '" + name + "'");
-    return it->second;
 }
 
 std::uint64_t

@@ -131,21 +131,14 @@ class TraceRef
 class TraceStore
 {
   public:
-    /** Intern @p trace under @p name; returns the existing handle if
-     *  the name is already present (the new records are dropped). */
-    TraceRef intern(const std::string &name, Trace trace);
-
     /**
-     * Lazy intern: call @p parse (which may be expensive — file
-     * parse, synthetic generation) only when @p name is absent.
-     * The per-unique-trace parse guarantee of the store.
+     * The trace interned under @p name. Calls @p parse (which may be
+     * expensive — file parse, synthetic generation) only when the
+     * name is absent: the per-unique-trace parse guarantee of the
+     * store.
      */
     TraceRef intern(const std::string &name,
                     const std::function<Trace()> &parse);
-
-    /** Look up an interned trace; fatal() when absent (a typo'd name
-     *  is a usage error, not a soft miss). */
-    TraceRef ref(const std::string &name) const;
 
     bool contains(const std::string &name) const
     {

@@ -308,27 +308,6 @@ TEST(BlockManager, FreeCountsMatchRecountUnderRandomOps)
     }
 }
 
-TEST(BlockManager, GcVictimPicksFewestValid)
-{
-    const auto g = geo();
-    BlockManager bm(g, 100);
-    // Fill two blocks.
-    for (std::uint32_t i = 0; i < 2 * g.pagesPerBlock + 1; ++i)
-        (void)bm.allocatePage(0);
-    bm.addValid(0, 0, 3); // block 0: 3 valid
-    bm.addValid(0, 1, 1); // block 1: 1 valid
-    const auto victim = bm.pickGcVictim(0);
-    ASSERT_TRUE(victim.has_value());
-    EXPECT_EQ(*victim, 1u);
-}
-
-TEST(BlockManager, GcVictimIgnoresActiveAndFree)
-{
-    BlockManager bm(geo(), 100);
-    (void)bm.allocatePage(0); // block 0 active, none full
-    EXPECT_FALSE(bm.pickGcVictim(0).has_value());
-}
-
 TEST(BlockManager, AddValidUnderflowDies)
 {
     BlockManager bm(geo(), 100);

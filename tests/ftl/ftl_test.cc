@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <set>
 #include <vector>
 
@@ -157,6 +158,113 @@ TEST(Ftl, CallbackReportsAccurateMove)
         if (ftl.gcNeeded())
             ftl.collectGc();
     }
+}
+
+/** One plane of 8 blocks of 4 pages: every write lands on it, block
+ *  by block in index order. */
+FlashGeometry
+onePlane()
+{
+    FlashGeometry g;
+    g.numChannels = 1;
+    g.chipsPerChannel = 1;
+    g.diesPerChip = 1;
+    g.planesPerDie = 1;
+    g.blocksPerPlane = 8;
+    g.pagesPerBlock = 4;
+    return g;
+}
+
+/** No overprovisioning, so all 32 pages are logical. */
+FtlConfig
+onePlaneCfg(std::uint32_t gc_threshold)
+{
+    FtlConfig c;
+    c.overprovision = 0.0;
+    c.gcFreeBlockThreshold = gc_threshold;
+    return c;
+}
+
+void
+writeAll(Ftl &ftl, std::initializer_list<Lpn> lpns)
+{
+    for (const Lpn lpn : lpns)
+        ASSERT_NE(ftl.allocateWrite(lpn), kInvalidPage) << "lpn " << lpn;
+}
+
+TEST(Ftl, GcVictimIsTheFullBlockWithFewestValidPages)
+{
+    Ftl ftl(onePlane(), onePlaneCfg(4));
+    writeAll(ftl, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}); // blocks 0-2
+    // Overwrites fill block 3 and start block 4: block 0 keeps 2 live
+    // pages (LPNs 2, 3), block 1 keeps 1 (LPN 7). 3 blocks stay free.
+    writeAll(ftl, {0, 1, 4, 5, 6});
+    ASSERT_TRUE(ftl.gcNeeded());
+
+    const GcBatchList &batches = ftl.collectGc();
+    ASSERT_EQ(batches.size(), 1u);
+    EXPECT_EQ(batches[0].victimBlock, 1u);
+    ASSERT_EQ(batches[0].migrations.size(), 1u);
+    EXPECT_EQ(batches[0].migrations[0].lpn, 7u);
+    EXPECT_TRUE(batches[0].eraseAfter);
+    EXPECT_EQ(ftl.stats().gcInvocations, 1u);
+}
+
+TEST(Ftl, GcVictimIsNeverTheActiveOrAFreeBlock)
+{
+    // Below the threshold as soon as block 0 opens, but no block is
+    // Full: the active block and the free ones are not victims.
+    Ftl ftl(onePlane(), onePlaneCfg(8));
+    writeAll(ftl, {0});
+    ASSERT_TRUE(ftl.gcNeeded());
+    EXPECT_TRUE(ftl.collectGc().empty());
+    EXPECT_EQ(ftl.stats().gcInvocations, 0u);
+}
+
+TEST(Ftl, GcChargesTheMovesOfAVictimItCannotFinish)
+{
+    // Endurance 1 retires every block at its first erase, so each
+    // collection uses up free space for good.
+    FtlConfig c = onePlaneCfg(2);
+    c.endurance = 1;
+    Ftl ftl(onePlane(), c);
+    for (Lpn lpn = 0; lpn < 25; ++lpn) // blocks 0-5, then block 6
+        ASSERT_NE(ftl.allocateWrite(lpn), kInvalidPage);
+    writeAll(ftl, {0, 4, 8}); // blocks 0-2 keep 3 live pages each
+
+    // Every migrated page must be in some returned batch, or its read
+    // and program are never charged to flash.
+    const auto collect = [&ftl] {
+        const std::uint64_t before = ftl.stats().pagesMigrated;
+        const GcBatchList &batches = ftl.collectGc();
+        std::uint64_t held = 0;
+        for (const GcBatch &batch : batches)
+            held += batch.migrations.size();
+        EXPECT_EQ(ftl.stats().pagesMigrated - before, held);
+        return &batches;
+    };
+
+    // Block 0's 3 pages move into the last free block; the erase
+    // retires block 0.
+    const GcBatchList *batches = collect();
+    ASSERT_EQ(batches->size(), 1u);
+    EXPECT_EQ((*batches)[0].victimBlock, 0u);
+    EXPECT_TRUE(batches->reclaimed());
+
+    // Block 1's first live page takes the last free page; the other
+    // two have nowhere to go. The one move stays in a batch that does
+    // not erase the victim.
+    batches = collect();
+    ASSERT_EQ(batches->size(), 1u);
+    const GcBatch &partial = (*batches)[0];
+    EXPECT_EQ(partial.victimBlock, 1u);
+    ASSERT_EQ(partial.migrations.size(), 1u);
+    EXPECT_EQ(partial.migrations[0].lpn, 5u);
+    EXPECT_FALSE(partial.eraseAfter);
+    EXPECT_FALSE(batches->reclaimed());
+    EXPECT_EQ(ftl.stats().gcInvocations, 1u);
+    EXPECT_EQ(ftl.translateRead(5), partial.migrations[0].to);
+    EXPECT_EQ(ftl.blocks().block(0, 1).validPages, 2u);
 }
 
 TEST(Ftl, PreconditionFillsRequestedFraction)
