@@ -1,7 +1,7 @@
 /**
  * @file
- * Ablation studies for the design choices DESIGN.md calls out (not a
- * paper exhibit; supports the analysis sections):
+ * Ablation studies of four Sprinkler design choices (not a paper
+ * exhibit; supports the analysis sections):
  *
  *  1. FARO over-commitment window: 1 (no over-commit) .. 16.
  *  2. Flash-controller transaction decision window: 0 .. 10 us.

@@ -413,12 +413,14 @@ int
 main(int argc, char **argv)
 {
     bool fit = false;
+    // Every cell runs at both fidelities, so --fidelity is not taken.
     const bench::BenchCli cli = bench::parseCli(
         argc, argv,
         {{.flag = "--fit",
           .help = "grid-search the estimator constants against the "
                   "exact cells and print them",
-          .target = &fit}});
+          .target = &fit}},
+        {"--fidelity"});
     bench::printHeader("Calibration",
                        "fast-mode estimator vs exact engine");
 

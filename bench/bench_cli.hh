@@ -1,12 +1,13 @@
 /**
  * @file
- * Common command line for every exhibit bench and sprinkler_cli.
+ * Common command line for every bench program and sprinkler_cli.
  *
  * Each option is one CliOption entry: its flag, value name, help text
  * and the variable it sets. The usage text is generated from the
  * entries, with each variable's initial value as the default. The
  * shared entries (sharedOptions) cover the sweep; a program passes its
- * own entries to parseCli. Run any program with --help for the list.
+ * own entries to parseCli, and omits the shared ones it would ignore.
+ * Run any program with --help for the list.
  *
  * Every sweep also prints a parseable stderr footer with the run
  * makespan, per-worker busy times and thread imbalance (and cache
@@ -86,11 +87,13 @@ struct CliOption
     std::vector<std::string> choices = {};
 };
 
-/** The options every program shares, setting the fields of @p cli. */
+/** The options every program shares, setting the fields of @p cli,
+ *  less the flags in @p omit: a program does not take an option it
+ *  would ignore. */
 inline std::vector<CliOption>
-sharedOptions(BenchCli &cli)
+sharedOptions(BenchCli &cli, const std::vector<std::string> &omit = {})
 {
-    return {
+    std::vector<CliOption> options = {
         {.flag = "--threads",
          .value = "N",
          .help = "sweep worker threads; results are identical at any "
@@ -109,6 +112,10 @@ sharedOptions(BenchCli &cli)
          "serve cells simulated before from this persistent cache",
          &cli.cacheDir},
     };
+    std::erase_if(options, [&omit](const CliOption &o) {
+        return std::find(omit.begin(), omit.end(), o.flag) != omit.end();
+    });
+    return options;
 }
 
 /** @p option's value name: its choices joined by '|', if any. */
@@ -230,17 +237,19 @@ usageError(const char *prog, const std::string &msg)
 }
 
 /**
- * Parse the shared options plus @p extra (a program's own, listed
- * first in the usage). --help prints the usage to stdout and exits 0;
- * an unknown flag, a missing value or a value setOption rejects
- * exits 2 with a message naming the flag.
+ * Parse the shared options but those in @p omit, plus @p extra (a
+ * program's own, listed first in the usage). --help prints the usage
+ * to stdout and exits 0; an unknown flag (an omitted one too), a
+ * missing value or a value setOption rejects exits 2 with a message
+ * naming the flag.
  */
 inline BenchCli
-parseCli(int argc, char **argv, std::vector<CliOption> extra = {})
+parseCli(int argc, char **argv, std::vector<CliOption> extra = {},
+         const std::vector<std::string> &omit = {})
 {
     BenchCli cli;
     std::vector<CliOption> options = std::move(extra);
-    for (CliOption &o : sharedOptions(cli))
+    for (CliOption &o : sharedOptions(cli, omit))
         options.push_back(std::move(o));
     // Rendered before parsing so the defaults are the initial values.
     const std::string help = usage(argv[0], options);
@@ -401,12 +410,6 @@ runSweep(SweepRunner &sweep, const BenchCli &cli,
         std::fprintf(stderr, "wrote %zu cells to %s\n", total,
                      csv_path.c_str());
     }
-}
-
-inline void
-runSweep(SweepRunner &sweep, const BenchCli &cli)
-{
-    runSweep(sweep, cli, cli.csv);
 }
 
 } // namespace bench

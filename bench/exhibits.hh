@@ -1,8 +1,8 @@
 /**
  * @file
  * The grid of every exhibit that simulates devices (Figures 1, 6 and
- * 10-19), declared once: its axes and the job each cell runs. An
- * exhibit main runs its grid whole (exhibitSweep); bench_calibration
+ * 10-19), declared once: its axes and the job each cell runs.
+ * bench_exhibit runs a grid whole (exhibitSweep); bench_calibration
  * runs a sample of each (sampleGrid) at both fidelities.
  *
  * A grid function's one parameter is its I/O rule, how many I/Os a
@@ -334,13 +334,22 @@ fig14Grid(std::uint64_t ios = kPaperTraceIos)
 
 // ------------------------------------------------ Figures 18 and 19
 
-/** Figure 18's fio job file: SPK_FIO_JOB when set, else
- *  data/jobs/fig18_mixed.fio. */
-inline std::string
-fig18JobPath()
+/** A job file: where it is read from, and how output names it. */
+struct JobFile
 {
-    const char *path = std::getenv("SPK_FIO_JOB");
-    return path != nullptr ? path : SPK_DATA_DIR "/jobs/fig18_mixed.fio";
+    std::string path;
+    std::string name;
+};
+
+/** Figure 18's fio job file: SPK_FIO_JOB as given, else
+ *  data/jobs/fig18_mixed.fio, named relative to the checkout. */
+inline JobFile
+fig18Job()
+{
+    if (const char *path = std::getenv("SPK_FIO_JOB"))
+        return {path, path};
+    return {SPK_DATA_DIR "/jobs/fig18_mixed.fio",
+            "data/jobs/fig18_mixed.fio"};
 }
 
 /** Figure 18: the fio job's streams under every scheduler and
@@ -356,7 +365,7 @@ fig18Grid()
                      ArbiterKind::WeightedRoundRobin,
                      ArbiterKind::StrictPriority};
     return {std::move(axes),
-            [streams = parseFioJobFile(fig18JobPath())](
+            [streams = parseFioJobFile(fig18Job().path)](
                 const SweepPoint &p) {
                 DeviceJob job;
                 job.cfg = evalConfig(p.scheduler);

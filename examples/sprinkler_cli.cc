@@ -172,7 +172,7 @@ main(int argc, char **argv)
                           job.preconditionGc = opt.gc;
                           return job;
                       });
-    bench::runSweep(sweep, cli);
+    bench::runSweep(sweep, cli, cli.csv);
 
     std::printf("%-6s %12s %10s %12s %10s %10s %8s\n", "sched",
                 "BW KB/s", "IOPS", "latency us", "util %", "flash %",

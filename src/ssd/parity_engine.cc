@@ -165,7 +165,6 @@ ParityEngine::closeStripe(StripeId stripe, const OpenStripe &os)
         // moment the close is decided, so the stripe turns
         // reconstructable at issue time — degraded reads racing the
         // parity program logically read the controller's RAM copy.
-        job.parityIssued = true;
         map_.markParityWritten(stripe);
         ++stats_.parityUpdates;
         issue(FlashOp::Program, parity_ppn, slot);
@@ -359,7 +358,6 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
                     map_.clearParityWritten(job.stripe);
                     retireSlot(slot);
                 } else {
-                    job.parityIssued = true;
                     map_.markParityWritten(job.stripe);
                     ++stats_.parityUpdates;
                     issue(FlashOp::Program,

@@ -140,7 +140,6 @@ class ParityEngine
         bool live = false;
         std::uint32_t remainingReads = 0;
         StripeId stripe = 0;
-        bool parityIssued = false;      //!< Close: program in flight
         MemoryRequest *origin = nullptr; //!< Reconstruct: host read
         bool failed = false;             //!< Reconstruct: survivor lost
         Ppn rebuildTo = kInvalidPage;    //!< Rebuild: new location

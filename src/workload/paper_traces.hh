@@ -6,7 +6,7 @@
  * each workload is regenerated synthetically from the exact statistics
  * Table 1 reports: read/write transfer totals, instruction counts
  * (which fix the mean request sizes), randomness percentages and the
- * transactional-locality class. See DESIGN.md, "Substitutions".
+ * transactional-locality class.
  */
 
 #ifndef SPK_WORKLOAD_PAPER_TRACES_HH

@@ -4,8 +4,8 @@
  * (2 traces x 5 schedulers x 2 seeds on a small geometry) run through
  * SweepRunner, with every per-cell MetricsSnapshot digest and the
  * fleet aggregate pinned, and the sharded path asserted bit-identical
- * to sequential. This puts the machinery behind every bench_fig*
- * exhibit under tier-1 guard: a scheduler regression that would
+ * to sequential. This puts the machinery behind every bench_exhibit
+ * figure under tier-1 guard: a scheduler regression that would
  * silently bend a figure shows up here as a digest mismatch. A second,
  * reliability campaign drives every snapshot field off its default,
  * so the digests pin the fault, parity, soft-decode and stream

@@ -2,7 +2,8 @@
  * @file
  * Tests for the shared command line (bench/bench_cli.hh): every
  * option of the table parses into its variable, the generated usage
- * lists each flag once with its default, and malformed input exits 2.
+ * lists each flag once with its default, malformed input exits 2, and
+ * a shared option a program omits is neither listed nor taken.
  */
 
 #include <gtest/gtest.h>
@@ -44,9 +45,11 @@ extraOptions(Extras &e)
     };
 }
 
-/** parseCli over @p args (the program name is prepended). */
+/** parseCli over @p args (the program name is prepended), without
+ *  the shared options in @p omit. */
 bench::BenchCli
-parse(std::vector<std::string> args, Extras &e)
+parse(std::vector<std::string> args, Extras &e,
+      const std::vector<std::string> &omit = {})
 {
     args.insert(args.begin(), "prog");
     std::vector<char *> argv;
@@ -54,7 +57,7 @@ parse(std::vector<std::string> args, Extras &e)
         argv.push_back(a.data());
     argv.push_back(nullptr);
     return bench::parseCli(static_cast<int>(args.size()), argv.data(),
-                           extraOptions(e));
+                           extraOptions(e), omit);
 }
 
 TEST(BenchCli, EveryOptionParsesIntoItsVariable)
@@ -140,6 +143,21 @@ TEST(BenchCli, MalformedInputExitsTwo)
     exitsTwo({"--frac", "inf"}, "--frac: invalid value");
     exitsTwo({"--mode", "c"}, "--mode: invalid value 'c', expected a\\|b");
     exitsTwo({"--fidelity", "slow"}, "--fidelity: invalid value");
+}
+
+TEST(BenchCli, OmittedSharedOptionIsNeitherListedNorTaken)
+{
+    bench::BenchCli cli;
+    const std::string text = bench::usage(
+        "prog", bench::sharedOptions(cli, {"--fidelity", "--cache"}));
+    EXPECT_EQ(text.find("--fidelity"), std::string::npos);
+    EXPECT_EQ(text.find("--cache"), std::string::npos);
+    EXPECT_NE(text.find("  --threads N "), std::string::npos);
+
+    Extras e;
+    EXPECT_EQ(parse({"--threads", "2"}, e, {"--fidelity"}).threads, 2u);
+    EXPECT_EXIT(parse({"--fidelity", "fast"}, e, {"--fidelity"}),
+                testing::ExitedWithCode(2), "unknown option --fidelity");
 }
 
 } // namespace
