@@ -9,7 +9,8 @@
  * silently bend a figure shows up here as a digest mismatch. A second,
  * reliability campaign drives every snapshot field off its default,
  * so the digests pin the fault, parity, soft-decode and stream
- * counters too.
+ * counters too. A third, fast campaign pins the estimator's cells
+ * (Fidelity::Fast) the same way.
  *
  * To re-pin after an intentional behavior change, run with
  * SPK_SWEEP_GOLDEN_REGEN=1: the pinned test prints a ready-to-paste
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <sstream>
 
@@ -163,6 +165,70 @@ reliabilityJob(const SweepPoint &p)
                                        p.seed * 10 + s);
         job.streams.push_back(std::move(stream));
     }
+    return job;
+}
+
+/**
+ * The fast campaign: estimator cells whose inputs take each branch of
+ * its record flattening and latency quantiles. The variants:
+ *   sorted   a synthetic trace, arrivals in order
+ *   swapped  the same trace with two adjacent arrivals swapped, so
+ *            the records must be sorted back into arrival order
+ *   streams  two interleaved host streams, each with its own slice
+ *   one      the trace's first record: every quantile reads index 0
+ *   three    its first three: p50, p95 and p99 all read index 1
+ */
+SweepAxes
+fastAxes()
+{
+    SweepAxes axes;
+    axes.schedulers = {SchedulerKind::VAS, SchedulerKind::SPK3};
+    axes.seeds = {9};
+    axes.variants = {"sorted", "swapped", "streams", "one", "three"};
+    axes.fidelities = {Fidelity::Fast};
+    return axes;
+}
+
+/** The swapped variant exchanges the arrivals of records
+ *  kSwapAt and kSwapAt + 1. */
+constexpr std::size_t kSwapAt = 98;
+
+DeviceJob
+fastJob(const SweepPoint &p)
+{
+    DeviceJob job;
+    job.cfg = SsdConfig::withChips(64);
+    job.cfg.scheduler = p.scheduler;
+    job.cfg.seed = p.seed;
+    const std::uint64_t span = job.cfg.geometry.totalPages() *
+                               job.cfg.geometry.pageSizeBytes / 2;
+    if (p.variant == "streams") {
+        for (std::uint64_t s = 0; s < 2; ++s) {
+            HostStreamConfig stream;
+            stream.name = s == 0 ? "reads" : "writes";
+            stream.trace = fixedSizeStream(
+                500, s == 0 ? 4096 : 65536, s == 0 ? 0.1 : 0.8, span,
+                s == 0 ? 3 * kMicrosecond : 7 * kMicrosecond,
+                p.seed * 10 + s);
+            job.streams.push_back(std::move(stream));
+        }
+        return job;
+    }
+    SyntheticConfig wl;
+    wl.numIos = 2000;
+    wl.readSizes = {{4096, 0.6}, {65536, 0.4}};
+    wl.writeSizes = {{16384, 0.5}, {262144, 0.5}};
+    wl.meanInterarrival = 10 * kMicrosecond;
+    wl.spanBytes = span;
+    wl.seed = p.seed;
+    Trace trace = generateSynthetic(wl);
+    if (p.variant == "swapped")
+        std::swap(trace[kSwapAt].arrival, trace[kSwapAt + 1].arrival);
+    else if (p.variant == "one")
+        trace.resize(1);
+    else if (p.variant == "three")
+        trace.resize(3);
+    job.trace = std::move(trace);
     return job;
 }
 
@@ -398,6 +464,86 @@ TEST(SweepGolden, ReliabilityCampaignReachesEveryField)
                         << " is at its default";
                 });
         }
+    }
+}
+
+/** The fast campaign's per-cell digests. The estimator has no
+ *  scheduling decisions, so a digest change here means its arithmetic
+ *  or its record order changed. */
+TEST(SweepGolden, FastCampaignIsPinned)
+{
+    struct PinnedCell
+    {
+        SchedulerKind kind;
+        const char *variant;
+        std::uint64_t digest;
+    };
+    const PinnedCell expected[] = {
+        // clang-format off
+        {SchedulerKind::VAS, "sorted", 0xc279b901230aa5d2ull},
+        {SchedulerKind::VAS, "swapped", 0x5724324f0e14c796ull},
+        {SchedulerKind::VAS, "streams", 0x3e301ee7c62aadadull},
+        {SchedulerKind::VAS, "one", 0x730da67b2b2a97cfull},
+        {SchedulerKind::VAS, "three", 0x5a7740825327bfa3ull},
+        {SchedulerKind::SPK3, "sorted", 0x24553a8d7cced15cull},
+        {SchedulerKind::SPK3, "swapped", 0xd227351de983e4ffull},
+        {SchedulerKind::SPK3, "streams", 0x8602564e998561b6ull},
+        {SchedulerKind::SPK3, "one", 0x8e6307c5cc98196bull},
+        {SchedulerKind::SPK3, "three", 0x4acac924795cd238ull},
+        // clang-format on
+    };
+
+    // Each variant reaches the branch it is named for.
+    const std::uint64_t seed = fastAxes().seeds.front();
+    const DeviceJob sorted = fastJob({.seed = seed, .variant = "sorted"});
+    ASSERT_TRUE(std::is_sorted(
+        sorted.trace.begin(), sorted.trace.end(),
+        [](const TraceRecord &a, const TraceRecord &b) {
+            return a.arrival < b.arrival;
+        }));
+    ASSERT_LT(sorted.trace[kSwapAt].arrival,
+              sorted.trace[kSwapAt + 1].arrival);
+    const DeviceJob streams =
+        fastJob({.seed = seed, .variant = "streams"});
+    ASSERT_LT(streams.streams[1].trace.front().arrival,
+              streams.streams[0].trace.back().arrival);
+
+    SweepRunner sweep(fastAxes(), fastJob);
+    sweep.run(2);
+
+    if (std::getenv("SPK_SWEEP_GOLDEN_REGEN") != nullptr) {
+        for (const auto kind : fastAxes().schedulers) {
+            for (const auto &variant : fastAxes().variants) {
+                std::printf(
+                    "        {SchedulerKind::%s, \"%s\", 0x%llxull},\n",
+                    schedulerKindName(kind), variant.c_str(),
+                    static_cast<unsigned long long>(
+                        digest(sweep.at({.scheduler = kind,
+                                         .seed = seed,
+                                         .variant = variant}))));
+            }
+        }
+        FAIL() << "SPK_SWEEP_GOLDEN_REGEN set: paste the table above";
+    }
+
+    ASSERT_EQ(std::size(expected), sweep.cellCount());
+    for (const auto kind : fastAxes().schedulers) {
+        EXPECT_NE(digest(sweep.at({.scheduler = kind,
+                                   .seed = seed,
+                                   .variant = "sorted"})),
+                  digest(sweep.at({.scheduler = kind,
+                                   .seed = seed,
+                                   .variant = "swapped"})))
+            << "the swap leaves " << schedulerKindName(kind)
+            << "'s estimate unchanged";
+    }
+    for (const auto &cell : expected) {
+        const MetricsSnapshot &m = sweep.at(
+            {.scheduler = cell.kind, .seed = seed, .variant = cell.variant});
+        EXPECT_EQ(digest(m), cell.digest)
+            << schedulerKindName(cell.kind) << "/" << cell.variant;
+        EXPECT_EQ(m.streams.size(),
+                  std::string(cell.variant) == "streams" ? 2u : 0u);
     }
 }
 
