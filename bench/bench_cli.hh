@@ -103,7 +103,9 @@ sharedOptions(BenchCli &cli, const std::vector<std::string> &omit = {})
         {"--filter", "SUBSTR",
          "keep axis values containing SUBSTR (case-insensitive)",
          &cli.filter},
-        {"--csv", "PATH", "also write every sweep cell as CSV",
+        {"--csv", "PATH",
+         "also write the results as CSV, to PATH or to files named "
+         "from it",
          &cli.csv},
         {"--fidelity", "exact|fast",
          "the event-accurate engine or the calibrated estimator",

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/stats.hh"
 
 namespace spk
 {
@@ -24,61 +25,55 @@ struct FlatRecord
     static constexpr std::uint32_t kNoStream = ~std::uint32_t{0};
 };
 
-/** Flatten the job's workload into one arrival-ordered record list.
- *  Ties keep (stream, record) order, so the merge is deterministic
- *  regardless of how the cells are sharded. */
-std::vector<FlatRecord>
-flattenWorkload(const DeviceJob &job, std::uint32_t page_size)
+/** The job's workload as arrival-ordered records, and its page-level
+ *  mix. */
+struct FlatWorkload
 {
     std::vector<FlatRecord> records;
-    if (!job.streams.empty()) {
-        std::size_t total = 0;
-        for (const auto &s : job.streams)
-            total += s.trace.size();
-        records.reserve(total);
-        for (std::uint32_t sid = 0; sid < job.streams.size(); ++sid) {
-            for (const auto &rec : job.streams[sid].trace) {
-                FlatRecord f;
-                f.arrival = rec.arrival;
-                f.pages = recordPages(rec, page_size);
-                f.stream = sid;
-                f.isWrite = rec.isWrite;
-                records.push_back(f);
-            }
-        }
-        std::stable_sort(records.begin(), records.end(),
-                         [](const FlatRecord &a, const FlatRecord &b) {
-                             return a.arrival < b.arrival;
-                         });
-    } else {
-        records.reserve(job.trace.size());
-        for (const auto &rec : job.trace) {
+    TraceMix mix;
+};
+
+/** Flatten the job's workload in one pass over its records, which
+ *  also sums the mix. Ties keep (stream, record) order, so the merge
+ *  is deterministic regardless of how the cells are sharded. */
+FlatWorkload
+flattenWorkload(const DeviceJob &job, std::uint32_t page_size)
+{
+    FlatWorkload flat;
+    std::size_t total = job.trace.size();
+    for (const auto &s : job.streams)
+        total += s.trace.size();
+    flat.records.reserve(total);
+
+    bool sorted = true;
+    Tick last = 0;
+    const auto append = [&](const Trace &trace, std::uint32_t stream) {
+        for (const auto &rec : trace) {
+            sorted = sorted && rec.arrival >= last;
+            last = rec.arrival;
             FlatRecord f;
             f.arrival = rec.arrival;
-            f.pages = recordPages(rec, page_size);
+            f.pages = flat.mix.add(rec, page_size);
+            f.stream = stream;
             f.isWrite = rec.isWrite;
-            records.push_back(f);
+            flat.records.push_back(f);
         }
-        // Trace replay issues in record order; arrivals are already
-        // sorted for every generator and validated for streams, so a
-        // stray unsorted trace only degrades the estimate.
-        std::stable_sort(records.begin(), records.end(),
+    };
+    if (job.streams.empty())
+        append(job.trace, FlatRecord::kNoStream);
+    for (std::uint32_t sid = 0; sid < job.streams.size(); ++sid)
+        append(job.streams[sid].trace, sid);
+
+    // Every generator emits arrivals in order and each stream is
+    // validated sorted, so only interleaved streams, or a stray
+    // unsorted trace (which only degrades the estimate), pay the sort.
+    if (!sorted) {
+        std::stable_sort(flat.records.begin(), flat.records.end(),
                          [](const FlatRecord &a, const FlatRecord &b) {
                              return a.arrival < b.arrival;
                          });
     }
-    return records;
-}
-
-/** The exact engine's sorted-quantile formula (Ssd::metrics). */
-Tick
-quantileOf(const std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0;
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(sorted.size() - 1));
-    return static_cast<Tick>(sorted[idx] + 0.5);
+    return flat;
 }
 
 } // namespace
@@ -162,8 +157,9 @@ estimateDevice(const DeviceJob &job, const EstimatorConstants &k)
     MetricsSnapshot m;
     m.scheduler = schedulerKindName(job.cfg.scheduler);
 
-    const std::vector<FlatRecord> records =
-        flattenWorkload(job, geo.pageSizeBytes);
+    const FlatWorkload flat = flattenWorkload(job, geo.pageSizeBytes);
+    const std::vector<FlatRecord> &records = flat.records;
+    const TraceMix &mix = flat.mix;
     if (records.empty())
         return m;
 
@@ -171,16 +167,6 @@ estimateDevice(const DeviceJob &job, const EstimatorConstants &k)
         static_cast<double>(geo.diesPerChip) *
         static_cast<double>(geo.planesPerDie);
     const double n_chips = static_cast<double>(geo.numChips());
-
-    // Steady-state GC pressure: free-page budget before collection
-    // starts, and the live fraction that sets write amplification.
-    TraceMix mix;
-    if (!job.streams.empty()) {
-        for (const auto &s : job.streams)
-            mix.merge(summarizeMix(s.trace, geo.pageSizeBytes));
-    } else {
-        mix = summarizeMix(job.trace, geo.pageSizeBytes);
-    }
 
     // Cell-service concurrency law: planes kept busy at once under
     // backlog. Two hard ceilings apply regardless of the scheduler:
@@ -316,6 +302,7 @@ estimateDevice(const DeviceJob &job, const EstimatorConstants &k)
     double wait_total = 0.0;
 
     double lat_sum = 0.0;
+    double max_lat = 0.0;
     double read_lat_sum = 0.0;
     double write_lat_sum = 0.0;
     std::uint64_t reads = 0;
@@ -413,6 +400,7 @@ estimateDevice(const DeviceJob &job, const EstimatorConstants &k)
         envelope = std::max(envelope, completion);
 
         lat_sum += lat;
+        max_lat = std::max(max_lat, lat);
         latencies.push_back(lat);
         const std::uint64_t bytes =
             rec.pages * geo.pageSizeBytes;
@@ -456,12 +444,12 @@ estimateDevice(const DeviceJob &job, const EstimatorConstants &k)
     }
 
     m.avgLatencyNs = lat_sum / static_cast<double>(records.size());
-    std::sort(latencies.begin(), latencies.end());
-    m.p50LatencyNs = quantileOf(latencies, 0.50);
-    m.p95LatencyNs = quantileOf(latencies, 0.95);
-    m.p99LatencyNs = quantileOf(latencies, 0.99);
-    m.maxLatencyNs =
-        static_cast<Tick>(latencies.back() + 0.5);
+    const auto [p50, p95, p99] =
+        selectQuantiles(latencies, {0.50, 0.95, 0.99});
+    m.p50LatencyNs = static_cast<Tick>(p50 + 0.5);
+    m.p95LatencyNs = static_cast<Tick>(p95 + 0.5);
+    m.p99LatencyNs = static_cast<Tick>(p99 + 0.5);
+    m.maxLatencyNs = static_cast<Tick>(max_lat + 0.5);
     if (reads > 0)
         m.avgReadLatencyNs = read_lat_sum / static_cast<double>(reads);
     if (writes > 0)
@@ -559,8 +547,8 @@ estimateDevice(const DeviceJob &job, const EstimatorConstants &k)
             if (sa.ios > 0) {
                 sm.avgLatencyNs =
                     sa.latSum / static_cast<double>(sa.ios);
-                std::sort(sa.latencies.begin(), sa.latencies.end());
-                sm.p99LatencyNs = quantileOf(sa.latencies, 0.99);
+                sm.p99LatencyNs = static_cast<Tick>(
+                    selectQuantiles(sa.latencies, {0.99})[0] + 0.5);
                 sm.maxLatencyNs =
                     static_cast<Tick>(sa.maxLat + 0.5);
             }

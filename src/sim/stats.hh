@@ -2,16 +2,48 @@
  * @file
  * BusyTracker: resource occupancy over simulated time, with reference
  * counting (a resource may be claimed by several overlapping
- * activities).
+ * activities). selectQuantiles: the latency quantiles every
+ * MetricsSnapshot reports.
  */
 
 #ifndef SPK_SIM_STATS_HH
 #define SPK_SIM_STATS_HH
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <vector>
+
 #include "sim/types.hh"
 
 namespace spk
 {
+
+/**
+ * The sorted-quantile formula, sorted[floor(q * (n - 1))], for each q
+ * in @p qs, found by selection instead of a sort: one nth_element per
+ * quantile, each on the suffix the one before left. @p qs must be
+ * ascending. Reorders @p values. Every quantile of no values is T{}.
+ */
+template <typename T, std::size_t N>
+std::array<T, N>
+selectQuantiles(std::vector<T> &values, const double (&qs)[N])
+{
+    std::array<T, N> out{};
+    if (values.empty())
+        return out;
+    auto first = values.begin();
+    for (std::size_t i = 0; i < N; ++i) {
+        const auto idx = static_cast<std::size_t>(
+            qs[i] * static_cast<double>(values.size() - 1));
+        const auto nth =
+            values.begin() + static_cast<std::ptrdiff_t>(idx);
+        std::nth_element(first, nth, values.end());
+        out[i] = *nth;
+        first = nth;
+    }
+    return out;
+}
 
 /**
  * Tracks how long a resource has been busy.

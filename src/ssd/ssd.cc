@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "sim/stats.hh"
 
 namespace spk
 {
@@ -381,15 +382,11 @@ Ssd::metrics() const
     if (!results_.empty()) {
         m.avgLatencyNs = static_cast<double>(lat_sum) /
                          static_cast<double>(results_.size());
-        std::sort(latencies.begin(), latencies.end());
-        const auto quantile = [&](double q) {
-            const auto idx = static_cast<std::size_t>(
-                q * static_cast<double>(latencies.size() - 1));
-            return latencies[idx];
-        };
-        m.p50LatencyNs = quantile(0.50);
-        m.p95LatencyNs = quantile(0.95);
-        m.p99LatencyNs = quantile(0.99);
+        const auto [p50, p95, p99] =
+            selectQuantiles(latencies, {0.50, 0.95, 0.99});
+        m.p50LatencyNs = p50;
+        m.p95LatencyNs = p95;
+        m.p99LatencyNs = p99;
     }
     if (reads > 0) {
         m.avgReadLatencyNs = static_cast<double>(read_sum) /
@@ -547,9 +544,7 @@ Ssd::metrics() const
                 }
                 sm.avgLatencyNs = static_cast<double>(sum) /
                                   static_cast<double>(ls.size());
-                std::sort(ls.begin(), ls.end());
-                sm.p99LatencyNs = ls[static_cast<std::size_t>(
-                    0.99 * static_cast<double>(ls.size() - 1))];
+                sm.p99LatencyNs = selectQuantiles(ls, {0.99})[0];
             }
         }
     }

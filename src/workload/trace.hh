@@ -11,6 +11,7 @@
 #ifndef SPK_WORKLOAD_TRACE_HH
 #define SPK_WORKLOAD_TRACE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -71,17 +72,35 @@ TraceSummary summarize(const Trace &trace);
 struct TraceMix
 {
     std::uint64_t records = 0;
-    std::uint64_t readRecords = 0;
-    std::uint64_t writeRecords = 0;
     std::uint64_t readPages = 0;
     std::uint64_t writePages = 0;
-    Tick firstArrival = 0;
-    Tick lastArrival = 0;
     std::uint64_t spanPages = 0; //!< highest page touched plus one
 
-    /** Fold another mix in (multi-stream jobs merge per-stream
-     *  mixes; arrival bounds widen, counters sum). */
-    void merge(const TraceMix &other);
+    /**
+     * Fold @p rec in and return the pages it touches at @p page_size
+     * (page-rounded, matching request decomposition). A zero-byte
+     * record costs one page, and so does any record at page size 0.
+     */
+    std::uint64_t
+    add(const TraceRecord &rec, std::uint32_t page_size)
+    {
+        std::uint64_t pages = 1;
+        if (page_size > 0) {
+            const std::uint64_t bytes =
+                std::max<std::uint64_t>(rec.sizeBytes, 1);
+            const std::uint64_t first = rec.offsetBytes / page_size;
+            const std::uint64_t last =
+                (rec.offsetBytes + bytes - 1) / page_size;
+            pages = last - first + 1;
+            spanPages = std::max(spanPages, last + 1);
+        }
+        ++records;
+        if (rec.isWrite)
+            writePages += pages;
+        else
+            readPages += pages;
+        return pages;
+    }
 
     double
     writePageFraction() const
@@ -92,11 +111,6 @@ struct TraceMix
                                 static_cast<double>(total);
     }
 };
-
-/** Number of pages a record touches at @p page_size (page-rounded,
- *  matching request decomposition). Zero-byte records cost one. */
-std::uint64_t recordPages(const TraceRecord &rec,
-                          std::uint32_t page_size);
 
 /** Summarize @p trace as the page-level mix at @p page_size. */
 TraceMix summarizeMix(const Trace &trace, std::uint32_t page_size);
