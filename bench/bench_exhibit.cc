@@ -1,32 +1,82 @@
 /**
  * @file
- * Every paper exhibit, one program: `bench_exhibit NAME [options]`.
- * NAME is table1, fig01, fig06 or fig10 ... fig19 (fig18 and fig19 are
- * the repo's own multi-stream and reliability exhibits); --help lists
- * them with their headers, `bench_exhibit NAME --help` the options
- * NAME takes (bench/bench_cli.hh).
+ * Every bench campaign, one program: `bench_exhibit NAME [options]`.
+ * NAME is a paper exhibit (table1, fig01, fig06 or fig10 ... fig19;
+ * fig18 and fig19 are the repo's own multi-stream and reliability
+ * exhibits), one of four ablation studies of Sprinkler's design
+ * choices (ablation-faro, ablation-decision, ablation-depth,
+ * ablation-alloc), or calibration, the fast-mode estimator's error
+ * campaign over the exhibits. --help lists them with their headers,
+ * `bench_exhibit NAME --help` the options NAME takes
+ * (bench/bench_cli.hh).
  *
- * Each exhibit is one row of exhibits(): its name, header, grid
- * (bench/exhibits.hh), the report that prints its tables from the
- * finished sweep, and its paper-shape note. main() runs every row the
- * same way: parse the command line, print the header, run the grid,
- * print the report and the note.
+ * Each is one row of exhibits(): its name, header, grid
+ * (bench/exhibits.hh) and calibration sample of it, the report that
+ * prints its tables from the finished sweep, and its paper-shape
+ * note. main() runs every row the same way: parse the command line,
+ * print the header, run the grid, print the report and the note.
+ * table1 and calibration run no one grid, so they print their own
+ * tables.
  */
 
 #include <algorithm>
+#include <array>
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/exhibits.hh"
+#include "sim/estimator.hh"
 
 namespace
 {
 
 using namespace spk;
+
+/**
+ * Calibration's sample of an exhibit's grid: the grid at fewer I/Os
+ * per cell, and the axis values kept, which span the exhibit's
+ * regimes (trace locality classes, transfer sizes, chip counts, GC
+ * preconditioning).
+ */
+struct Sample
+{
+    bench::Grid (*grid)() = nullptr;
+    bench::AxisSample keep = {};
+};
+
+/** One row: its name on the command line, its header, what it runs
+ *  and what it prints. */
+struct Exhibit
+{
+    const char *name;
+    const char *title; //!< the header reads "=== title: what ==="
+    const char *what;
+    bench::Grid (*grid)() = nullptr;
+    Sample sample = {}; //!< no grid: calibration leaves the row out
+    void (*report)(const SweepRunner &sweep) = nullptr; //!< the tables
+    const char *note = ""; //!< the paper-shape note after the tables
+    /** The cells capture per-I/O results for the report; fast cells
+     *  have none, so a notice stands in for its tables and note. */
+    bool ioSeries = false;
+    /** Prints, before the cells run, what they replay. */
+    void (*preface)(const SweepRunner &sweep) = nullptr;
+    bool streamCsv = false; //!< --csv PATH also writes PATH.streams.csv
+    /** Stands in for grid and report where no one grid runs: prints
+     *  the tables and returns the exit status. @p all is every row,
+     *  whose samples calibration runs. */
+    int (*table)(const bench::BenchCli &cli,
+                 const std::vector<Exhibit> &all) = nullptr;
+    std::vector<bench::CliOption> options = {}; //!< its own options
+    std::vector<std::string> omit = {}; //!< shared ones it does not take
+};
 
 /**
  * Table 1: trace characteristics. Regenerates the sixteen workloads
@@ -37,8 +87,8 @@ using namespace spk;
  * names, as spk::filterAxes does) and --csv, which emits the summary
  * columns instead of device metrics.
  */
-void
-table1Traces(const bench::BenchCli &cli)
+int
+table1Traces(const bench::BenchCli &cli, const std::vector<Exhibit> &)
 {
     SweepAxes axes;
     axes.traces.clear();
@@ -76,6 +126,7 @@ table1Traces(const bench::BenchCli &cli)
                 << s.writeRandomness << ',' << info.locality << '\n';
         }
     }
+    return 0;
 }
 
 /**
@@ -835,30 +886,516 @@ fig19Report(const SweepRunner &sweep)
     }
 }
 
-/** One exhibit: its name on the command line (bench_calibration's
- *  too), its header, what it runs and what it prints. */
-struct Exhibit
+// ------------------------------------------------ design-choice ablations
+// Each study sweeps one Sprinkler setting on the variant axis of its
+// grid (bench/exhibits.hh), on the 64-chip evaluation device.
+
+/** FARO over-commitment window: 1 (no over-commit) .. 16, SPK3. */
+void
+faroWindowReport(const SweepRunner &sweep)
 {
-    const char *name;
-    const char *title; //!< the header reads "=== title: what ==="
-    const char *what;
-    bench::Grid (*grid)() = nullptr;
-    void (*report)(const SweepRunner &sweep) = nullptr; //!< the tables
-    const char *note = ""; //!< the paper-shape note after the tables
-    /** The cells capture per-I/O results for the report; fast cells
-     *  have none, so a notice stands in for its tables and note. */
-    bool ioSeries = false;
-    /** Prints, before the cells run, what they replay. */
-    void (*preface)(const SweepRunner &sweep) = nullptr;
-    bool streamCsv = false; //!< --csv PATH also writes PATH.streams.csv
-    /** Stands in for grid and report where nothing is simulated. */
-    void (*table)(const bench::BenchCli &cli) = nullptr;
-    std::vector<std::string> omit = {}; //!< shared options it ignores
+    std::printf("%8s %12s %12s %10s %12s\n", "window", "BW KB/s",
+                "latency us", "txns", "intra-idle %");
+    for (const auto &v : sweep.axes().variants) {
+        const auto &m =
+            sweep.at({.scheduler = SchedulerKind::SPK3, .variant = v});
+        std::printf("%8lu %12.0f %12.0f %10llu %12.1f\n",
+                    std::stoul(v), m.bandwidthKBps,
+                    m.avgLatencyNs / 1000.0,
+                    static_cast<unsigned long long>(m.transactions),
+                    m.intraChipIdlenessPct);
+    }
+}
+
+/** Flash-controller transaction decision window: 0 .. 10 us, SPK3. */
+void
+decisionWindowReport(const SweepRunner &sweep)
+{
+    std::printf("%12s %12s %12s %10s\n", "window us", "BW KB/s",
+                "latency us", "txns");
+    for (const auto &v : sweep.axes().variants) {
+        const auto &m =
+            sweep.at({.scheduler = SchedulerKind::SPK3, .variant = v});
+        std::printf("%12.1f %12.0f %12.0f %10llu\n",
+                    static_cast<double>(std::stoull(v)),
+                    m.bandwidthKBps, m.avgLatencyNs / 1000.0,
+                    static_cast<unsigned long long>(m.transactions));
+    }
+}
+
+/** Device-level queue depth: 8 .. 128, VAS against SPK3. */
+void
+queueDepthReport(const SweepRunner &sweep)
+{
+    const bool has_vas = bench::hasScheduler(sweep, SchedulerKind::VAS);
+    const bool has_spk3 =
+        bench::hasScheduler(sweep, SchedulerKind::SPK3);
+    std::printf("%8s %12s %12s %12s\n", "depth", "VAS KB/s",
+                "SPK3 KB/s", "SPK3/VAS");
+    for (const auto &v : sweep.axes().variants) {
+        const auto bw = [&](SchedulerKind kind) {
+            return sweep.at({.scheduler = kind, .variant = v}).bandwidthKBps;
+        };
+        const double vas = has_vas ? bw(SchedulerKind::VAS) : 0.0;
+        const double spk3 = has_spk3 ? bw(SchedulerKind::SPK3) : 0.0;
+        std::printf("%8lu %12.0f %12.0f %12.2f\n", std::stoul(v), vas,
+                    spk3, vas > 0.0 ? spk3 / vas : 0.0);
+    }
+}
+
+/** Page allocation policy (channel-stripe, plane-first) under every
+ *  scheduler: bandwidth KB/s. */
+void
+allocationReport(const SweepRunner &sweep)
+{
+    // Column headers are the surviving variant labels, so --filter
+    // never shows one policy's numbers under the other's name.
+    std::printf("%-6s", "sched");
+    for (const auto &v : sweep.axes().variants)
+        std::printf(" %16s", v.c_str());
+    std::printf("\n");
+    for (const auto kind : sweep.axes().schedulers) {
+        std::printf("%-6s", schedulerKindName(kind));
+        for (const auto &v : sweep.axes().variants)
+            std::printf(" %16.0f",
+                        sweep.at({.scheduler = kind, .variant = v})
+                            .bandwidthKBps);
+        std::printf("\n");
+    }
+}
+
+// ------------------------------------------------------------ calibration
+
+constexpr std::size_t kNumMetrics = 4;
+
+/** One (exact, fast) cell pair plus everything --fit needs to
+ *  re-evaluate candidate constants against it (the job says the
+ *  scheduler and whether the device was preconditioned). */
+struct Anchor
+{
+    std::string exhibit;
+    const DeviceJob *job = nullptr;
+    const MetricsSnapshot *exact = nullptr;
+    const MetricsSnapshot *fast = nullptr;
 };
+
+double
+relErr(double est, double ref)
+{
+    if (ref == 0.0)
+        return est == 0.0 ? 0.0 : 1.0;
+    return std::abs(est - ref) / std::abs(ref);
+}
+
+std::array<double, kNumMetrics>
+errsOf(const MetricsSnapshot &fast, const MetricsSnapshot &exact)
+{
+    return {relErr(fast.bandwidthKBps, exact.bandwidthKBps),
+            relErr(fast.iops, exact.iops),
+            relErr(fast.avgLatencyNs, exact.avgLatencyNs),
+            relErr(static_cast<double>(fast.p99LatencyNs),
+                   static_cast<double>(exact.p99LatencyNs))};
+}
+
+double
+median(std::vector<double> v)
+{
+    if (v.empty())
+        return 0.0;
+    const std::size_t mid = v.size() / 2;
+    std::nth_element(v.begin(), v.begin() + mid, v.end());
+    double m = v[mid];
+    if (v.size() % 2 == 0) {
+        std::nth_element(v.begin(), v.begin() + mid - 1,
+                         v.begin() + mid);
+        m = (m + v[mid - 1]) / 2.0;
+    }
+    return m;
+}
+
+/** Per-exhibit and pooled error rows for one set of snapshots. The
+ *  getter maps an anchor to the estimate under scrutiny (the fast
+ *  cell of the dual run, or a candidate re-estimate under --fit). */
+void
+printErrorTable(
+    const std::vector<Anchor> &anchors,
+    const std::function<MetricsSnapshot(const Anchor &)> &estimate,
+    const std::string &csv_path)
+{
+    std::printf("%-8s %6s %8s %8s %9s %8s %8s\n", "exhibit", "cells",
+                "bw-med%", "bw-max%", "iops-med%", "lat-med%",
+                "p99-med%");
+
+    std::vector<std::string> order;
+    std::map<std::string, std::vector<std::array<double, kNumMetrics>>>
+        per_exhibit;
+    for (const auto &a : anchors) {
+        if (per_exhibit.find(a.exhibit) == per_exhibit.end())
+            order.push_back(a.exhibit);
+        per_exhibit[a.exhibit].push_back(
+            errsOf(estimate(a), *a.exact));
+    }
+
+    std::FILE *csv = nullptr;
+    if (!csv_path.empty()) {
+        csv = std::fopen(csv_path.c_str(), "w");
+        if (csv == nullptr)
+            fatal("cannot open CSV file " + csv_path);
+        std::fprintf(csv, "exhibit,cells,bw_med_pct,bw_max_pct,"
+                          "iops_med_pct,lat_med_pct,p99_med_pct\n");
+    }
+
+    const auto emitRow =
+        [&](const std::string &name,
+            const std::vector<std::array<double, kNumMetrics>> &errs) {
+            std::array<std::vector<double>, kNumMetrics> cols;
+            for (const auto &e : errs)
+                for (std::size_t m = 0; m < kNumMetrics; ++m)
+                    cols[m].push_back(e[m]);
+            // bw median, bw max, then the other medians, in percent.
+            const double v[] = {
+                100.0 * median(cols[0]),
+                100.0 * *std::max_element(cols[0].begin(), cols[0].end()),
+                100.0 * median(cols[1]), 100.0 * median(cols[2]),
+                100.0 * median(cols[3])};
+            std::printf("%-8s %6zu %8.1f %8.1f %9.1f %8.1f %8.1f\n",
+                        name.c_str(), errs.size(), v[0], v[1], v[2], v[3],
+                        v[4]);
+            if (csv != nullptr)
+                std::fprintf(csv, "%s,%zu,%.2f,%.2f,%.2f,%.2f,%.2f\n",
+                             name.c_str(), errs.size(), v[0], v[1], v[2],
+                             v[3], v[4]);
+        };
+
+    std::vector<std::array<double, kNumMetrics>> pooled;
+    for (const auto &name : order) {
+        const auto &errs = per_exhibit[name];
+        emitRow(name, errs);
+        pooled.insert(pooled.end(), errs.begin(), errs.end());
+    }
+    if (!pooled.empty())
+        emitRow("pooled", pooled);
+    if (csv != nullptr) {
+        std::fclose(csv);
+        std::printf("wrote error table to %s\n", csv_path.c_str());
+    }
+}
+
+double
+pooledBwMedian(
+    const std::vector<Anchor> &anchors,
+    const std::function<MetricsSnapshot(const Anchor &)> &estimate)
+{
+    std::vector<double> errs;
+    errs.reserve(anchors.size());
+    for (const auto &a : anchors)
+        errs.push_back(errsOf(estimate(a), *a.exact)[0]);
+    return median(std::move(errs));
+}
+
+/** Fit objective, targeting the acceptance criterion directly: the
+ *  fraction of cells whose bandwidth error exceeds 10%, refined by
+ *  the mean symmetric log error of bandwidth (so over- and
+ *  under-prediction weigh the same) and a light p99 tiebreaker. */
+double
+fitScore(const std::vector<const Anchor *> &cells,
+         const EstimatorConstants &k)
+{
+    const auto logErr = [](double fast, double exact) {
+        if (exact <= 0.0 || fast <= 0.0)
+            return fast == exact ? 0.0 : 2.0;
+        return std::fabs(std::log(fast / exact));
+    };
+    double over = 0.0;
+    double log_bw = 0.0;
+    double log_p99 = 0.0;
+    for (const Anchor *a : cells) {
+        const MetricsSnapshot est = estimateDevice(*a->job, k);
+        const auto e = errsOf(est, *a->exact);
+        if (e[0] > 0.10)
+            over += 1.0;
+        log_bw += logErr(est.bandwidthKBps, a->exact->bandwidthKBps);
+        log_p99 += logErr(
+            static_cast<double>(est.p99LatencyNs),
+            static_cast<double>(a->exact->p99LatencyNs));
+    }
+    const double n = static_cast<double>(cells.size());
+    return over / n + 0.5 * log_bw / n + 0.125 * log_p99 / n;
+}
+
+EstimatorConstants
+fitConstants(const std::vector<Anchor> &anchors)
+{
+    EstimatorConstants fitted = EstimatorConstants::calibrated();
+
+    // Value grids for the coordinate descent, one per knob of the
+    // concurrency law plus the bus and latency weights.
+    static const std::vector<double> kPrefactors = {
+        0.02, 0.035, 0.06, 0.1, 0.17, 0.3, 0.5,
+        0.85, 1.4,   2.4,  4.0, 6.5};
+    static const std::vector<double> kChipsExp = {0.7, 0.85, 1.0,
+                                                  1.15};
+    static const std::vector<double> kSizeExp = {
+        0.0, 0.1, 0.2, 0.3, 0.45, 0.6, 0.8, 1.0};
+    static const std::vector<double> kBoosts = {1.0, 1.25, 1.5,
+                                                1.75, 2.0, 2.5};
+    static const std::vector<double> kMixPenalties = {0.0, 0.2, 0.4,
+                                                      0.6};
+    static const std::vector<double> kBuses = {0.3,  0.45, 0.6,
+                                               0.75, 0.9,  1.0};
+    static const std::vector<double> kWeights = {0.25, 0.5, 0.75,
+                                                 1.0,  1.5, 2.0};
+
+    std::vector<const Anchor *> all_cells;
+    for (const auto &a : anchors)
+        if (!a.job->preconditionGc)
+            all_cells.push_back(&a);
+
+    // The channel buses are shared hardware, so bus efficiency is one
+    // global constant fit against every non-GC cell; it interacts
+    // with the per-scheduler cell laws, so alternate the two fits.
+    for (int pass = 0; pass < 2; ++pass) {
+        if (!all_cells.empty()) {
+            double best = -1.0;
+            EstimatorConstants cand = fitted;
+            for (const double value : kBuses) {
+                cand.busEfficiency = value;
+                const double score = fitScore(all_cells, cand);
+                if (best < 0.0 || score < best) {
+                    best = score;
+                    fitted.busEfficiency = value;
+                }
+            }
+            std::printf("fit bus : busEfficiency %.2f (score %.3f "
+                        "over %zu cells)\n",
+                        fitted.busEfficiency, best, all_cells.size());
+        }
+
+        for (std::size_t s = 0; s < fitted.chipConcurrency.size();
+             ++s) {
+            std::vector<const Anchor *> cells;
+            for (const auto &a : anchors)
+                if (static_cast<std::size_t>(a.job->cfg.scheduler) == s &&
+                    !a.job->preconditionGc)
+                    cells.push_back(&a);
+            if (cells.empty())
+                continue;
+
+            // Exhaustive grid over the concurrency-law knobs: the
+            // prefactor and the exponents trade off against each
+            // other (a high-prefactor/flat-size law and a
+            // low-prefactor/steep one fit disjoint regimes), so
+            // coordinate descent gets stuck between the two valleys.
+            EstimatorConstants cand = fitted;
+            double best = fitScore(cells, cand);
+            for (const double pre : kPrefactors)
+                for (const double ce : kChipsExp)
+                    for (const double se : kSizeExp)
+                        for (const double boost : kBoosts)
+                            for (const double mp : kMixPenalties) {
+                                cand.chipConcurrency[s] = pre;
+                                cand.chipsExponent[s] = ce;
+                                cand.sizeExponent[s] = se;
+                                cand.coverageBoost[s] = boost;
+                                cand.mixPenalty[s] = mp;
+                                const double score =
+                                    fitScore(cells, cand);
+                                if (score < best) {
+                                    best = score;
+                                    fitted.chipConcurrency[s] = pre;
+                                    fitted.chipsExponent[s] = ce;
+                                    fitted.sizeExponent[s] = se;
+                                    fitted.coverageBoost[s] = boost;
+                                    fitted.mixPenalty[s] = mp;
+                                }
+                            }
+            cand = fitted;
+            for (const double value : kWeights) {
+                cand.queueWeight[s] = value;
+                const double score = fitScore(cells, cand);
+                if (score < best) {
+                    best = score;
+                    fitted.queueWeight[s] = value;
+                }
+            }
+            std::printf("fit %-4s: pre %.3f chips^%.2f size^%.2f "
+                        "boost %.2f mix^%.2f queueWeight %.2f "
+                        "(score %.3f over %zu cells)\n",
+                        schedulerKindName(
+                            static_cast<SchedulerKind>(s)),
+                        fitted.chipConcurrency[s],
+                        fitted.chipsExponent[s],
+                        fitted.sizeExponent[s],
+                        fitted.coverageBoost[s], fitted.mixPenalty[s],
+                        fitted.queueWeight[s], best, cells.size());
+        }
+    }
+
+    std::vector<const Anchor *> gc_cells;
+    for (const auto &a : anchors)
+        if (a.job->preconditionGc)
+            gc_cells.push_back(&a);
+    if (!gc_cells.empty()) {
+        double best = -1.0;
+        EstimatorConstants cand = fitted;
+        for (const double scale : {0.0, 0.01, 0.02, 0.035, 0.05,
+                                   0.075, 0.1, 0.15, 0.2, 0.35, 0.5,
+                                   0.75, 1.0, 1.5}) {
+            cand.gcWriteAmpScale = scale;
+            const double score = fitScore(gc_cells, cand);
+            if (best < 0.0 || score < best) {
+                best = score;
+                fitted.gcWriteAmpScale = scale;
+            }
+        }
+        std::printf("fit GC  : gcWriteAmpScale %.2f (score %.3f over "
+                    "%zu cells)\n",
+                    fitted.gcWriteAmpScale, best, gc_cells.size());
+    }
+
+    std::printf("\nready to paste into "
+                "EstimatorConstants::calibrated():\n");
+    const auto printArray = [](const char *name,
+                               const std::array<double, 5> &v) {
+        std::printf("        c.%s = {%.3f, %.3f, %.3f, %.3f, "
+                    "%.3f};\n",
+                    name, v[0], v[1], v[2], v[3], v[4]);
+    };
+    printArray("chipConcurrency", fitted.chipConcurrency);
+    printArray("chipsExponent", fitted.chipsExponent);
+    printArray("sizeExponent", fitted.sizeExponent);
+    printArray("coverageBoost", fitted.coverageBoost);
+    printArray("mixPenalty", fitted.mixPenalty);
+    std::printf("        c.busEfficiency = %.2f;\n",
+                fitted.busEfficiency);
+    std::printf("        c.gcWriteAmpScale = %.2f;\n",
+                fitted.gcWriteAmpScale);
+    printArray("queueWeight", fitted.queueWeight);
+    return fitted;
+}
+
+/** Set by calibration's --fit. */
+bool fitRequested = false;
+
+/**
+ * Calibration of the analytic fast-mode estimator. Runs the sample of
+ * every row that has one (Sample: fig01, fig06, fig10-19, twelve in
+ * total) with a two-fidelity axis, so each cell is evaluated once by
+ * the event-accurate engine and once by sim/estimator.hh through the
+ * exact same SweepRunner dispatch path. The per-metric relative
+ * errors (bandwidth, IOPS, mean and p99 latency) are tabulated per
+ * exhibit and pooled; the pooled bandwidth median is the headline
+ * calibration number committed to bench/README.md. --csv writes the
+ * error table, --filter keeps the exhibits whose name holds it
+ * ("--filter fig15").
+ *
+ * --fit additionally grid-searches the per-scheduler estimator
+ * constants (effective chip concurrency, bus efficiency, queueing
+ * weight) against the exact anchor cells, then the GC
+ * write-amplification scale against the fig17 -GC cells, prints a
+ * ready-to-paste EstimatorConstants::calibrated() body and the error
+ * table the fitted constants would produce.
+ *
+ * Exit status is 1 when the pooled bandwidth median error exceeds 75%
+ * — a gross-breakage tripwire, far above the committed calibration
+ * bound (bench/README.md); a tighter wholesale-rot guard lives in
+ * tests/sim/estimator_test.cc.
+ */
+int
+calibration(const bench::BenchCli &cli, const std::vector<Exhibit> &all)
+{
+    auto lower = [](std::string s) {
+        for (char &c : s)
+            c = static_cast<char>(std::tolower(
+                static_cast<unsigned char>(c)));
+        return s;
+    };
+    const std::string needle = lower(cli.filter);
+
+    std::vector<std::pair<const char *,
+                          std::unique_ptr<SweepRunner>>>
+        runs;
+    for (const Exhibit &ex : all) {
+        if (ex.sample.grid == nullptr ||
+            lower(ex.name).find(needle) == std::string::npos)
+            continue;
+        bench::Grid grid =
+            bench::sampleGrid(ex.name, ex.sample.grid(), ex.sample.keep);
+        grid.axes.fidelities = {Fidelity::Exact, Fidelity::Fast};
+        runs.emplace_back(ex.name, std::make_unique<SweepRunner>(
+                                       std::move(grid.axes), grid.build));
+    }
+    if (runs.empty())
+        fatal("--filter " + cli.filter + " matches no exhibit");
+
+    std::size_t total = 0;
+    for (const auto &[name, sweep] : runs)
+        total += sweep->cellCount();
+    std::printf("%zu exhibits, %zu cells (half exact, half fast)\n",
+                runs.size(), total);
+
+    for (auto &[name, sweep] : runs) {
+        std::printf("running %s (%zu cells)...\n", name,
+                    sweep->cellCount());
+        std::fflush(stdout);
+        // The error table, not the sweep, goes to --csv.
+        bench::runSweep(*sweep, cli, "");
+    }
+
+    // Pair every fast cell with its exact twin. The fidelity axis is
+    // innermost and ordered {Exact, Fast}, so the twins are adjacent
+    // in expansion order.
+    std::vector<Anchor> anchors;
+    for (const auto &[name, sweep] : runs) {
+        for (const auto &p : sweep->points()) {
+            if (p.fidelity != Fidelity::Fast)
+                continue;
+            Anchor a;
+            a.exhibit = name;
+            a.job = &sweep->array().jobs()[p.index];
+            a.exact = &sweep->array().results()[p.index - 1];
+            a.fast = &sweep->array().results()[p.index];
+            anchors.push_back(std::move(a));
+        }
+    }
+
+    const auto dualRun = [](const Anchor &a) { return *a.fast; };
+    std::printf("\nfast-vs-exact relative error (current "
+                "constants)\n");
+    printErrorTable(anchors, dualRun,
+                    fitRequested ? std::string() : cli.csv);
+
+    if (fitRequested) {
+        std::printf("\nfitting estimator constants against %zu exact "
+                    "anchor cells...\n",
+                    anchors.size());
+        const EstimatorConstants fitted = fitConstants(anchors);
+        const auto refit = [&fitted](const Anchor &a) {
+            return estimateDevice(*a.job, fitted);
+        };
+        std::printf("\nfast-vs-exact relative error (fitted "
+                    "constants)\n");
+        printErrorTable(anchors, refit, cli.csv);
+        return 0;
+    }
+
+    // Gross-breakage tripwire only; the committed bound lives in
+    // bench/README.md, the wholesale-rot guard in
+    // tests/sim/estimator_test.cc.
+    const double bw_med = pooledBwMedian(anchors, dualRun);
+    if (bw_med > 0.75) {
+        std::printf("FAIL: pooled bandwidth median error %.1f%% "
+                    "exceeds the 75%% tripwire\n",
+                    100.0 * bw_med);
+        return 1;
+    }
+    return 0;
+}
 
 std::vector<Exhibit>
 exhibits()
 {
+    using bench::bytesBudget;
     return {
         {.name = "table1", .title = "Table 1",
          .what = "trace characteristics",
@@ -868,87 +1405,160 @@ exhibits()
          .omit = {"--threads", "--fidelity", "--cache"}},
         {.name = "fig01", .title = "Figure 1",
          .what = "bandwidth / utilization / idleness vs dies",
-         .grid = [] { return bench::fig01Grid(); }, .report = fig01Report,
+         .grid = [] { return bench::fig01Grid(); },
+         .sample = {[] { return bench::fig01Grid(bytesBudget(6ull << 20)); },
+                    {.traces = {"4", "64"}, .variants = {"16", "64", "256"}}},
+         .report = fig01Report,
          .note = "bandwidth per curve saturates as dies grow while "
                  "utilization falls and idleness rises (paper Fig. 1a/1b)"},
         {.name = "fig06", .title = "Figure 6",
          .what = "flash-level utilization: VAS vs PAS vs potential",
-         .grid = [] { return bench::fig06Grid(); }, .report = fig06Report,
+         .grid = [] { return bench::fig06Grid(); },
+         .sample = {[] { return bench::fig06Grid(600); },
+                    {.traces = {"cfs0", "hm0", "msnfs1", "msnfs3", "proj0",
+                                "proj3"}}},
+         .report = fig06Report,
          .note = "paper: 17% (VAS), 24% (PAS), >40% potential; our means "
                  "should preserve VAS < PAS << potential with ~2-3x "
                  "headroom"},
         {.name = "fig10", .title = "Figure 10",
          .what = "bandwidth / IOPS / latency / stall",
-         .grid = [] { return bench::fig10Grid(); }, .report = fig10Report,
+         .grid = [] { return bench::fig10Grid(); },
+         .sample = {[] { return bench::fig10Grid(600); },
+                    {.traces = {"cfs1", "hm1", "msnfs0", "proj4"}}},
+         .report = fig10Report,
          .note = "paper: SPK3 >= 2.2x VAS and >= 1.8x PAS bandwidth, "
                  "59-92% latency reduction vs VAS, ~86% less queue stall"},
         {.name = "fig11", .title = "Figure 11",
          .what = "inter- and intra-chip idleness",
-         .grid = [] { return bench::fig11Grid(); }, .report = fig11Report,
+         .grid = [] { return bench::fig11Grid(); },
+         .sample = {[] { return bench::fig11Grid(600); },
+                    {.traces = {"cfs3", "msnfs2", "proj1"}}},
+         .report = fig11Report,
          .note = "paper: SPK2/SPK3 cut inter-chip idleness most (~46% vs "
                  "VAS); SPK1 cuts intra-chip idleness most, SPK3 close "
                  "behind"},
         {.name = "fig12", .title = "Figure 12",
          .what = "latency time series, msnfs1",
-         .grid = [] { return bench::fig12Grid(); }, .report = fig12Report,
+         .grid = [] { return bench::fig12Grid(); },
+         .sample = {[] { return bench::fig12Grid(1000); }},
+         .report = fig12Report,
          .note = "paper: PAS smoother/lower than VAS; SPK3 ~80% below VAS "
                  "and ~64% below PAS on this trace",
          .ioSeries = true},
         {.name = "fig13", .title = "Figure 13",
          .what = "execution time breakdown",
-         .grid = [] { return bench::fig13Grid(); }, .report = fig13Report,
+         .grid = [] { return bench::fig13Grid(); },
+         .sample = {[] { return bench::fig13Grid(600); },
+                    {.traces = {"cfs2", "hm0", "proj2"}}},
+         .report = fig13Report,
          .note = "paper: SPK3 raises the memory-operation share and cuts "
                  "system idle by ~40% vs PAS; bus contention grows "
                  "slightly in read-heavy workloads"},
         {.name = "fig14", .title = "Figure 14",
          .what = "FLP breakdown per scheduler",
-         .grid = [] { return bench::fig14Grid(); }, .report = fig14Report,
+         .grid = [] { return bench::fig14Grid(); },
+         .sample = {[] { return bench::fig14Grid(600); },
+                    {.traces = {"cfs4", "msnfs1"}}},
+         .report = fig14Report,
          .note = "paper: PAS shows no PAL3; SPK1 maximizes FLP; SPK3 "
                  "balances (lower than SPK1, far above PAS/SPK2)"},
         {.name = "fig15", .title = "Figure 15",
          .what = "chip utilization sweep",
-         .grid = [] { return bench::fig15Grid(); }, .report = fig15Report,
+         .grid = [] { return bench::fig15Grid(); },
+         .sample = {[] { return bench::fig15Grid(bytesBudget(2ull << 20)); },
+                    {.traces = {"4", "64", "1024"}, .variants = {"64", "256"}}},
+         .report = fig15Report,
          .note = "paper: SPK3 sustains 71/61/45% at 64/256/1024 chips vs "
                  "VAS 37/21/14%; SPK1 helps only at large transfers, SPK2 "
                  "only at small ones"},
         {.name = "fig16", .title = "Figure 16",
          .what = "flash transaction counts",
-         .grid = [] { return bench::fig16Grid(); }, .report = fig16Report,
+         .grid = [] { return bench::fig16Grid(); },
+         .sample = {[] { return bench::fig16Grid(bytesBudget(2ull << 20)); },
+                    {.traces = {"4", "64", "1024"}, .variants = {"64"}}},
+         .report = fig16Report,
          .note = "paper: SPK3 cuts ~50.2% of transactions vs VAS; SPK2 "
                  "alone barely reduces them (and less so at 1024 chips)"},
         {.name = "fig17", .title = "Figure 17",
          .what = "GC impact on bandwidth",
-         .grid = [] { return bench::fig17Grid(); }, .report = fig17Report,
+         .grid = [] { return bench::fig17Grid(); },
+         .sample = {[] { return bench::fig17Grid(bytesBudget(2ull << 20)); },
+                    {.traces = {"4", "64"}, .variants = {"64", "64-GC"}}},
+         .report = fig17Report,
          .note = "paper: GC degrades everyone; SPK3-GC loses 33-78% vs "
                  "pristine SPK3 but stays above VAS-GC/PAS-GC thanks to "
                  "the readdressing callback"},
+        // The estimator reads neither the arbiter nor a stream's
+        // iodepth or weight, nor any fault or parity setting, so fig18
+        // and fig19 take no --fidelity; calibration still samples both.
         {.name = "fig18", .title = "Figure 18",
          .what = "multi-stream throughput / latency / fairness",
-         .grid = bench::fig18Grid, .report = fig18Report,
+         .grid = bench::fig18Grid,
+         .sample = {bench::fig18Grid,
+                    {.schedulers = {SchedulerKind::VAS, SchedulerKind::PAS,
+                                    SchedulerKind::SPK3},
+                     .arbiters = {ArbiterKind::RoundRobin,
+                                  ArbiterKind::WeightedRoundRobin}}},
+         .report = fig18Report,
          .note = "expected: WRR tracks the 1:4:2:2 weight shares (highest "
                  "fairness), PRIO ignores weights for class order (lowest "
                  "fairness, best oltp latency), RR sits between",
-         .preface = fig18Preface, .streamCsv = true},
+         .preface = fig18Preface, .streamCsv = true,
+         .omit = {"--fidelity"}},
+        // Its sample keeps the fault-free, unprotected cells: fault
+        // injection is out of the estimator's scope.
         {.name = "fig19", .title = "Reliability",
          .what = "scheduling under fault injection",
-         .grid = [] { return bench::fig19Grid(); }, .report = fig19Report,
+         .grid = [] { return bench::fig19Grid(); },
+         .sample = {[] { return bench::fig19Grid(1200); },
+                    {.variants = {"parity=off"}, .faults = {0.0}}},
+         .report = fig19Report,
          .note = "expected: counters rise monotonically with the injected "
                  "rate; p99 degrades gracefully (retry ladder + soft "
                  "decode), never panics; parity=on converts failed I/Os "
                  "into reconstructed reads at a parity-update cost; "
                  "parity=rebuild ends with zero degraded dies and zero "
-                 "failed I/Os from the dead die"},
+                 "failed I/Os from the dead die",
+         .omit = {"--fidelity"}},
+        {.name = "ablation-faro", .title = "Ablation",
+         .what = "FARO over-commitment window (SPK3, 64 chips)",
+         .grid = bench::faroWindowGrid, .report = faroWindowReport,
+         .note = "expected: window=1 degenerates SPK3 toward SPK2"},
+        {.name = "ablation-decision", .title = "Ablation",
+         .what = "transaction decision window (SPK3, 64 chips)",
+         .grid = bench::decisionWindowGrid, .report = decisionWindowReport},
+        {.name = "ablation-depth", .title = "Ablation",
+         .what = "device-level queue depth (64 chips)",
+         .grid = bench::queueDepthGrid, .report = queueDepthReport,
+         .note = "expected: deeper queues widen the SPK3/VAS gap"},
+        {.name = "ablation-alloc", .title = "Ablation",
+         .what = "page allocation policy x scheduler (64 chips)",
+         .grid = bench::allocationGrid, .report = allocationReport,
+         .note = "expected: plane-first allocation boosts "
+                 "coalescing-capable schedulers (PAS/SPK1/SPK3) by packing "
+                 "consecutive pages into one chip's planes, while VAS -- "
+                 "one outstanding request per chip -- collapses"},
+        {.name = "calibration", .title = "Calibration",
+         .what = "fast-mode estimator vs exact engine",
+         .table = calibration,
+         .options = {{.flag = "--fit",
+                      .help = "grid-search the estimator constants "
+                              "against the exact cells and print them",
+                      .target = &fitRequested}},
+         // Every cell runs at both fidelities.
+         .omit = {"--fidelity"}},
     };
 }
 
-/** The usage line and every exhibit's name and header. */
+/** The usage line and every row's name and header. */
 void
 printUsage(std::FILE *out, const char *prog, const std::vector<Exhibit> &all)
 {
-    std::fprintf(out, "usage: %s NAME [options]\nruns the exhibit NAME, "
-                      "one of:\n", prog);
+    std::fprintf(out, "usage: %s NAME [options]\nruns NAME, one of:\n",
+                 prog);
     for (const Exhibit &ex : all)
-        std::fprintf(out, "  %-8s%s: %s\n", ex.name, ex.title, ex.what);
+        std::fprintf(out, "  %-18s%s: %s\n", ex.name, ex.title, ex.what);
     std::fprintf(out, "`%s NAME --help` lists NAME's options\n", prog);
 }
 
@@ -979,12 +1589,12 @@ main(int argc, char **argv)
     std::string prog = std::string(argv[0]) + " " + name;
     argv[1] = prog.data();
     const bench::BenchCli cli =
-        bench::parseCli(argc - 1, argv + 1, {}, ex->omit);
+        bench::parseCli(argc - 1, argv + 1, ex->options, ex->omit);
     bench::printHeader(ex->title, ex->what);
     if (ex->table != nullptr) {
-        ex->table(cli);
+        const int status = ex->table(cli, all);
         bench::printShapeNote(ex->note);
-        return 0;
+        return status;
     }
 
     bench::Grid grid = ex->grid();

@@ -89,11 +89,12 @@ printHeader(const std::string &exhibit, const std::string &what)
     std::printf("\n=== %s: %s ===\n", exhibit.c_str(), what.c_str());
 }
 
-/** Print the paper-vs-measured shape note. */
+/** Print the paper-vs-measured shape note, if there is one. */
 inline void
 printShapeNote(const std::string &note)
 {
-    std::printf("--- paper-shape check: %s\n", note.c_str());
+    if (!note.empty())
+        std::printf("--- paper-shape check: %s\n", note.c_str());
 }
 
 } // namespace bench

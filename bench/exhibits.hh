@@ -1,9 +1,10 @@
 /**
  * @file
  * The grid of every exhibit that simulates devices (Figures 1, 6 and
- * 10-19), declared once: its axes and the job each cell runs.
- * bench_exhibit runs a grid whole (exhibitSweep); bench_calibration
- * runs a sample of each (sampleGrid) at both fidelities.
+ * 10-19) and of the four design-choice ablations, declared once: its
+ * axes and the job each cell runs. bench_exhibit runs a grid whole
+ * (exhibitSweep); its calibration row runs a sample of each exhibit
+ * (sampleGrid) at both fidelities.
  *
  * A grid function's one parameter is its I/O rule, how many I/Os a
  * cell replays, and it defaults to the exhibit's own: a count for the
@@ -428,6 +429,96 @@ fig19Grid(std::uint64_t ios = 3000)
                 job.trace = trace;
                 return job;
             }};
+}
+
+// ------------------------------------------------ design-choice ablations
+
+/**
+ * An ablation grid: @p kinds on the evaluation device, one variant
+ * per value of the swept setting, which @p apply writes into a cell's
+ * config. Every cell replays one trace at @p seed: 1500 I/Os, 60%
+ * reads of 16 or 64 KB, 16 KB writes, over half the logical capacity.
+ * The trace depends on the config only through the geometry, which no
+ * variant overrides, so it is generated once.
+ */
+inline Grid
+ablationGrid(std::vector<SchedulerKind> kinds, std::uint64_t seed,
+             std::vector<std::string> values,
+             void (*apply)(SsdConfig &cfg, const std::string &value))
+{
+    SweepAxes axes;
+    axes.schedulers = std::move(kinds);
+    axes.seeds = {seed};
+    axes.variants = std::move(values);
+
+    SyntheticConfig wl;
+    wl.numIos = 1500;
+    wl.readFraction = 0.6;
+    wl.readSizes = {{16384, 0.6}, {65536, 0.4}};
+    wl.writeSizes = {{16384, 1.0}};
+    wl.locality = 0.6;
+    wl.spanBytes = spanFor(evalConfig(SchedulerKind::VAS), 0.5);
+    wl.meanInterarrival = 10 * kMicrosecond;
+    wl.seed = seed;
+    return {std::move(axes),
+            [trace = TraceRef(generateSynthetic(wl)),
+             apply](const SweepPoint &p) {
+                DeviceJob job;
+                job.cfg = evalConfig(p.scheduler);
+                apply(job.cfg, p.variant);
+                job.trace = trace;
+                return job;
+            }};
+}
+
+/** FARO over-commitment window: 1 (no over-commit) .. 16, SPK3. */
+inline Grid
+faroWindowGrid()
+{
+    return ablationGrid({SchedulerKind::SPK3}, 71,
+                        {"1", "2", "4", "8", "12", "16"},
+                        [](SsdConfig &cfg, const std::string &v) {
+                            cfg.faroWindow =
+                                static_cast<std::uint32_t>(std::stoul(v));
+                        });
+}
+
+/** Flash-controller transaction decision window: 0 .. 10 us, SPK3. */
+inline Grid
+decisionWindowGrid()
+{
+    return ablationGrid({SchedulerKind::SPK3}, 72,
+                        {"0", "1", "3", "5", "10"}, // microseconds
+                        [](SsdConfig &cfg, const std::string &v) {
+                            cfg.decisionWindow =
+                                std::stoull(v) * kMicrosecond;
+                        });
+}
+
+/** Device-level queue depth: 8 .. 128, VAS and SPK3. */
+inline Grid
+queueDepthGrid()
+{
+    return ablationGrid({SchedulerKind::VAS, SchedulerKind::SPK3}, 73,
+                        {"8", "16", "32", "64", "128"},
+                        [](SsdConfig &cfg, const std::string &v) {
+                            cfg.nvmhc.queueDepth =
+                                static_cast<std::uint32_t>(std::stoul(v));
+                        });
+}
+
+/** Page allocation policy under every scheduler. */
+inline Grid
+allocationGrid()
+{
+    return ablationGrid(allSchedulers(), 74,
+                        {"channel-stripe", "plane-first"},
+                        [](SsdConfig &cfg, const std::string &v) {
+                            cfg.ftl.allocation =
+                                v == "plane-first"
+                                    ? AllocationPolicy::PlaneFirst
+                                    : AllocationPolicy::ChannelStripe;
+                        });
 }
 
 } // namespace bench

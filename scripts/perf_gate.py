@@ -36,10 +36,6 @@ Three classes of checks:
 --update rewrites (or adds) this machine's fingerprint entry in the
 baseline from the current run after the checks pass (used when
 intentionally re-pinning after a perf-affecting PR).
-
-Legacy baselines (a top-level "benchmarks" list with no fingerprint
-map) are still accepted and compared warn-only, since nothing records
-which machine produced them; --update migrates to the keyed format.
 """
 
 import argparse
@@ -105,16 +101,13 @@ def load_baseline(path, fp):
     """
     with open(path) as f:
         blob = json.load(f)
-    if "fingerprints" in blob:
-        entry = blob["fingerprints"].get(fp)
-        if entry is not None:
-            return by_name(entry["benchmarks"]), True, fp, blob
-        for name in sorted(blob["fingerprints"]):
-            entry = blob["fingerprints"][name]
-            return by_name(entry["benchmarks"]), False, name, blob
-        return {}, False, None, blob
-    # Legacy flat format: usable, but machine unknown -> never matched.
-    return by_name(blob.get("benchmarks", [])), False, "legacy", blob
+    entry = blob["fingerprints"].get(fp)
+    if entry is not None:
+        return by_name(entry["benchmarks"]), True, fp, blob
+    for name in sorted(blob["fingerprints"]):
+        entry = blob["fingerprints"][name]
+        return by_name(entry["benchmarks"]), False, name, blob
+    return {}, False, None, blob
 
 
 def main():
@@ -137,9 +130,7 @@ def main():
     # A provisional entry was synthesized (e.g. derated numbers for a
     # CI runner class nobody has measured yet): its rates gate real
     # runs, so make sure nobody mistakes them for measurements.
-    note = None
-    if ref_name and "fingerprints" in blob:
-        note = blob["fingerprints"].get(ref_name, {}).get("note")
+    note = blob["fingerprints"][ref_name].get("note") if ref_name else None
     if note:
         banner = "!" * 66
         print(banner)
@@ -208,8 +199,6 @@ def main():
     if args.update:
         with open(args.current) as f:
             run = json.load(f)
-        if "fingerprints" not in blob:
-            blob = {"fingerprints": {}}
         blob["fingerprints"][fp] = {"benchmarks": run["benchmarks"]}
         with open(args.update, "w") as f:
             json.dump(blob, f, indent=2)

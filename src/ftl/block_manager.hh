@@ -31,7 +31,7 @@ enum class BlockState : std::uint8_t { Free, Active, Full, Bad };
  * write frontier rotates over planes. The paper notes that such
  * schemes are fixed at SSD design time [16, 36, 13]; both classic
  * orders are provided so their interaction with each scheduler can be
- * measured (see bench_ablation_allocation).
+ * measured (see `bench_exhibit ablation-alloc`).
  */
 enum class AllocationPolicy : std::uint8_t
 {

@@ -35,8 +35,6 @@ namespace spk
 class PasScheduler : public IoScheduler
 {
   public:
-    const char *name() const override { return "PAS"; }
-
     MemoryRequest *next(SchedulerContext &ctx) override;
 
     void prepare(std::uint32_t num_chips,

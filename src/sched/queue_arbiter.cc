@@ -16,8 +16,6 @@ namespace
 class RoundRobinArbiter final : public QueueArbiter
 {
   public:
-    const char *name() const override { return "RR"; }
-
     std::uint32_t
     pick(const std::vector<StreamState> &streams) override
     {
@@ -45,8 +43,6 @@ class RoundRobinArbiter final : public QueueArbiter
 class WeightedRoundRobinArbiter final : public QueueArbiter
 {
   public:
-    const char *name() const override { return "WRR"; }
-
     std::uint32_t
     pick(const std::vector<StreamState> &streams) override
     {
@@ -99,8 +95,6 @@ class WeightedRoundRobinArbiter final : public QueueArbiter
 class StrictPriorityArbiter final : public QueueArbiter
 {
   public:
-    const char *name() const override { return "PRIO"; }
-
     std::uint32_t
     pick(const std::vector<StreamState> &streams) override
     {

@@ -52,9 +52,6 @@ class QueueArbiter
 
     virtual ~QueueArbiter() = default;
 
-    /** Short policy name used in reports ("RR", "WRR", "PRIO"). */
-    virtual const char *name() const = 0;
-
     /** One-time warm start: @p num_streams submission queues exist. */
     virtual void prepare(std::uint32_t num_streams)
     {

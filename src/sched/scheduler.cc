@@ -35,16 +35,12 @@ parseSchedulerKind(const std::string &name)
     std::string upper(name);
     std::transform(upper.begin(), upper.end(), upper.begin(),
                    [](unsigned char c) { return std::toupper(c); });
-    if (upper == "VAS")
-        return SchedulerKind::VAS;
-    if (upper == "PAS")
-        return SchedulerKind::PAS;
-    if (upper == "SPK1")
-        return SchedulerKind::SPK1;
-    if (upper == "SPK2")
-        return SchedulerKind::SPK2;
-    if (upper == "SPK3")
-        return SchedulerKind::SPK3;
+    // SPK3 is the last kind.
+    for (int k = 0; k <= static_cast<int>(SchedulerKind::SPK3); ++k) {
+        const auto kind = static_cast<SchedulerKind>(k);
+        if (upper == schedulerKindName(kind))
+            return kind;
+    }
     fatal("unknown scheduler name: " + name);
 }
 

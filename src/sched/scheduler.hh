@@ -105,9 +105,6 @@ class IoScheduler
   public:
     virtual ~IoScheduler() = default;
 
-    /** Short name used in reports ("VAS", "SPK3", ...). */
-    virtual const char *name() const = 0;
-
     /** Pick the next memory request to compose, or nullptr. */
     virtual MemoryRequest *next(SchedulerContext &ctx) = 0;
 

@@ -40,14 +40,6 @@ SprinklerScheduler::SprinklerScheduler(bool rios, bool faro,
         fatal("SprinklerScheduler: enable at least one of RIOS/FARO");
 }
 
-const char *
-SprinklerScheduler::name() const
-{
-    if (rios_ && faro_)
-        return "SPK3";
-    return rios_ ? "SPK2" : "SPK1";
-}
-
 void
 SprinklerScheduler::prepare(std::uint32_t num_chips,
                             std::uint32_t queue_depth)

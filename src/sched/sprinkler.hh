@@ -63,8 +63,6 @@ class SprinklerScheduler : public IoScheduler
      */
     SprinklerScheduler(bool rios, bool faro, std::uint32_t window);
 
-    const char *name() const override;
-
     MemoryRequest *next(SchedulerContext &ctx) override;
 
     void prepare(std::uint32_t num_chips,

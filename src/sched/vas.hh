@@ -22,8 +22,6 @@ namespace spk
 class VasScheduler : public IoScheduler
 {
   public:
-    const char *name() const override { return "VAS"; }
-
     MemoryRequest *next(SchedulerContext &ctx) override;
 };
 

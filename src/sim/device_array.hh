@@ -37,9 +37,9 @@ class CellCache;
  * Exact runs the event-accurate engine; Fast skips the event loop and
  * evaluates the closed-form/fluid estimator (sim/estimator.hh) on the
  * same inputs. Fast cells are ~100-1000x cheaper and calibrated
- * against Exact (see bench_calibration), but approximate: headline
- * throughput tracks within the documented tolerance, reliability
- * counters stay zero and no per-I/O series is produced.
+ * against Exact (see bench_exhibit calibration), but approximate:
+ * headline throughput tracks within the documented tolerance,
+ * reliability counters stay zero and no per-I/O series is produced.
  */
 enum class Fidelity : std::uint8_t
 {

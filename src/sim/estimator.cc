@@ -81,8 +81,8 @@ flattenWorkload(const DeviceJob &job, std::uint32_t page_size)
 const EstimatorConstants &
 EstimatorConstants::calibrated()
 {
-    // Fit by `bench_calibration --fit` against exact anchor cells
-    // (see bench/README.md for the procedure and the resulting
+    // Fit by `bench_exhibit calibration --fit` against exact anchor
+    // cells (see bench/README.md for the procedure and the resulting
     // fast-vs-exact error table). SchedulerKind order: VAS, PAS,
     // SPK1, SPK2, SPK3.
     static const EstimatorConstants k = [] {

@@ -30,10 +30,10 @@
  *    exact engine uses, applied to the estimated per-record series.
  *
  * The per-scheduler constants are calibrated against exact anchor
- * runs by `bench_calibration --fit`; the committed defaults and the
- * full fast-vs-exact error table live in bench/README.md. Fast cells
- * do not model fault injection or parity (those counters stay zero)
- * and produce no per-I/O series.
+ * runs by `bench_exhibit calibration --fit`; the committed defaults
+ * and the full fast-vs-exact error table live in bench/README.md.
+ * Fast cells do not model fault injection or parity (those counters
+ * stay zero) and produce no per-I/O series.
  */
 
 #ifndef SPK_SIM_ESTIMATOR_HH
@@ -112,7 +112,7 @@ struct EstimatorConstants
     std::array<double, 5> queueWeight{};
 
     /** Constants fit from the exact anchor runs (see
-     *  bench_calibration --fit and bench/README.md). */
+     *  bench_exhibit calibration --fit and bench/README.md). */
     static const EstimatorConstants &calibrated();
 };
 

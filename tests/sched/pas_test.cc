@@ -124,7 +124,8 @@ TEST(Pas, HazardInsideIoFallsThroughToNextIo)
 TEST(Pas, NameIsPas)
 {
     PasScheduler pas;
-    EXPECT_STREQ(pas.name(), "PAS");
+    EXPECT_STREQ(schedulerKindName(SchedulerKind::PAS), "PAS");
+    EXPECT_EQ(parseSchedulerKind("Pas"), SchedulerKind::PAS);
     EXPECT_FALSE(pas.wantsReaddressing());
 }
 

@@ -28,14 +28,11 @@ states(std::initializer_list<StreamState> init)
     return std::vector<StreamState>(init);
 }
 
-TEST(QueueArbiter, NamesRoundTrip)
+TEST(QueueArbiter, KindNames)
 {
-    for (const auto kind :
-         {ArbiterKind::RoundRobin, ArbiterKind::WeightedRoundRobin,
-          ArbiterKind::StrictPriority}) {
-        EXPECT_STREQ(makeArbiter(kind)->name(),
-                     arbiterKindName(kind));
-    }
+    EXPECT_STREQ(arbiterKindName(ArbiterKind::RoundRobin), "RR");
+    EXPECT_STREQ(arbiterKindName(ArbiterKind::WeightedRoundRobin), "WRR");
+    EXPECT_STREQ(arbiterKindName(ArbiterKind::StrictPriority), "PRIO");
 }
 
 TEST(QueueArbiter, RoundRobinCyclesOverBackloggedStreams)

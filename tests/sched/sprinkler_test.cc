@@ -30,9 +30,10 @@ TEST(Sprinkler, NamesAndFlags)
     SprinklerScheduler spk1(false, true, 8);
     SprinklerScheduler spk2(true, false, 8);
     SprinklerScheduler spk3(true, true, 8);
-    EXPECT_STREQ(spk1.name(), "SPK1");
-    EXPECT_STREQ(spk2.name(), "SPK2");
-    EXPECT_STREQ(spk3.name(), "SPK3");
+    for (const auto kind :
+         {SchedulerKind::SPK1, SchedulerKind::SPK2, SchedulerKind::SPK3})
+        EXPECT_EQ(parseSchedulerKind(schedulerKindName(kind)), kind);
+    EXPECT_EQ(parseSchedulerKind("spk3"), SchedulerKind::SPK3);
     EXPECT_TRUE(spk3.wantsReaddressing());
     // The load row's limit: the FARO window, or one request without.
     EXPECT_EQ(spk1.loadLimit(), 8u);
@@ -129,15 +130,15 @@ TEST(Sprinkler, FaroChipCanHoldTwiceTheWindowLessOne)
             h.compose(r);
             ++taken;
         }
-        EXPECT_EQ(taken, kWindow) << spk.name();
-        EXPECT_EQ(kWindow - 1 + taken, 2 * kWindow - 1) << spk.name();
+        EXPECT_EQ(taken, kWindow) << "rios " << rios;
+        EXPECT_EQ(kWindow - 1 + taken, 2 * kWindow - 1) << "rios " << rios;
 
         SchedHarness full;
         SprinklerScheduler at_window(rios, true, kWindow);
         full.attach(at_window);
         full.addIo({0, 0, 0, 0});
         full.view.setLoad(0, kWindow);
-        EXPECT_EQ(at_window.next(full.ctx), nullptr) << spk.name();
+        EXPECT_EQ(at_window.next(full.ctx), nullptr) << "rios " << rios;
     }
 }
 
@@ -279,8 +280,6 @@ class LinearSprinkler : public IoScheduler
     LinearSprinkler(bool rios, bool faro, std::uint32_t window)
         : rios_(rios), faro_(faro), window_(window == 0 ? 1 : window)
     {}
-
-    const char *name() const override { return "linear"; }
 
     void
     prepare(std::uint32_t num_chips, std::uint32_t queue_depth) override
@@ -558,7 +557,6 @@ class Lockstep : public IoScheduler
   public:
     Lockstep(IoScheduler &a, IoScheduler &b) : a_(a), b_(b) {}
 
-    const char *name() const override { return a_.name(); }
     MemoryRequest *next(SchedulerContext &) override { return nullptr; }
     std::uint32_t loadLimit() const override { return a_.loadLimit(); }
 
@@ -664,7 +662,8 @@ TEST(Sprinkler, MatchesLinearScansOnRandomQueues)
         for (int step = 0; step < 300; ++step) {
             MemoryRequest *want = ref.next(h.ctx);
             ASSERT_EQ(spk.next(h.ctx), want)
-                << spk.name() << " window " << window << " seed " << seed
+                << "rios " << rios << " faro " << faro << " window "
+                << window << " seed " << seed
                 << " step " << step;
 
             switch (rng.nextBelow(10)) {

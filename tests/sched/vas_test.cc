@@ -86,7 +86,8 @@ TEST(Vas, HazardStallsPipeline)
 TEST(Vas, NameIsVas)
 {
     VasScheduler vas;
-    EXPECT_STREQ(vas.name(), "VAS");
+    EXPECT_STREQ(schedulerKindName(SchedulerKind::VAS), "VAS");
+    EXPECT_EQ(parseSchedulerKind("vas"), SchedulerKind::VAS);
     EXPECT_FALSE(vas.wantsReaddressing());
 }
 

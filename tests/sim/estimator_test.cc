@@ -8,7 +8,8 @@
  * an array never perturbs the exact cells, and on a pinned
  * mini-campaign the estimate tracks the exact engine's headline
  * bandwidth within a documented tolerance (the full 12-exhibit error
- * table lives in bench/README.md; bench_calibration enforces it).
+ * table lives in bench/README.md; `bench_exhibit calibration`
+ * regenerates it).
  */
 
 #include <gtest/gtest.h>
@@ -126,7 +127,7 @@ TEST(Estimator, TracksExactBandwidthOnPinnedMiniCampaign)
     // regime, so this test only guards against the calibration rotting
     // wholesale: each cell must be within 2x of the exact bandwidth,
     // and the mean absolute log-error below log(1.6). Tightening this
-    // requires re-running bench_calibration, not tweaking here.
+    // requires re-running bench_exhibit calibration, not tweaking here.
     double sum_abs_log_err = 0.0;
     int cells = 0;
     for (const auto kind : {SchedulerKind::VAS, SchedulerKind::SPK3}) {

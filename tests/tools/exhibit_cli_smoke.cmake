@@ -1,8 +1,9 @@
-# Exhibit-name smoke: bench_exhibit must exit 2 without an exhibit
-# name and with an unknown one, list each of the 13 exhibits exactly
-# once under --help (exit 0), and exit 2 when an exhibit is given a
-# shared option it does not take (Table 1 simulates nothing, so it
-# takes no --threads).
+# Exhibit-name smoke: bench_exhibit must exit 2 without a row name
+# and with an unknown one, list each of its 18 rows exactly once
+# under --help (exit 0), and exit 2 when a row is given a shared
+# option it does not take: Table 1 simulates nothing, so it takes no
+# --threads, and the estimator can show neither fig18's arbiters nor
+# fig19's faults, so they take no --fidelity.
 #
 #   cmake -DEXHIBIT=<bench_exhibit> -P exhibit_cli_smoke.cmake
 
@@ -28,11 +29,17 @@ expect_exit(2 table1 --threads 2)
 if(NOT err MATCHES "unknown option --threads")
   message(FATAL_ERROR "no error naming --threads:\n${err}")
 endif()
+expect_exit(2 fig18 --fidelity fast)
+expect_exit(2 fig19 --fidelity fast --filter parity=off)
+if(NOT err MATCHES "unknown option --fidelity")
+  message(FATAL_ERROR "no error naming --fidelity:\n${err}")
+endif()
 
 expect_exit(0 --help)
 message("${out}")
 foreach(name table1 fig01 fig06 fig10 fig11 fig12 fig13 fig14 fig15
-             fig16 fig17 fig18 fig19)
+             fig16 fig17 fig18 fig19 ablation-faro ablation-decision
+             ablation-depth ablation-alloc calibration)
   string(REGEX MATCHALL "(^|[^a-z0-9])${name}([^a-z0-9]|$)" hits
          "${out}")
   list(LENGTH hits count)
