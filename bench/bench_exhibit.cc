@@ -1277,6 +1277,9 @@ fitConstants(const std::vector<Anchor> &anchors)
 /** Set by calibration's --fit. */
 bool fitRequested = false;
 
+/** Set by calibration's --filter. */
+std::string exhibitFilter;
+
 /**
  * Calibration of the analytic fast-mode estimator. Runs the sample of
  * every row that has one (Sample: fig01, fig06, fig10-19, twelve in
@@ -1310,7 +1313,7 @@ calibration(const bench::BenchCli &cli, const std::vector<Exhibit> &all)
                 static_cast<unsigned char>(c)));
         return s;
     };
-    const std::string needle = lower(cli.filter);
+    const std::string needle = lower(exhibitFilter);
 
     std::vector<std::pair<const char *,
                           std::unique_ptr<SweepRunner>>>
@@ -1326,7 +1329,7 @@ calibration(const bench::BenchCli &cli, const std::vector<Exhibit> &all)
                                        std::move(grid.axes), grid.build));
     }
     if (runs.empty())
-        fatal("--filter " + cli.filter + " matches no exhibit");
+        fatal("--filter " + exhibitFilter + " matches no exhibit");
 
     std::size_t total = 0;
     for (const auto &[name, sweep] : runs)
@@ -1545,9 +1548,15 @@ exhibits()
          .options = {{.flag = "--fit",
                       .help = "grid-search the estimator constants "
                               "against the exact cells and print them",
-                      .target = &fitRequested}},
-         // Every cell runs at both fidelities.
-         .omit = {"--fidelity"}},
+                      .target = &fitRequested},
+                     {.flag = "--filter",
+                      .value = "SUBSTR",
+                      .help = "keep the exhibits whose name contains "
+                              "SUBSTR (case-insensitive)",
+                      .target = &exhibitFilter}},
+         // Every cell runs at both fidelities, and the filter picks
+         // exhibits, not axis values.
+         .omit = {"--filter", "--fidelity"}},
     };
 }
 

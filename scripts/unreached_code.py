@@ -10,7 +10,9 @@ nothing is inlined away. Then run
 
 LIBSPK is the libspk.a the programs linked. The script lists every
 function in namespace spk that LIBSPK defines out of line and that no
-PROGRAM keeps, and exits 1 if one of them is not on ALLOWED below.
+PROGRAM keeps, and exits 1 if one of them is not on ALLOWED below. It
+also exits 1, naming the entry, if an ALLOWED name is stale: it names
+no function that LIBSPK defines.
 
 Functions are matched on their mangled names, which start with _ZN3spk
 (or _ZNK3spk for const members). The demangled text is only printed: a
@@ -25,8 +27,6 @@ import sys
 
 # Functions tests use to check live code. No program calls them.
 ALLOWED = {
-    "spk::FlashController::tagOutstanding":
-        "tests check the occupancy bitmaps against the per-tag counts",
     "spk::TraceStore::totalRecords":
         "tests check that interning stores each trace once",
     "spk::EventQueue::nextEventTick":
@@ -60,8 +60,13 @@ def demangle(names):
     return out.splitlines()
 
 
+def names(entry, demangled):
+    """Whether ALLOWED entry @p entry names function @p demangled."""
+    return demangled.startswith(entry + "(")
+
+
 def allowed(demangled):
-    return any(demangled.startswith(name + "(") for name in ALLOWED)
+    return any(names(entry, demangled) for entry in ALLOWED)
 
 
 def main(argv):
@@ -84,11 +89,17 @@ def main(argv):
         else:
             print("unreached: " + demangled)
             failures += 1
+    everything = demangle(sorted(defined))
+    stale = [entry for entry in sorted(ALLOWED)
+             if not any(names(entry, d) for d in everything)]
+    for entry in stale:
+        print("stale:     %s is allowed, but %s defines no such function"
+              % (entry, library))
     print("%d of %d spk functions in %s are kept by none of %d "
-          "programs; %d not allowed" %
+          "programs; %d not allowed; %d stale allowlist entries" %
           (len(unreached), len(defined), library, len(programs),
-           failures))
-    return 1 if failures else 0
+           failures, len(stale)))
+    return 1 if failures or stale else 0
 
 
 if __name__ == "__main__":

@@ -1,29 +1,30 @@
 /**
  * @file
- * Device-wide chip occupancy bitmaps.
+ * Device-wide record of what holds each chip.
  *
- * The flash controllers count, per chip, the committed-but-unfinished
- * requests of every I/O tag. An out-of-order scheduler such as PAS
- * needs one bit of that per (chip, tag): would a request of this tag
- * queue behind another I/O's work on the chip? ChipOccupancy keeps
- * the answer for every chip at once, 64 chips per word:
+ * A committed request holds its chip under its I/O's tag slot
+ * (tagSlot(); slot 0 is GC and parity work) until it completes,
+ * through any read retries and soft decode: the flash controllers
+ * call hold() at commit and release() at completion. ChipOccupancy
+ * counts those holds per (chip, slot) and keeps these rows, one bit
+ * per chip, 64 chips per word:
  *
- *  - idle: the chip has no outstanding request;
- *  - ownedBy(slot): every outstanding request on the chip belongs to
- *    tag slot @c slot (tagSlot(); slot 0 is GC and parity work);
- *  - belowLimit: the chip's FlashController::outstanding() count
- *    (pending plus in-flight requests) is below loadLimit().
+ *  - idle: no request holds the chip;
+ *  - ownedBy(slot): every request holding the chip is of @c slot;
+ *  - belowLimit: the chip's load, its pending plus in-flight
+ *    requests as its controller reports them through setLoad(), is
+ *    below loadLimit().
  *
  * A chip is free for a request of tag T exactly when its bit is set in
  * idle | ownedBy(tagSlot(T)). Per chip it keeps the number of distinct
- * owning slots plus the XOR of their slot numbers: while there is one
+ * holding slots plus the XOR of their slot numbers: while there is one
  * owner, the XOR is that owner's slot.
  *
  * The load row is not derived from idle: a read held for a soft
- * decode keeps its tag's count (the chip is not idle) but has left
- * pending and in-flight (its outstanding() count is 0). Its limit is
- * the reading scheduler's IoScheduler::loadLimit(); 0, the default,
- * leaves the row empty.
+ * decode still holds its chip (the chip is not idle) but has left
+ * pending and in flight, so it adds no load. Its limit is the reading
+ * scheduler's IoScheduler::loadLimit(); 0, the default, leaves the
+ * row empty.
  */
 
 #ifndef SPK_CONTROLLER_CHIP_OCCUPANCY_HH
@@ -49,7 +50,8 @@ class ChipOccupancy
           numSlots_(num_slots),
           words_((num_chips + 63) / 64),
           bits_(std::size_t{words_} * (num_slots + 2), 0),
-          owners_(num_chips)
+          owners_(num_chips),
+          holds_(std::size_t{num_chips} * num_slots, 0)
     {
         for (std::uint32_t chip = 0; chip < num_chips; ++chip)
             setBit(kIdleRow, chip);
@@ -103,22 +105,55 @@ class ChipOccupancy
         }
     }
 
-    /** @p chip's outstanding() count is now @p outstanding. */
+    /** @p chip's load (pending plus in-flight requests) is now
+     *  @p load. */
     void
-    setLoad(std::uint32_t chip, std::uint32_t outstanding)
+    setLoad(std::uint32_t chip, std::uint32_t load)
     {
-        if (outstanding < loadLimit_)
+        if (load < loadLimit_)
             setBit(kLoadRow, chip);
         else
             clearBit(kLoadRow, chip);
     }
 
-    /** @p slot gained its first outstanding request on @p chip. */
+    /** A request of tag slot @p slot now holds @p chip. */
+    void
+    hold(std::uint32_t chip, std::size_t slot)
+    {
+        if (chip >= numChips_ || slot >= numSlots_)
+            panic("ChipOccupancy::hold out of range");
+        if (holds_[std::size_t{chip} * numSlots_ + slot]++ == 0)
+            addOwner(chip, slot);
+    }
+
+    /** A request of tag slot @p slot that held @p chip completed. */
+    void
+    release(std::uint32_t chip, std::size_t slot)
+    {
+        const std::size_t i = std::size_t{chip} * numSlots_ + slot;
+        if (chip >= numChips_ || slot >= numSlots_ || holds_[i] == 0)
+            panic("ChipOccupancy::release without a hold");
+        if (--holds_[i] == 0)
+            removeOwner(chip, slot);
+    }
+
+  private:
+    struct Owners
+    {
+        std::uint32_t count = 0;   //!< distinct slots holding the chip
+        std::uint32_t slotXor = 0; //!< XOR of those slots
+    };
+
+    static constexpr std::size_t kIdleRow = 0;
+    static constexpr std::size_t kLoadRow = 1;
+
+    /** Row of ownedBy(@p slot), after the idle and load rows. */
+    static std::size_t ownerRow(std::size_t slot) { return slot + 2; }
+
+    /** @p slot took its first hold on @p chip. */
     void
     addOwner(std::uint32_t chip, std::size_t slot)
     {
-        if (slot >= numSlots_ || chip >= numChips_)
-            panic("ChipOccupancy::addOwner out of range");
         Owners &o = owners_[chip];
         if (o.count == 0)
             clearBit(kIdleRow, chip);
@@ -130,13 +165,11 @@ class ChipOccupancy
             setBit(ownerRow(o.slotXor), chip);
     }
 
-    /** @p slot's last outstanding request on @p chip finished. */
+    /** @p slot's last hold on @p chip ended. */
     void
     removeOwner(std::uint32_t chip, std::size_t slot)
     {
         Owners &o = owners_[chip];
-        if (o.count == 0)
-            panic("ChipOccupancy::removeOwner on an idle chip");
         if (o.count == 1)
             clearBit(ownerRow(o.slotXor), chip);
         --o.count;
@@ -146,19 +179,6 @@ class ChipOccupancy
         else if (o.count == 1)
             setBit(ownerRow(o.slotXor), chip);
     }
-
-  private:
-    struct Owners
-    {
-        std::uint32_t count = 0;   //!< distinct slots with requests
-        std::uint32_t slotXor = 0; //!< XOR of those slots
-    };
-
-    static constexpr std::size_t kIdleRow = 0;
-    static constexpr std::size_t kLoadRow = 1;
-
-    /** Row of ownedBy(@p slot), after the idle and load rows. */
-    static std::size_t ownerRow(std::size_t slot) { return slot + 2; }
 
     bool
     testBit(std::size_t row, std::uint32_t chip) const
@@ -185,6 +205,8 @@ class ChipOccupancy
     std::uint32_t loadLimit_ = 0;
     std::vector<std::uint64_t> bits_;
     std::vector<Owners> owners_;
+    /** Holds per (chip, slot), numSlots_ slots per chip. */
+    std::vector<std::uint32_t> holds_;
 };
 
 } // namespace spk

@@ -9,13 +9,13 @@ namespace spk
 
 FlashController::FlashController(EventQueue &events, Channel &channel,
                                  std::vector<FlashChip *> chips,
+                                 ChipOccupancy &occupancy,
                                  const FlashTiming &timing,
                                  std::uint32_t page_bytes,
                                  Tick decision_window,
                                  CompletionFn on_complete,
                                  const FaultModel *faults,
-                                 SoftDecoder *decoder,
-                                 ChipOccupancy *occupancy)
+                                 SoftDecoder *decoder)
     : events_(events),
       channel_(channel),
       chips_(std::move(chips)),
@@ -35,26 +35,10 @@ FlashController::FlashController(EventQueue &events, Channel &channel,
 void
 FlashController::reserveSteadyState(std::uint32_t queue_depth)
 {
-    // Host tags 0..depth-1 land on slots 1..depth (slot 0 is GC).
-    growTagSlots(std::size_t{queue_depth} + 1);
     for (auto &cs : state_) {
         cs.pending.reserve(queue_depth);
         cs.executing.reserve(queue_depth);
     }
-}
-
-void
-FlashController::growTagSlots(std::size_t slots)
-{
-    if (slots <= tagSlots_)
-        return;
-    std::vector<std::uint32_t> wider(state_.size() * slots, 0);
-    for (std::size_t chip = 0; chip < state_.size(); ++chip) {
-        std::copy_n(perTag_.begin() + chip * tagSlots_, tagSlots_,
-                    wider.begin() + chip * slots);
-    }
-    perTag_ = std::move(wider);
-    tagSlots_ = slots;
 }
 
 void
@@ -68,11 +52,7 @@ FlashController::commit(MemoryRequest *req, bool front)
 
     req->committedAt = events_.now();
     auto &chip_state = state_[offset];
-    const std::size_t slot = tagSlot(req->tag);
-    if (slot >= tagSlots_)
-        growTagSlots(slot + 1);
-    if (perTag_[offset * tagSlots_ + slot]++ == 0 && occupancy_)
-        occupancy_->addOwner(chips_[offset]->index(), slot);
+    occupancy_.hold(chips_[offset]->index(), tagSlot(req->tag));
     if (front)
         chip_state.pending.push_front(req);
     else
@@ -84,28 +64,15 @@ FlashController::commit(MemoryRequest *req, bool front)
 std::uint32_t
 FlashController::outstanding(std::uint32_t chip_offset) const
 {
-    const auto &cs = state_.at(chip_offset);
+    const auto &cs = state_[chip_offset];
     return static_cast<std::uint32_t>(cs.pending.size()) + cs.inFlight;
-}
-
-std::uint32_t
-FlashController::tagOutstanding(std::uint32_t chip_offset,
-                                std::size_t slot) const
-{
-    if (chip_offset >= state_.size())
-        panic("FlashController::tagOutstanding chip offset out of range");
-    return slot < tagSlots_ ? perTag_[chip_offset * tagSlots_ + slot] : 0;
 }
 
 void
 FlashController::syncLoad(std::uint32_t chip_offset)
 {
-    if (occupancy_) {
-        const auto &cs = state_[chip_offset];
-        occupancy_->setLoad(
-            chips_[chip_offset]->index(),
-            static_cast<std::uint32_t>(cs.pending.size()) + cs.inFlight);
-    }
+    occupancy_.setLoad(chips_[chip_offset]->index(),
+                       outstanding(chip_offset));
 }
 
 void
@@ -223,7 +190,7 @@ FlashController::finishTransaction(std::uint32_t chip_offset, Tick end)
     const bool faulty = faults_ && faults_->enabled();
     for (auto *req : cs.executing) {
         if (faulty && applyFaults(chip_offset, req, end))
-            continue; // retrying or decoding; stays in perTag_
+            continue; // retrying or decoding; still holds the chip
         completeRequest(chip_offset, req, end);
     }
     cs.executing.clear();
@@ -235,12 +202,7 @@ void
 FlashController::completeRequest(std::uint32_t chip_offset,
                                  MemoryRequest *req, Tick end)
 {
-    const std::size_t slot = tagSlot(req->tag);
-    if (slot < tagSlots_) {
-        std::uint32_t &count = perTag_[chip_offset * tagSlots_ + slot];
-        if (count > 0 && --count == 0 && occupancy_)
-            occupancy_->removeOwner(chips_[chip_offset]->index(), slot);
-    }
+    occupancy_.release(chips_[chip_offset]->index(), tagSlot(req->tag));
     req->finishedAt = end;
     onComplete_(req);
 }
@@ -264,10 +226,10 @@ FlashController::applyFaults(std::uint32_t chip_offset,
             return false;
         if (out == ReadOutcome::Retry) {
             // Re-book the chip for the next ladder step. The request
-            // keeps its perTag_ accounting (it is still
-            // outstanding from the scheduler's point of view) and
-            // jumps the pending queue: a read mid-ladder blocks its
-            // I/O until it resolves.
+            // keeps its hold on the chip (it is still outstanding
+            // from the scheduler's point of view) and jumps the
+            // pending queue: a read mid-ladder blocks its I/O until
+            // it resolves.
             ++req->retryAttempt;
             ++stats_.readRetries;
             ++stats_.readRetriesByStep[req->retryAttempt - 1];

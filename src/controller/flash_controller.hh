@@ -66,6 +66,10 @@ class FlashController
      * @param events shared event queue
      * @param channel the bus this controller drives
      * @param chips chips on this channel, indexed by chip-in-channel
+     * @param occupancy device-wide chip occupancy, indexed by each
+     *        chip's global index(): every commit holds its chip there
+     *        until the request completes, and every change of a
+     *        chip's outstanding() sets its load
      * @param timing NAND timing parameters
      * @param page_bytes flash page size
      * @param decision_window transaction-decision latency
@@ -74,17 +78,14 @@ class FlashController
      * @param decoder device-shared soft decoder; nullptr (or soft
      *        decode disabled in @p faults) keeps ladder exhaustion
      *        terminal as before
-     * @param occupancy device-wide occupancy bitmaps (owners and
-     *        load), indexed by each chip's global index(); nullptr
-     *        keeps none
      */
     FlashController(EventQueue &events, Channel &channel,
                     std::vector<FlashChip *> chips,
-                    const FlashTiming &timing, std::uint32_t page_bytes,
-                    Tick decision_window, CompletionFn on_complete,
+                    ChipOccupancy &occupancy, const FlashTiming &timing,
+                    std::uint32_t page_bytes, Tick decision_window,
+                    CompletionFn on_complete,
                     const FaultModel *faults = nullptr,
-                    SoftDecoder *decoder = nullptr,
-                    ChipOccupancy *occupancy = nullptr);
+                    SoftDecoder *decoder = nullptr);
 
     /**
      * Commit a memory request to its chip's pending queue.
@@ -93,25 +94,19 @@ class FlashController
     void commit(MemoryRequest *req, bool front = false);
 
     /**
-     * Pre-size every chip's queues for the NVMHC tag space so the
-     * steady state is reached without incremental container growth
-     * (repeated device construction in sweeps stays cheap).
+     * Pre-size every chip's pending and executing queues for
+     * @p queue_depth requests, so the steady state is reached without
+     * incremental container growth (repeated device construction in
+     * sweeps stays cheap).
      */
     void reserveSteadyState(std::uint32_t queue_depth);
 
     /**
-     * Committed-but-unfinished requests on a chip (by chip offset):
-     * pending plus in flight. The occupancy's load row mirrors it.
+     * A chip's load (by chip offset): its pending plus in-flight
+     * requests. A read held for a soft decode is neither. The
+     * occupancy's load row mirrors it.
      */
     std::uint32_t outstanding(std::uint32_t chip_offset) const;
-
-    /**
-     * Outstanding requests of tag slot @p slot (tagSlot()) on a chip:
-     * committed and not yet completed, including reads held for a
-     * retry or a soft decode. The occupancy bitmaps mirror these.
-     */
-    std::uint32_t tagOutstanding(std::uint32_t chip_offset,
-                                 std::size_t slot) const;
 
     const ControllerStats &stats() const { return stats_; }
 
@@ -159,13 +154,10 @@ class FlashController
     void finishSoftDecode(std::uint32_t chip_offset, MemoryRequest *req,
                           Tick done);
 
-    /** Shared completion tail: drop the per-tag accounting and hand
-     *  the request back to its owner. */
+    /** Shared completion tail: release the request's hold on its
+     *  chip and hand the request back to its owner. */
     void completeRequest(std::uint32_t chip_offset, MemoryRequest *req,
                          Tick end);
-
-    /** Widen the per-tag table to @p slots slots per chip. */
-    void growTagSlots(std::size_t slots);
 
     EventQueue &events_;
     Channel &channel_;
@@ -176,17 +168,8 @@ class FlashController
     CompletionFn onComplete_;
     const FaultModel *faults_ = nullptr;
     SoftDecoder *decoder_ = nullptr;
-    ChipOccupancy *occupancy_ = nullptr;
+    ChipOccupancy &occupancy_;
     std::vector<PerChip> state_;
-    /**
-     * Outstanding request count per (chip, owning tag slot), row-major
-     * with tagSlots_ slots per chip. Counts drop request by request
-     * during transaction completion (inFlight drops transaction at
-     * once), so mid-completion scheduler queries see each request
-     * leave individually. Sized for the NVMHC queue depth up front.
-     */
-    std::vector<std::uint32_t> perTag_;
-    std::size_t tagSlots_ = 0;
     ControllerStats stats_;
 };
 

@@ -25,7 +25,6 @@ Nvmhc::Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
     if (controllers_.size() != geo_.numChannels)
         fatal("Nvmhc: need one flash controller per channel");
 
-    ctx_.geo = &geo_;
     ctx_.queue = &queue_;
     ctx_.view = this;
 
@@ -46,17 +45,8 @@ Nvmhc::Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
         freeTags_.push_back(tag - 1);
     queue_.reserve(cfg_.queueDepth);
 
-    // Flat per-chip lookup tables so a scheduler poll is two loads.
-    const std::uint32_t n_chips = geo_.numChips();
-    ctrlByChip_.reserve(n_chips);
-    offsetByChip_.reserve(n_chips);
-    for (std::uint32_t chip = 0; chip < n_chips; ++chip) {
-        ctrlByChip_.push_back(controllers_[geo_.channelOfChip(chip)]);
-        offsetByChip_.push_back(geo_.chipOffsetOfChip(chip));
-    }
-
     // Let the strategy pre-size its per-chip state (warm start).
-    sched_->prepare(n_chips, cfg_.queueDepth);
+    sched_->prepare(geo_.numChips(), cfg_.queueDepth);
 }
 
 void
@@ -95,16 +85,10 @@ Nvmhc::stats() const
     return sum;
 }
 
-std::uint32_t
-Nvmhc::outstanding(std::uint32_t chip) const
-{
-    return ctrlByChip_[chip]->outstanding(offsetByChip_[chip]);
-}
-
 FlashController &
 Nvmhc::controllerFor(std::uint32_t chip)
 {
-    return *ctrlByChip_[chip];
+    return *controllers_[geo_.channelOfChip(chip)];
 }
 
 void

@@ -105,10 +105,9 @@ struct NvmhcStats
  * request it composes next is the scheduler's decision (this is where
  * VAS / PAS / Sprinkler differ).
  *
- * The NVMHC is the SchedulerView: outstanding counts come from flat
- * per-chip controller lookup tables and the controllers' incremental
- * counters, and the occupancy bitmaps are the controllers' own, so a
- * scheduler poll never allocates or walks a map.
+ * The NVMHC is the SchedulerView: it hands its scheduler the chip
+ * occupancy the flash controllers keep current, so a scheduler poll
+ * never allocates or walks a map.
  */
 class Nvmhc : private SchedulerView
 {
@@ -225,7 +224,6 @@ class Nvmhc : private SchedulerView
 
   private:
     // SchedulerView: flat-indexed, allocation-free device queries.
-    std::uint32_t outstanding(std::uint32_t chip) const override;
     const ChipOccupancy &occupancy() const override { return occupancy_; }
     bool schedulable(const MemoryRequest &req) const override
     {
@@ -315,9 +313,6 @@ class Nvmhc : private SchedulerView
      *  queueDepth x pages-per-I/O. */
     Slab<MemoryRequest> &arena_;
 
-    /** Per-global-chip controller / chip-offset lookup tables. */
-    std::vector<FlashController *> ctrlByChip_;
-    std::vector<std::uint32_t> offsetByChip_;
     const ChipOccupancy &occupancy_;
 
     /** Per-LPN pending requests, oldest first (hazard ordering);

@@ -20,7 +20,6 @@
 
 #include "controller/chip_occupancy.hh"
 #include "controller/io_request.hh"
-#include "flash/geometry.hh"
 #include "flash/mem_request.hh"
 
 namespace spk
@@ -30,40 +29,36 @@ namespace spk
  * Device-state queries the NVMHC answers for its scheduler.
  *
  * Schedulers poll these on every next() call, per chip, so the
- * implementation must be allocation-free and O(1): the NVMHC backs
- * them with flat per-chip/per-tag counters maintained incrementally
- * at commit/finish time (no closures, no recomputation).
+ * implementation must be allocation-free and O(1): the flash
+ * controllers keep the occupancy current at every commit and
+ * completion (no closures, no recomputation).
  */
 class SchedulerView
 {
   public:
     virtual ~SchedulerView() = default;
 
-    /** Committed-but-unfinished request count on a global chip. */
-    virtual std::uint32_t outstanding(std::uint32_t chip) const = 0;
-
     /**
-     * Which chips hold another I/O's work, for every chip at once.
+     * What holds each chip, for every chip at once.
      *
      * A request of tag T may commit to global chip c without queueing
      * behind a different I/O exactly when c's bit is set in
-     * idle | ownedBy(tagSlot(T)): the chip has no outstanding request,
-     * or all of them belong to T (a chip whose per-chip queue only
-     * holds one's own I/O is no conflict for a PAS-style scheduler).
-     * GC and parity requests own slot 0, so they block every host
-     * tag. "Outstanding" means committed and not yet completed,
-     * including reads held for a retry or a soft decode. The bitmaps
-     * change request by request at commit and completion, so a query
-     * made during a transaction's completion sees the requests that
-     * have left it so far.
+     * idle | ownedBy(tagSlot(T)): no request holds the chip, or all
+     * that do belong to T (a chip whose per-chip queue only holds
+     * one's own I/O is no conflict for a PAS-style scheduler). GC and
+     * parity requests own slot 0, so they block every host tag. A
+     * request holds its chip from commit until it completes,
+     * including while it waits for a read retry or a soft decode. The
+     * bitmaps change request by request at commit and completion, so
+     * a query made during a transaction's completion sees the
+     * requests that have left it so far.
      *
-     * The load row holds chip c exactly when outstanding(c) is below
-     * occupancy().loadLimit(). It mirrors outstanding() (pending plus
-     * in-flight requests), not idle: a read held for a soft decode
-     * keeps the chip from being idle, but it has left pending and
-     * in-flight, so it adds no load. During a transaction's
-     * completion the row already counts the whole transaction as
-     * gone, as outstanding() does. The limit comes from the
+     * The load row holds chip c exactly when c's load, its pending
+     * plus in-flight requests, is below occupancy().loadLimit(). It
+     * is not derived from idle: a read held for a soft decode keeps
+     * the chip from being idle, but it has left pending and in
+     * flight, so it adds no load. During a transaction's completion the row already
+     * counts the whole transaction as gone. The limit comes from the
      * scheduler's loadLimit(), set by the device before traffic
      * starts. The reference stays valid for the view's lifetime.
      */
@@ -83,8 +78,6 @@ class SchedulerView
  */
 struct SchedulerContext
 {
-    const FlashGeometry *geo = nullptr;
-
     /** Queue entries in arrival order (oldest first). */
     const RingDeque<IoRequest *> *queue = nullptr;
 
@@ -123,8 +116,9 @@ class IoScheduler
 
     /**
      * Limit of the occupancy's load row: next() reads a chip as able
-     * to take work while outstanding(chip) is below it. 0, the
-     * default, is for strategies that never read the row.
+     * to take work while its load (pending plus in-flight requests)
+     * is below it. 0, the default, is for strategies that never read
+     * the row.
      */
     virtual std::uint32_t loadLimit() const { return 0; }
 

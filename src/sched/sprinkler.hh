@@ -17,8 +17,9 @@
  * The three evaluated variants map to constructor flags:
  *   SPK1 = FARO only, SPK2 = RIOS only, SPK3 = RIOS + FARO.
  *
- * A chip can take work while its outstanding count is below
- * loadLimit(): the FARO window with FARO, 1 without. Both walks look
+ * A chip can take work while its load (pending plus in-flight
+ * requests) is below loadLimit(): the FARO window with FARO, 1
+ * without. Both walks look
  * only at such chips, through the occupancy's load row, and each
  * variant keeps only its own index:
  *

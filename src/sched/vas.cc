@@ -20,8 +20,8 @@ VasScheduler::next(SchedulerContext &ctx)
                 return nullptr; // ordering hazard: wait
             // VAS commits blindly and the commitment pipeline blocks
             // on the chip's R/B: model as head-of-line stall while the
-            // target chip has outstanding requests.
-            if (ctx.view->outstanding(req->chip) > 0)
+            // target chip has any load (loadLimit() is 1).
+            if (!ctx.view->occupancy().belowLimit(req->chip))
                 return nullptr;
             return req;
         }

@@ -6,8 +6,8 @@
  * knowledge of the physical resource layout (Section 3). Operationally
  * that means: compose the oldest incomplete I/O's memory requests in
  * page order, and stall head-of-line whenever the next request's
- * target chip still has outstanding work (the request collisions of
- * Figure 4).
+ * target chip still has work pending or in flight (the request
+ * collisions of Figure 4).
  */
 
 #ifndef SPK_SCHED_VAS_HH
@@ -23,6 +23,9 @@ class VasScheduler : public IoScheduler
 {
   public:
     MemoryRequest *next(SchedulerContext &ctx) override;
+
+    /** A chip takes work only with no load at all. */
+    std::uint32_t loadLimit() const override { return 1; }
 };
 
 } // namespace spk

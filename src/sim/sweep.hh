@@ -61,12 +61,12 @@ struct SweepAxes
  * Restrict axes to values matching @p needle (case-insensitive
  * substring), the `--filter` behavior of the bench CLI.
  *
- * Each labelled axis (traces, scheduler names, variants) is filtered
- * independently, and only when at least one of its values matches —
- * an axis with no match is left untouched rather than emptied. So
- * `--filter msnfs` keeps the msnfs traces across all schedulers and
- * `--filter spk3` keeps all traces under SPK3 alone. The grid stays
- * rectangular either way.
+ * Each labelled axis (traces, scheduler names, variants, arbiter
+ * names, fidelities) is filtered independently, and only when at
+ * least one of its values matches — an axis with no match is left
+ * untouched rather than emptied. So `--filter msnfs` keeps the msnfs
+ * traces across all schedulers and `--filter spk3` keeps all traces
+ * under SPK3 alone. The grid stays rectangular either way.
  */
 SweepAxes filterAxes(SweepAxes axes, const std::string &needle);
 

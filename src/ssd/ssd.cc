@@ -30,10 +30,10 @@ Ssd::Ssd(const SsdConfig &cfg)
             channel_chips.push_back(
                 chips_[geo.chipIndex(c, off)].get());
         controllers_.push_back(std::make_unique<FlashController>(
-            events_, *channels_[c], std::move(channel_chips),
+            events_, *channels_[c], std::move(channel_chips), occupancy_,
             cfg_.timing, geo.pageSizeBytes, cfg_.decisionWindow,
             [this](MemoryRequest *req) { onRequestFinished(req); },
-            &faults_, &decoder_, &occupancy_));
+            &faults_, &decoder_));
         controllers_.back()->reserveSteadyState(cfg_.nvmhc.queueDepth);
     }
 

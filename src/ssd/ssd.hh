@@ -198,8 +198,8 @@ class Ssd
      *  the controllers that hold a pointer to it. */
     SoftDecoder decoder_;
 
-    /** Which chips each I/O tag may commit to without queueing behind
-     *  another I/O; kept by the controllers, read by the scheduler. */
+    /** What holds each chip, and each chip's load; kept by the
+     *  controllers, read by the scheduler. */
     ChipOccupancy occupancy_;
 
     /**

@@ -26,6 +26,7 @@ struct Fixture
     Channel channel{0};
     std::vector<std::unique_ptr<FlashChip>> chips;
     std::vector<MemoryRequest *> completed;
+    ChipOccupancy occ;
     std::unique_ptr<FlashController> ctrl;
     std::vector<std::unique_ptr<MemoryRequest>> pool;
 
@@ -40,8 +41,9 @@ struct Fixture
             chips.push_back(std::make_unique<FlashChip>(i, geo));
             raw.push_back(chips.back().get());
         }
+        occ = ChipOccupancy(geo.numChips(), 1); // GC slot only
         ctrl = std::make_unique<FlashController>(
-            events, channel, raw, FlashTiming{}, geo.pageSizeBytes,
+            events, channel, raw, occ, FlashTiming{}, geo.pageSizeBytes,
             window,
             [this](MemoryRequest *r) { completed.push_back(r); });
     }
@@ -210,21 +212,17 @@ TEST(FlashController, OutstandingCountsLifecycle)
 }
 
 /**
- * The occupancy bitmaps mirror the per-tag counts after every commit
- * and event, and mid-completion (checked from the completion upcall,
- * where the NVMHC re-polls its scheduler): a chip is idle exactly when
- * it has no outstanding request, and owned by slot s exactly when all
- * of its outstanding requests belong to s. GC requests and several
- * host tags share chips, and transient read faults hold reads for
- * retries and soft decodes.
- */
-/**
- * The occupancy rows mirror the controller's counts at every moment a
- * scheduler can look: after every commit and event, and in the middle
- * of each completion. The owner rows mirror the per-tag counts; the
- * load row mirrors outstanding(), at limit 1 (SPK2) and above (FARO).
- * Soft decodes make the two differ: a chip holding only a decoding
- * read is not idle, yet has no load.
+ * The occupancy rows are right at every moment a scheduler can look:
+ * after every commit and event, and in the middle of each completion
+ * (checked from the completion upcall, where the NVMHC re-polls its
+ * scheduler). The oracle for the idle and owner rows is the test's
+ * own count of requests committed and not yet completed per (chip,
+ * tag slot): a chip is idle exactly when it holds none, and owned by
+ * slot s exactly when all it holds are of s. The load row mirrors
+ * outstanding(), at limit 1 (VAS, SPK2) and above (FARO). GC requests
+ * and several host tags share chips, and transient read faults hold
+ * reads for retries and soft decodes, so the rows differ: a chip
+ * holding only a decoding read is not idle, yet has no load.
  */
 TEST(FlashController, OccupancyMirrorsPerTagCounts)
 {
@@ -253,18 +251,25 @@ TEST(FlashController, OccupancyMirrorsPerTagCounts)
         }
 
         std::unique_ptr<FlashController> ctrl;
+        // Committed minus completed requests per (chip, tag slot).
+        std::vector<std::uint32_t> held(geo.chipsPerChannel * (kTags + 1));
+        const auto held_by = [&](const MemoryRequest &req) -> auto & {
+            return held[req.addr.chipInChannel * (kTags + 1) +
+                        tagSlot(req.tag)];
+        };
         std::uint64_t checks = 0;
         std::uint64_t held_without_load = 0;
         const auto check = [&] {
             ++checks;
             for (std::uint32_t c = 0; c < geo.chipsPerChannel; ++c) {
+                const std::uint32_t *mine = &held[c * (kTags + 1)];
                 std::uint32_t total = 0;
                 for (std::size_t s = 0; s <= kTags; ++s)
-                    total += ctrl->tagOutstanding(c, s);
+                    total += mine[s];
                 EXPECT_EQ(occ.idle(c), total == 0) << "chip " << c;
                 for (std::size_t s = 0; s <= kTags; ++s) {
-                    const std::uint32_t mine = ctrl->tagOutstanding(c, s);
-                    EXPECT_EQ(occ.ownedBy(c, s), mine > 0 && mine == total)
+                    EXPECT_EQ(occ.ownedBy(c, s),
+                              mine[s] > 0 && mine[s] == total)
                         << "chip " << c << " slot " << s;
                 }
                 const std::uint32_t load = ctrl->outstanding(c);
@@ -276,12 +281,14 @@ TEST(FlashController, OccupancyMirrorsPerTagCounts)
         };
         std::uint64_t completed = 0;
         ctrl = std::make_unique<FlashController>(
-            events, channel, raw, FlashTiming{}, geo.pageSizeBytes, 500,
-            [&](MemoryRequest *) {
+            events, channel, raw, occ, FlashTiming{}, geo.pageSizeBytes,
+            500,
+            [&](MemoryRequest *req) {
+                --held_by(*req);
                 ++completed;
                 check();
             },
-            &faults, &decoder, &occ);
+            &faults, &decoder);
         ctrl->reserveSteadyState(kTags);
 
         Rng rng(11);
@@ -307,6 +314,7 @@ TEST(FlashController, OccupancyMirrorsPerTagCounts)
             req->translated = true;
             req->composed = true;
             pool.push_back(std::move(req));
+            ++held_by(*pool.back());
             ctrl->commit(pool.back().get(), pool.back()->isGc);
         };
         // Saturated: chips queue work from several tags at once.

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "flash/geometry.hh"
 #include "sched/scheduler.hh"
 
 namespace spk
@@ -23,14 +24,16 @@ namespace test
 {
 
 /**
- * Hand-controllable SchedulerView. outstanding() reads a test-owned
- * map; occupy()/release() add and remove one outstanding request of a
- * given tag there and in the occupancy bitmaps, the way the flash
- * controllers do, and setLoad() sets a chip's count and load row
- * together. hold()/unhold() model a read in a soft decode: it keeps
- * its tag's count on the chip but adds no load. The hazard gate can be
- * overridden per test with a std::function hook (test-only
- * convenience; the production view in the NVMHC is closure-free).
+ * Hand-controllable SchedulerView. occupy()/release() add and remove
+ * one outstanding request of a given tag: a hold in the occupancy, the
+ * way the flash controllers do, and one more or less load. setLoad()
+ * sets a chip's load, in a test-owned map that outstanding() reads
+ * and in the occupancy's load row. hold()/unhold() model a read in a
+ * soft decode: it holds the chip under its tag but adds no load. The
+ * view counts each tag's holds itself, for othersOutstanding(). The
+ * hazard gate can be overridden per test with a std::function hook
+ * (test-only convenience; the production view in the NVMHC is
+ * closure-free).
  */
 struct TestSchedulerView : SchedulerView
 {
@@ -40,8 +43,9 @@ struct TestSchedulerView : SchedulerView
     /** Outstanding requests per (chip, tag slot). */
     std::map<std::pair<std::uint32_t, std::size_t>, std::uint32_t> perTag;
 
+    /** @p chip's load, as setLoad() last set it. */
     std::uint32_t
-    outstanding(std::uint32_t chip) const override
+    outstanding(std::uint32_t chip) const
     {
         const auto it = outstandingMap.find(chip);
         return it == outstandingMap.end() ? 0u : it->second;
@@ -83,18 +87,16 @@ struct TestSchedulerView : SchedulerView
     void
     hold(std::uint32_t chip, TagId tag = kInvalidTag)
     {
-        const std::size_t slot = tagSlot(tag);
-        if (perTag[{chip, slot}]++ == 0)
-            occ.addOwner(chip, slot);
+        ++perTag[{chip, tagSlot(tag)}];
+        occ.hold(chip, tagSlot(tag));
     }
 
     /** A request held by hold() left @p chip. */
     void
     unhold(std::uint32_t chip, TagId tag = kInvalidTag)
     {
-        const std::size_t slot = tagSlot(tag);
-        if (--perTag.at({chip, slot}) == 0)
-            occ.removeOwner(chip, slot);
+        --perTag.at({chip, tagSlot(tag)});
+        occ.release(chip, tagSlot(tag));
     }
 
     /** Outstanding requests on @p chip that belong to another I/O. */
@@ -137,7 +139,6 @@ struct SchedHarness
         geo.diesPerChip = 2;
         geo.planesPerDie = 2;
         view.occ = ChipOccupancy(geo.numChips(), kQueueDepth + 1);
-        ctx.geo = &geo;
         ctx.queue = &queue;
         ctx.view = &view;
     }

@@ -244,8 +244,8 @@ TEST(Sprinkler, EmptyQueueReturnsNull)
 
 /**
  * A read in a soft decode keeps its chip from being idle but adds no
- * load: SPK2 still serves the chip, because its test is
- * outstanding() == 0, not idleness.
+ * load: SPK2 still serves the chip, because it tests the chip's load,
+ * not its idleness.
  */
 TEST(Sprinkler, HeldReadIsNoLoad)
 {
@@ -271,19 +271,23 @@ TEST(Sprinkler, LoadLimitMismatchPanics)
 /**
  * The definition of the Sprinkler picks: the bucket, RIOS and SPK1
  * code as it was before the walks were indexed, unchanged. RIOS visits
- * every chip from the cursor and asks outstanding() per chip; SPK1
- * re-collects the candidates from every page of the lookahead I/Os.
+ * every chip from the cursor and asks the test view's outstanding()
+ * per chip; SPK1 re-collects the candidates from every page of the
+ * lookahead I/Os.
  */
 class LinearSprinkler : public IoScheduler
 {
   public:
-    LinearSprinkler(bool rios, bool faro, std::uint32_t window)
-        : rios_(rios), faro_(faro), window_(window == 0 ? 1 : window)
+    LinearSprinkler(bool rios, bool faro, std::uint32_t window,
+                    const test::TestSchedulerView &view)
+        : rios_(rios), faro_(faro), window_(window == 0 ? 1 : window),
+          view_(view)
     {}
 
     void
     prepare(std::uint32_t num_chips, std::uint32_t queue_depth) override
     {
+        numChips_ = num_chips;
         if (num_chips == 0)
             return;
         ensureBuckets(num_chips - 1);
@@ -448,7 +452,7 @@ class LinearSprinkler : public IoScheduler
     MemoryRequest *
     nextRios(SchedulerContext &ctx)
     {
-        const std::uint32_t n = ctx.geo->numChips();
+        const std::uint32_t n = numChips_;
         for (std::uint32_t i = 0; i < n; ++i) {
             const auto chip = static_cast<std::uint32_t>((cursor_ + i) % n);
             if (chip >= buckets_.size() || buckets_[chip].empty())
@@ -458,7 +462,7 @@ class LinearSprinkler : public IoScheduler
                 continue;
 
             if (faro_) {
-                if (ctx.view->outstanding(chip) >= window_)
+                if (view_.outstanding(chip) >= window_)
                     continue;
                 bestSet(ctx, chip, setScratch_);
                 if (setScratch_.empty())
@@ -467,7 +471,7 @@ class LinearSprinkler : public IoScheduler
                 return takeSet(setScratch_);
             }
 
-            if (ctx.view->outstanding(chip) > 0)
+            if (view_.outstanding(chip) > 0)
                 continue;
             if (MemoryRequest *req = oldest(ctx, chip)) {
                 cursor_ = chip + 1;
@@ -482,8 +486,8 @@ class LinearSprinkler : public IoScheduler
     {
         constexpr std::size_t kLookaheadIos = 4;
 
-        if (faroPerChip_.size() < ctx.geo->numChips())
-            faroPerChip_.resize(ctx.geo->numChips());
+        if (faroPerChip_.size() < numChips_)
+            faroPerChip_.resize(numChips_);
         for (const auto chip : faroTouched_)
             faroPerChip_[chip].clear();
         faroTouched_.clear();
@@ -511,7 +515,7 @@ class LinearSprinkler : public IoScheduler
         std::uint64_t best_seed = 0;
         bestScratch_.clear();
         for (const auto chip : faroTouched_) {
-            if (ctx.view->outstanding(chip) >= window_)
+            if (view_.outstanding(chip) >= window_)
                 continue;
             bestSetFrom(faroPerChip_[chip], chip, setScratch_);
             if (setScratch_.empty())
@@ -532,6 +536,8 @@ class LinearSprinkler : public IoScheduler
     bool rios_;
     bool faro_;
     std::uint32_t window_;
+    const test::TestSchedulerView &view_;
+    std::uint32_t numChips_ = 0;
     std::vector<RingDeque<MemoryRequest *>> buckets_;
     std::uint64_t cursor_ = 0;
     std::vector<MemoryRequest *> batch_;
@@ -613,7 +619,7 @@ TEST(Sprinkler, MatchesLinearScansOnRandomQueues)
         const bool faro = seed % 3 != 1;
         const auto window = 1 + static_cast<std::uint32_t>(rng.nextBelow(8));
         SprinklerScheduler spk(rios, faro, window);
-        LinearSprinkler ref(rios, faro, window);
+        LinearSprinkler ref(rios, faro, window, h.view);
         Lockstep both(spk, ref);
         h.attach(both);
         const auto chips = h.geo.numChips();

@@ -19,8 +19,9 @@ using test::SchedHarness;
 TEST(Vas, ComposesHeadIoInPageOrder)
 {
     SchedHarness h;
-    auto *io = h.addIo({0, 1, 2});
     VasScheduler vas;
+    h.attach(vas);
+    auto *io = h.addIo({0, 1, 2});
 
     for (std::uint32_t i = 0; i < 3; ++i) {
         MemoryRequest *req = vas.next(h.ctx);
@@ -34,28 +35,30 @@ TEST(Vas, ComposesHeadIoInPageOrder)
 TEST(Vas, BlocksOnBusyChip)
 {
     SchedHarness h;
-    h.addIo({0, 1});
-    h.view.outstandingMap[0] = 1; // chip 0 occupied
     VasScheduler vas;
+    h.attach(vas);
+    h.addIo({0, 1});
+    h.view.setLoad(0, 1); // chip 0 occupied
     // Head request targets chip 0 -> the whole pipeline stalls, even
     // though chip 1 is free (the paper's Figure 4 pathology).
     EXPECT_EQ(vas.next(h.ctx), nullptr);
 
-    h.view.outstandingMap[0] = 0;
+    h.view.setLoad(0, 0);
     EXPECT_NE(vas.next(h.ctx), nullptr);
 }
 
 TEST(Vas, DoesNotReorderAcrossIos)
 {
     SchedHarness h;
+    VasScheduler vas;
+    h.attach(vas);
     auto *first = h.addIo({0});
     auto *second = h.addIo({1});
-    h.view.outstandingMap[0] = 1;
-    VasScheduler vas;
+    h.view.setLoad(0, 1);
     // Second I/O's chip is idle, but VAS is FIFO: nothing to do.
     EXPECT_EQ(vas.next(h.ctx), nullptr);
 
-    h.view.outstandingMap[0] = 0;
+    h.view.setLoad(0, 0);
     EXPECT_EQ(vas.next(h.ctx), first->pages[0]);
     h.compose(first->pages[0]);
     EXPECT_EQ(vas.next(h.ctx), second->pages[0]);
@@ -64,9 +67,10 @@ TEST(Vas, DoesNotReorderAcrossIos)
 TEST(Vas, AdvancesToNextIoAfterHeadFullyComposed)
 {
     SchedHarness h;
+    VasScheduler vas;
+    h.attach(vas);
     auto *first = h.addIo({0, 0});
     auto *second = h.addIo({2});
-    VasScheduler vas;
     h.compose(first->pages[0]);
     h.compose(first->pages[1]);
     EXPECT_EQ(vas.next(h.ctx), second->pages[0]);
@@ -75,12 +79,29 @@ TEST(Vas, AdvancesToNextIoAfterHeadFullyComposed)
 TEST(Vas, HazardStallsPipeline)
 {
     SchedHarness h;
+    VasScheduler vas;
+    h.attach(vas);
     auto *io = h.addIo({0, 1});
     h.view.schedulableOverride = [&](const MemoryRequest &req) {
         return &req != io->pages[0];
     };
-    VasScheduler vas;
     EXPECT_EQ(vas.next(h.ctx), nullptr);
+}
+
+/**
+ * A read in a soft decode keeps its chip from being idle but adds no
+ * load: VAS still serves the chip, because it stalls on load, not on
+ * idleness.
+ */
+TEST(Vas, HeldReadIsNoLoad)
+{
+    SchedHarness h;
+    VasScheduler vas;
+    h.attach(vas);
+    auto *io = h.addIo({0});
+    h.view.hold(0, io->tag + 1);
+    EXPECT_FALSE(h.view.occ.idle(0));
+    EXPECT_EQ(vas.next(h.ctx), io->pages[0]);
 }
 
 TEST(Vas, NameIsVas)
@@ -89,6 +110,7 @@ TEST(Vas, NameIsVas)
     EXPECT_STREQ(schedulerKindName(SchedulerKind::VAS), "VAS");
     EXPECT_EQ(parseSchedulerKind("vas"), SchedulerKind::VAS);
     EXPECT_FALSE(vas.wantsReaddressing());
+    EXPECT_EQ(vas.loadLimit(), 1u);
 }
 
 } // namespace

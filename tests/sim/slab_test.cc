@@ -178,6 +178,7 @@ TEST(SlabGcCrossCheck, RandomBatchStormMatchesMapModel)
     Slab<MemoryRequest> arena;
     std::vector<std::unique_ptr<FlashChip>> chips;
     std::vector<std::unique_ptr<Channel>> channels;
+    ChipOccupancy occ(geo.numChips(), 1); // GC slot only
     std::vector<std::unique_ptr<FlashController>> controllers;
     std::vector<FlashController *> raw;
     Ftl ftl(geo, FtlConfig{});
@@ -194,7 +195,7 @@ TEST(SlabGcCrossCheck, RandomBatchStormMatchesMapModel)
         for (std::uint32_t off = 0; off < geo.chipsPerChannel; ++off)
             channel_chips.push_back(chips[geo.chipIndex(c, off)].get());
         controllers.push_back(std::make_unique<FlashController>(
-            events, *channels[c], channel_chips, FlashTiming{},
+            events, *channels[c], channel_chips, occ, FlashTiming{},
             geo.pageSizeBytes, 0, [&](MemoryRequest *req) {
                 ++completions;
                 model.observe(req->op, req->gcBatch);

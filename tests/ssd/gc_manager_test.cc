@@ -25,6 +25,7 @@ struct Fixture
     EventQueue events;
     std::vector<std::unique_ptr<Channel>> channels;
     std::vector<std::unique_ptr<FlashChip>> chips;
+    ChipOccupancy occ;
     std::vector<std::unique_ptr<FlashController>> controllers;
     std::vector<FlashController *> raw;
     Slab<MemoryRequest> arena;
@@ -45,12 +46,13 @@ struct Fixture
 
         for (std::uint32_t i = 0; i < geo.numChips(); ++i)
             chips.push_back(std::make_unique<FlashChip>(i, geo));
+        occ = ChipOccupancy(geo.numChips(), 1); // GC slot only
         for (std::uint32_t c = 0; c < geo.numChannels; ++c) {
             channels.push_back(std::make_unique<Channel>(c));
             std::vector<FlashChip *> channel_chips{
                 chips[geo.chipIndex(c, 0)].get()};
             controllers.push_back(std::make_unique<FlashController>(
-                events, *channels[c], channel_chips, FlashTiming{},
+                events, *channels[c], channel_chips, occ, FlashTiming{},
                 geo.pageSizeBytes, 0, [this](MemoryRequest *req) {
                     completedOps.push_back(req->op);
                     gc->onRequestFinished(req);

@@ -3,7 +3,8 @@
 # under --help (exit 0), and exit 2 when a row is given a shared
 # option it does not take: Table 1 simulates nothing, so it takes no
 # --threads, and the estimator can show neither fig18's arbiters nor
-# fig19's faults, so they take no --fidelity.
+# fig19's faults, so they take no --fidelity. Calibration's --filter
+# keeps exhibits by name, not axis values, and its help says so.
 #
 #   cmake -DEXHIBIT=<bench_exhibit> -P exhibit_cli_smoke.cmake
 
@@ -33,6 +34,16 @@ expect_exit(2 fig18 --fidelity fast)
 expect_exit(2 fig19 --fidelity fast --filter parity=off)
 if(NOT err MATCHES "unknown option --fidelity")
   message(FATAL_ERROR "no error naming --fidelity:\n${err}")
+endif()
+
+expect_exit(0 calibration --help)
+set(help "--filter SUBSTR +keep the exhibits whose name contains SUBSTR")
+if(NOT out MATCHES "${help}" OR out MATCHES "keep axis values")
+  message(FATAL_ERROR "calibration --help misdescribes --filter:\n${out}")
+endif()
+expect_exit(1 calibration --filter hm)
+if(NOT err MATCHES "--filter hm matches no exhibit")
+  message(FATAL_ERROR "no error naming the filter:\n${err}")
 endif()
 
 expect_exit(0 --help)
