@@ -7,6 +7,67 @@
 namespace spk
 {
 
+void
+PendingQueue::push(MemoryRequest *req, bool front)
+{
+    const Entry entry{req, CoalesceKey::of(*req)};
+    if (front)
+        entries.push_front(entry);
+    else
+        entries.push_back(entry);
+    ++opCount[static_cast<std::size_t>(entry.key.op)];
+}
+
+FlashTransaction
+PendingQueue::take(std::size_t max_size)
+{
+    const CoalesceKey seed = entries.front().key;
+    FlashTransaction txn(seed.op, entries.front().req->chip);
+    txn.add(entries.front().req);
+    std::uint32_t &count = opCount[static_cast<std::size_t>(seed.op)];
+
+    // Retried reads re-execute solo: their sense phase runs at an
+    // escalated ladder latency no coalesced peer would share.
+    std::size_t last = 0; // position of the last pick
+    if (seed.op != FlashOp::Erase && !seed.retried) {
+        StaticVec<CoalesceKey, kMaxTxnRequests> picked;
+        picked.push_back(seed);
+        // Entries of the seed's op not yet scanned.
+        std::uint32_t left = count - 1;
+        for (std::size_t i = 1; left > 0 && txn.size() < max_size; ++i) {
+            Entry &entry = entries[i];
+            if (entry.key.op != seed.op)
+                continue;
+            --left;
+            if (entry.key.retried ||
+                !std::all_of(picked.begin(), picked.end(),
+                             [&entry](const CoalesceKey &k) {
+                                 return coalescible(k, entry.key);
+                             })) {
+                continue;
+            }
+            txn.add(entry.req);
+            picked.push_back(entry.key);
+            entry.req = nullptr;
+            last = i;
+        }
+    }
+
+    // Close the holes the picks left in [0, last]: walking from the
+    // last pick to the front, shift each entry kept there toward the
+    // back, which gathers the picks at the front; then pop them.
+    // Entries past the last pick stay put.
+    std::size_t to = last;
+    for (std::size_t from = last; from-- > 1;) {
+        if (entries[from].req != nullptr)
+            entries[to--] = entries[from];
+    }
+    for (std::size_t i = 0; i < txn.size(); ++i)
+        entries.pop_front();
+    count -= static_cast<std::uint32_t>(txn.size());
+    return txn;
+}
+
 FlashController::FlashController(EventQueue &events, Channel &channel,
                                  std::vector<FlashChip *> chips,
                                  ChipOccupancy &occupancy,
@@ -36,7 +97,7 @@ void
 FlashController::reserveSteadyState(std::uint32_t queue_depth)
 {
     for (auto &cs : state_) {
-        cs.pending.reserve(queue_depth);
+        cs.pending.entries.reserve(queue_depth);
         cs.executing.reserve(queue_depth);
     }
 }
@@ -49,14 +110,13 @@ FlashController::commit(MemoryRequest *req, bool front)
     const std::uint32_t offset = req->addr.chipInChannel;
     if (offset >= state_.size())
         panic("FlashController::commit chip offset out of range");
+    // A launch takes its transaction's chip from the seed alone.
+    if (req->chip != chips_[offset]->index())
+        panic("FlashController::commit request for another chip");
 
     req->committedAt = events_.now();
-    auto &chip_state = state_[offset];
     occupancy_.hold(chips_[offset]->index(), tagSlot(req->tag));
-    if (front)
-        chip_state.pending.push_front(req);
-    else
-        chip_state.pending.push_back(req);
+    state_[offset].pending.push(req, front);
     syncLoad(offset);
     armLaunch(offset);
 }
@@ -102,30 +162,9 @@ FlashController::tryLaunch(std::uint32_t chip_offset)
     if (cs.pending.empty() || cs.inFlight > 0 || !chip->readyAt(now))
         return;
 
-    // Seed with the oldest pending request, then greedily coalesce
-    // every compatible one (same op; distinct die/plane; identical
-    // page offset within a multi-plane die). Erases never coalesce.
-    MemoryRequest *seed = cs.pending.front();
-    FlashTransaction txn(seed->op, seed->chip);
-    txn.add(seed);
-
-    // Retried reads re-execute solo: their sense phase runs at an
-    // escalated ladder latency no coalesced peer would share.
-    if (seed->op != FlashOp::Erase && seed->retryAttempt == 0) {
-        const std::size_t max_size =
-            chip->planesPerChip(); // one request per (die, plane)
-        for (auto it = cs.pending.begin() + 1;
-             it != cs.pending.end() && txn.size() < max_size; ++it) {
-            if ((*it)->retryAttempt == 0 && canCoalesce(txn, **it))
-                txn.add(*it);
-        }
-    }
-
-    // Remove the selected requests from the pending queue.
-    for (const auto *req : txn.requests()) {
-        auto it = std::find(cs.pending.begin(), cs.pending.end(), req);
-        cs.pending.erase(it);
-    }
+    // One request per (die, plane) at most.
+    const FlashTransaction txn = cs.pending.take(chip->planesPerChip());
+    const MemoryRequest *seed = txn.requests().front();
 
     TransactionPlan plan;
     if (seed->retryAttempt > 0 && faults_) {
@@ -233,7 +272,7 @@ FlashController::applyFaults(std::uint32_t chip_offset,
             ++req->retryAttempt;
             ++stats_.readRetries;
             ++stats_.readRetriesByStep[req->retryAttempt - 1];
-            cs.pending.push_front(req);
+            cs.pending.push(req, /*front=*/true);
             syncLoad(chip_offset);
             return true;
         }

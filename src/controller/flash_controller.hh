@@ -8,6 +8,13 @@
  * (Section 2.2 / Figure 8). Coalescing is a property of the
  * controller, not of the scheduler: schedulers differ only in *which*
  * requests are committed and *when*.
+ *
+ * A pending queue entry holds its request and the request's
+ * CoalesceKey, copied at commit, and each queue counts its entries of
+ * each operation. Sprinkler over-commits, so a chip can hold dozens of
+ * requests; a launch reads keys, not requests, and stops after the
+ * last entry of its seed's operation, so it costs what it can still
+ * pick rather than what is queued.
  */
 
 #ifndef SPK_CONTROLLER_FLASH_CONTROLLER_HH
@@ -32,6 +39,38 @@
 
 namespace spk
 {
+
+/** One chip's pending requests, oldest first, each beside its
+ *  CoalesceKey, and opCount[op], the number of entries of each op. */
+struct PendingQueue
+{
+    struct Entry
+    {
+        MemoryRequest *req;
+        CoalesceKey key;
+    };
+
+    RingDeque<Entry> entries;
+    std::array<std::uint32_t, kFlashOps> opCount{};
+
+    bool empty() const { return entries.empty(); }
+    std::size_t size() const { return entries.size(); }
+
+    /** Queue @p req at the back, or at the @p front (GC priority, a
+     *  read retry). */
+    void push(MemoryRequest *req, bool front);
+
+    /**
+     * Remove and return the next transaction. The oldest request
+     * seeds it; unless the seed is an erase or a retried read, which
+     * run alone, each later request of the seed's operation that is
+     * not a retried read and is coalescible() with every request
+     * picked so far joins, in queue order, until the transaction holds
+     * @p max_size requests. The requests left keep their order.
+     * @pre !empty()
+     */
+    FlashTransaction take(std::size_t max_size);
+};
 
 /** Aggregate controller statistics. */
 struct ControllerStats
@@ -111,9 +150,12 @@ class FlashController
     const ControllerStats &stats() const { return stats_; }
 
   private:
+    /** One chip's state. Each pending entry holds a request and its
+     *  CoalesceKey; the per-op counts end a launch's scan at the last
+     *  entry of the seed's op. */
     struct PerChip
     {
-        RingDeque<MemoryRequest *> pending;
+        PendingQueue pending;
         std::uint32_t inFlight = 0;
         bool launchScheduled = false;
         /** Requests of the in-flight transaction (reused storage). */

@@ -11,6 +11,7 @@
 #ifndef SPK_FLASH_MEM_REQUEST_HH
 #define SPK_FLASH_MEM_REQUEST_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -22,6 +23,9 @@ namespace spk
 
 /** Flash operation kinds a transaction can execute. */
 enum class FlashOp : std::uint8_t { Read, Program, Erase };
+
+/** Number of FlashOp values. */
+inline constexpr std::size_t kFlashOps = 3;
 
 /** Sentinel for "not owned by any GC batch". */
 inline constexpr std::uint32_t kInvalidGcBatch =

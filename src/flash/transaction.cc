@@ -14,20 +14,20 @@ FlashTransaction::classify() const
 {
     // plane_use[d] = set of planes addressed in die d; die_mask = set
     // of dies addressed. Fixed-size: die indices are bounded by
-    // kMaxDiesPerChip (geometry validate()).
+    // kMaxDiesPerChip (geometry validate()). A set m has two or more
+    // members exactly when m & (m - 1) != 0, tested on each die's set
+    // as it grows, so only the dies in use are touched (std::popcount
+    // is an out-of-line libgcc call without -mpopcnt).
     std::array<std::uint32_t, kMaxDiesPerChip> plane_use{};
     std::uint32_t die_mask = 0;
+    bool multi_plane = false;
     for (const auto *req : requests_) {
-        plane_use[req->addr.die] |= 1u << req->addr.plane;
+        const std::uint32_t planes =
+            plane_use[req->addr.die] |= 1u << req->addr.plane;
+        multi_plane = multi_plane || (planes & (planes - 1)) != 0;
         die_mask |= 1u << req->addr.die;
     }
-
-    const bool multi_die = std::popcount(die_mask) > 1;
-    bool multi_plane = false;
-    for (const auto mask : plane_use) {
-        if (std::popcount(mask) > 1)
-            multi_plane = true;
-    }
+    const bool multi_die = (die_mask & (die_mask - 1)) != 0;
 
     if (multi_die && multi_plane)
         return FlpClass::Pal3;
@@ -73,14 +73,9 @@ canCoalesce(const FlashTransaction &txn, const MemoryRequest &req)
         return true;
     if (!req.translated || req.chip != txn.chip() || req.op != txn.op())
         return false;
+    const CoalesceKey key = CoalesceKey::of(req);
     for (const auto *existing : txn.requests()) {
-        if (existing->addr.die != req.addr.die)
-            continue;
-        if (existing->addr.plane == req.addr.plane)
-            return false;
-        // Plane sharing within a die needs the same page offset
-        // (different block/plane addresses are fine).
-        if (existing->addr.page != req.addr.page)
+        if (!coalescible(CoalesceKey::of(*existing), key))
             return false;
     }
     return true;

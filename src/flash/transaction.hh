@@ -107,9 +107,47 @@ class FlashTransaction
 };
 
 /**
- * Check whether @p req can join @p txn without breaking the ONFI
- * multiplane / die-interleave constraints. Used by the transaction
- * builder in the flash controller.
+ * What coalescing reads of a memory request: its operation, whether
+ * it is a read-retry re-issue, and its die, plane and page offset.
+ * Die and plane indices fit a byte (kMaxDiesPerChip,
+ * kMaxPlanesPerDie). A committed request's address never changes, so
+ * a pending queue keeps the key beside the request and scans keys
+ * without reading the requests it skips. The members have no default
+ * initializers, so an array of keys is left uninitialized: a launch's
+ * StaticVec of picked keys would otherwise zero all kMaxTxnRequests
+ * slots (8 KB) every time.
+ */
+struct CoalesceKey
+{
+    std::uint32_t page; //!< page offset within the block
+    std::uint8_t die;
+    std::uint8_t plane;
+    FlashOp op;
+    bool retried; //!< retryAttempt > 0: the read runs alone
+
+    static CoalesceKey
+    of(const MemoryRequest &req)
+    {
+        return {req.addr.page, static_cast<std::uint8_t>(req.addr.die),
+                static_cast<std::uint8_t>(req.addr.plane), req.op,
+                req.retryAttempt > 0};
+    }
+};
+
+/**
+ * The ONFI rule for two requests of one transaction: one request per
+ * (die, plane), and one page offset per die (a multiplane operation
+ * addresses the same page in every plane of the die).
+ */
+constexpr bool
+coalescible(const CoalesceKey &a, const CoalesceKey &b)
+{
+    return a.die != b.die || (a.plane != b.plane && a.page == b.page);
+}
+
+/**
+ * Check whether @p req can join @p txn: same chip and op, and
+ * coalescible() with every request already in it.
  */
 bool canCoalesce(const FlashTransaction &txn, const MemoryRequest &req);
 

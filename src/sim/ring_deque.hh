@@ -12,8 +12,11 @@
  * buckets, block free lists).
  *
  * Supports push/pop at both ends, random-access iteration and
- * erase-by-iterator (linear shift; queues here are short and the
- * erase order is deterministic either way).
+ * erase-by-iterator (a linear shift of the tail; the erase order is
+ * deterministic either way). The flash controllers' pending queues
+ * run dozens of requests deep under Sprinkler's over-commitment, so
+ * they never erase: PendingQueue::take closes the holes a launch
+ * leaves in one pass over the part it scanned.
  */
 
 #ifndef SPK_SIM_RING_DEQUE_HH

@@ -352,5 +352,15 @@ TEST(FlashController, UntranslatedCommitDies)
     EXPECT_DEATH(f.ctrl->commit(&req), "untranslated");
 }
 
+TEST(FlashController, CommitForAnotherChipDies)
+{
+    Fixture f;
+    // Chip 0's address, chip 1's global index: a launch would take
+    // the transaction's chip from it.
+    auto *req = f.make(FlashOp::Read, 0, 0, 0, 1);
+    req->chip = f.geo.chipIndex(0, 1);
+    EXPECT_DEATH(f.ctrl->commit(req), "another chip");
+}
+
 } // namespace
 } // namespace spk

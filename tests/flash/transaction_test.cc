@@ -7,8 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <utility>
+#include <vector>
 
 #include "flash/transaction.hh"
+#include "sim/rng.hh"
 
 namespace spk
 {
@@ -82,6 +87,85 @@ TEST(Transaction, CombinedIsPal3)
     txn.add(&d);
     EXPECT_TRUE(txn.valid());
     EXPECT_EQ(txn.classify(), FlpClass::Pal3);
+}
+
+/** classify() by its definition: a popcount over every die's plane
+ *  set and over the die set. */
+FlpClass
+popcountClassify(const FlashTransaction &txn)
+{
+    std::array<std::uint32_t, kMaxDiesPerChip> plane_use{};
+    std::uint32_t die_mask = 0;
+    for (const auto *req : txn.requests()) {
+        plane_use[req->addr.die] |= 1u << req->addr.plane;
+        die_mask |= 1u << req->addr.die;
+    }
+    const bool multi_die = std::popcount(die_mask) > 1;
+    const bool multi_plane =
+        std::any_of(plane_use.begin(), plane_use.end(),
+                    [](std::uint32_t m) { return std::popcount(m) > 1; });
+    if (multi_die && multi_plane)
+        return FlpClass::Pal3;
+    if (multi_die)
+        return FlpClass::Pal2;
+    if (multi_plane)
+        return FlpClass::Pal1;
+    return FlpClass::NonPal;
+}
+
+TEST(Transaction, ClassifyMatchesPopcountDefinition)
+{
+    Rng rng(29);
+    // A set of 32 indices: one, or a sparse random set; either may
+    // hold 31, the top bit.
+    const auto index_set = [&rng] {
+        std::uint32_t set =
+            rng.nextBool(0.4)
+                ? 1u << rng.nextBelow(32)
+                : static_cast<std::uint32_t>(rng.next() & rng.next() &
+                                             rng.next());
+        if (rng.nextBool(0.3))
+            set |= 1u << 31;
+        return set == 0 ? 1u : set;
+    };
+    std::array<std::uint64_t, 4> per_class{};
+    std::uint64_t top_die = 0;
+    std::uint64_t top_plane = 0;
+    for (int round = 0; round < 4000; ++round) {
+        // A valid set: each die it uses holds one page offset across
+        // its planes.
+        std::vector<MemoryRequest> reqs;
+        const std::uint32_t dies = index_set();
+        const bool plane_per_die = rng.nextBool(0.3);
+        for (std::uint32_t d = 0; d < kMaxDiesPerChip; ++d) {
+            if (!(dies >> d & 1u))
+                continue;
+            const std::uint32_t planes =
+                plane_per_die ? 1u << rng.nextBelow(32) : index_set();
+            const auto page = static_cast<std::uint32_t>(rng.nextBelow(64));
+            for (std::uint32_t p = 0; p < kMaxPlanesPerDie; ++p) {
+                if (planes >> p & 1u)
+                    reqs.push_back(makeReq(d, p, page));
+            }
+        }
+        for (std::size_t i = reqs.size(); i > 1; --i)
+            std::swap(reqs[i - 1], reqs[rng.nextBelow(i)]);
+
+        FlashTransaction txn(FlashOp::Read, 0);
+        for (auto &req : reqs) {
+            txn.add(&req);
+            top_die += req.addr.die == 31;
+            top_plane += req.addr.plane == 31;
+        }
+        ASSERT_TRUE(txn.valid());
+        const FlpClass want = popcountClassify(txn);
+        ASSERT_EQ(txn.classify(), want) << "round " << round;
+        ++per_class[static_cast<std::size_t>(want)];
+    }
+    for (std::size_t c = 0; c < per_class.size(); ++c)
+        EXPECT_GT(per_class[c], 200u) << "class " << c;
+    EXPECT_GT(top_die, 0u);
+    EXPECT_GT(top_plane, 0u);
 }
 
 TEST(Transaction, SamePlaneTwiceIsInvalid)
