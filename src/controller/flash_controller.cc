@@ -18,36 +18,36 @@ PendingQueue::push(MemoryRequest *req, bool front)
     ++opCount[static_cast<std::size_t>(entry.key.op)];
 }
 
-FlashTransaction
-PendingQueue::take(std::size_t max_size)
+void
+PendingQueue::take(std::size_t max_size,
+                   std::vector<MemoryRequest *> &reqs, CoalesceKeys &keys)
 {
     const CoalesceKey seed = entries.front().key;
-    FlashTransaction txn(seed.op, entries.front().req->chip);
-    txn.add(entries.front().req);
+    reqs.push_back(entries.front().req);
+    keys.clear();
+    keys.push_back(seed);
     std::uint32_t &count = opCount[static_cast<std::size_t>(seed.op)];
 
     // Retried reads re-execute solo: their sense phase runs at an
     // escalated ladder latency no coalesced peer would share.
     std::size_t last = 0; // position of the last pick
     if (seed.op != FlashOp::Erase && !seed.retried) {
-        StaticVec<CoalesceKey, kMaxTxnRequests> picked;
-        picked.push_back(seed);
         // Entries of the seed's op not yet scanned.
         std::uint32_t left = count - 1;
-        for (std::size_t i = 1; left > 0 && txn.size() < max_size; ++i) {
+        for (std::size_t i = 1; left > 0 && keys.size() < max_size; ++i) {
             Entry &entry = entries[i];
             if (entry.key.op != seed.op)
                 continue;
             --left;
             if (entry.key.retried ||
-                !std::all_of(picked.begin(), picked.end(),
+                !std::all_of(keys.begin(), keys.end(),
                              [&entry](const CoalesceKey &k) {
                                  return coalescible(k, entry.key);
                              })) {
                 continue;
             }
-            txn.add(entry.req);
-            picked.push_back(entry.key);
+            reqs.push_back(entry.req);
+            keys.push_back(entry.key);
             entry.req = nullptr;
             last = i;
         }
@@ -62,10 +62,9 @@ PendingQueue::take(std::size_t max_size)
         if (entries[from].req != nullptr)
             entries[to--] = entries[from];
     }
-    for (std::size_t i = 0; i < txn.size(); ++i)
+    for (std::size_t i = 0; i < keys.size(); ++i)
         entries.pop_front();
-    count -= static_cast<std::uint32_t>(txn.size());
-    return txn;
+    count -= static_cast<std::uint32_t>(keys.size());
 }
 
 FlashController::FlashController(EventQueue &events, Channel &channel,
@@ -82,6 +81,7 @@ FlashController::FlashController(EventQueue &events, Channel &channel,
       chips_(std::move(chips)),
       timing_(timing),
       pageBytes_(page_bytes),
+      pageTransfer_(timing.transferTime(page_bytes)),
       decisionWindow_(decision_window),
       onComplete_(std::move(on_complete)),
       faults_(faults),
@@ -162,20 +162,23 @@ FlashController::tryLaunch(std::uint32_t chip_offset)
     if (cs.pending.empty() || cs.inFlight > 0 || !chip->readyAt(now))
         return;
 
-    // One request per (die, plane) at most.
-    const FlashTransaction txn = cs.pending.take(chip->planesPerChip());
-    const MemoryRequest *seed = txn.requests().front();
+    // One request per (die, plane) at most. No transaction is in
+    // flight, so executing is empty and takes the picks.
+    CoalesceKeys keys;
+    cs.pending.take(chip->planesPerChip(), cs.executing, keys);
+    const MemoryRequest *seed = cs.executing.front();
 
     TransactionPlan plan;
+    FlpClass flp;
     if (seed->retryAttempt > 0 && faults_) {
-        // Ladder step k senses slower than the base tR; re-plan the
+        // Ladder step k senses slower than the base tR; plan the
         // transaction around the escalated sense latency.
         FlashTiming retry_timing = timing_;
         retry_timing.readLatency = faults_->senseLatency(
             seed->retryAttempt, timing_.readLatency);
-        plan = txn.plan(retry_timing, pageBytes_);
+        flp = planTransaction(keys, retry_timing, pageTransfer_, plan);
     } else {
-        plan = txn.plan(timing_, pageBytes_);
+        flp = planTransaction(keys, timing_, pageTransfer_, plan);
     }
 
     // One batched arbitration call books the command/data-in phase
@@ -189,15 +192,13 @@ FlashController::tryLaunch(std::uint32_t chip_offset)
     const Tick start = grant.cmdStart;
     const Tick cell_end_abs = start + plan.cellEnd;
 
-    const FlpClass flp = txn.classify();
     const Tick provisional_end = std::max(start + plan.cmdPhase,
                                           cell_end_abs);
     chip->beginTransaction(start, provisional_end, plan, flp,
-                           txn.size());
+                           keys.size());
 
-    cs.inFlight += static_cast<std::uint32_t>(txn.size());
+    cs.inFlight += static_cast<std::uint32_t>(keys.size());
 
-    cs.executing.assign(txn.requests().begin(), txn.requests().end());
     for (auto *req : cs.executing)
         req->startedAt = start;
 

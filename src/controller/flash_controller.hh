@@ -14,7 +14,10 @@
  * each operation. Sprinkler over-commits, so a chip can hold dozens of
  * requests; a launch reads keys, not requests, and stops after the
  * last entry of its seed's operation, so it costs what it can still
- * pick rather than what is queued.
+ * pick rather than what is queued. Its picks go straight into the
+ * chip's executing list, and one pass over their keys plans the
+ * transaction in place (planTransaction()): cell phases, bus holds,
+ * FLP class and the ONFI check.
  */
 
 #ifndef SPK_CONTROLLER_FLASH_CONTROLLER_HH
@@ -61,15 +64,17 @@ struct PendingQueue
     void push(MemoryRequest *req, bool front);
 
     /**
-     * Remove and return the next transaction. The oldest request
-     * seeds it; unless the seed is an erase or a retried read, which
-     * run alone, each later request of the seed's operation that is
-     * not a retried read and is coalescible() with every request
+     * Remove the next transaction's requests, append them to @p reqs
+     * and set @p keys to their keys, both in pick order. The oldest
+     * request seeds it; unless the seed is an erase or a retried read,
+     * which run alone, each later request of the seed's operation that
+     * is not a retried read and is coalescible() with every request
      * picked so far joins, in queue order, until the transaction holds
      * @p max_size requests. The requests left keep their order.
      * @pre !empty()
      */
-    FlashTransaction take(std::size_t max_size);
+    void take(std::size_t max_size, std::vector<MemoryRequest *> &reqs,
+              CoalesceKeys &keys);
 };
 
 /** Aggregate controller statistics. */
@@ -206,6 +211,7 @@ class FlashController
     std::vector<FlashChip *> chips_;
     FlashTiming timing_;
     std::uint32_t pageBytes_;
+    Tick pageTransfer_; //!< timing_.transferTime(pageBytes_)
     Tick decisionWindow_;
     CompletionFn onComplete_;
     const FaultModel *faults_ = nullptr;

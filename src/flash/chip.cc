@@ -1,7 +1,5 @@
 #include "flash/chip.hh"
 
-#include <bit>
-
 #include "sim/logging.hh"
 
 namespace spk
@@ -23,9 +21,7 @@ FlashChip::beginTransaction(Tick start, Tick end,
     stats_.busyTime += end - start;
     for (const auto &cell : plan.cells) {
         stats_.cellTime += cell.duration;
-        stats_.planeActiveTime +=
-            cell.duration *
-            static_cast<Tick>(std::popcount(cell.planeMask));
+        stats_.planeActiveTime += cell.duration * cell.requests;
     }
     stats_.transactions += 1;
     stats_.requestsServed += n_reqs;

@@ -73,6 +73,11 @@ struct MemoryRequest
      *  program); the owner decides remap vs error completion. */
     bool faultFailed = false;
 
+    /** On its LPN's hazard chain (LpnChainMap). */
+    bool onLpnChain = false;
+    /** Heads that chain: the oldest pending request on the page. */
+    bool lpnHead = false;
+
     Tick committedAt = 0;
     Tick startedAt = 0;
     Tick finishedAt = 0;

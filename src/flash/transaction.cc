@@ -2,69 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 
 #include "sim/logging.hh"
 
 namespace spk
 {
-
-FlpClass
-FlashTransaction::classify() const
-{
-    // plane_use[d] = set of planes addressed in die d; die_mask = set
-    // of dies addressed. Fixed-size: die indices are bounded by
-    // kMaxDiesPerChip (geometry validate()). A set m has two or more
-    // members exactly when m & (m - 1) != 0, tested on each die's set
-    // as it grows, so only the dies in use are touched (std::popcount
-    // is an out-of-line libgcc call without -mpopcnt).
-    std::array<std::uint32_t, kMaxDiesPerChip> plane_use{};
-    std::uint32_t die_mask = 0;
-    bool multi_plane = false;
-    for (const auto *req : requests_) {
-        const std::uint32_t planes =
-            plane_use[req->addr.die] |= 1u << req->addr.plane;
-        multi_plane = multi_plane || (planes & (planes - 1)) != 0;
-        die_mask |= 1u << req->addr.die;
-    }
-    const bool multi_die = (die_mask & (die_mask - 1)) != 0;
-
-    if (multi_die && multi_plane)
-        return FlpClass::Pal3;
-    if (multi_die)
-        return FlpClass::Pal2;
-    if (multi_plane)
-        return FlpClass::Pal1;
-    return FlpClass::NonPal;
-}
-
-bool
-FlashTransaction::valid() const
-{
-    if (requests_.empty())
-        return false;
-
-    // (die, plane) uniqueness and the same-page multiplane rule.
-    std::array<std::uint32_t, kMaxDiesPerChip> plane_use{};
-    std::array<std::uint32_t, kMaxDiesPerChip> die_page{};
-    for (const auto *req : requests_) {
-        if (!req->translated || req->chip != chip_ || req->op != op_)
-            return false;
-        if (req->addr.die >= kMaxDiesPerChip ||
-            req->addr.plane >= kMaxPlanesPerDie) {
-            return false;
-        }
-        const std::uint32_t plane_bit = 1u << req->addr.plane;
-        auto &mask = plane_use[req->addr.die];
-        if (mask & plane_bit)
-            return false; // two requests on one plane
-        if (mask != 0 && die_page[req->addr.die] != req->addr.page)
-            return false; // multiplane requires identical page offset
-        mask |= plane_bit;
-        die_page[req->addr.die] = req->addr.page;
-    }
-    return true;
-}
 
 bool
 canCoalesce(const FlashTransaction &txn, const MemoryRequest &req)
@@ -81,81 +23,77 @@ canCoalesce(const FlashTransaction &txn, const MemoryRequest &req)
     return true;
 }
 
-TransactionPlan
-FlashTransaction::plan(const FlashTiming &timing,
-                       std::uint32_t page_bytes) const
+FlpClass
+planTransaction(const CoalesceKeys &keys, const FlashTiming &timing,
+                Tick page_transfer, TransactionPlan &out)
 {
-    if (!valid())
-        panic("FlashTransaction::plan on invalid transaction");
+    if (keys.empty())
+        panic("planTransaction: no requests");
+    const FlashOp op = keys.front().op;
 
-    TransactionPlan out;
-
-    // Dies in insertion order of their first request; requests stay in
-    // insertion order within each die (filtered scan below).
-    StaticVec<std::uint32_t, kMaxDiesPerChip> die_order;
-    std::uint32_t seen_mask = 0;
-    for (const auto *req : requests_) {
-        const std::uint32_t bit = 1u << req->addr.die;
-        if (!(seen_mask & bit)) {
-            seen_mask |= bit;
-            die_order.push_back(req->addr.die);
+    // One cell phase per die, in the order of the die's first request.
+    // cell_of[d] is 1 + the index of die d's phase, 0 while d has none;
+    // page_of[i] is the page offset phase i's die addresses. The ONFI
+    // rule puts one page offset on a die, so a program's phase takes
+    // that page's latency.
+    std::array<std::uint8_t, kMaxDiesPerChip> cell_of{};
+    StaticVec<std::uint32_t, kMaxDiesPerChip> page_of;
+    out.cells.clear();
+    for (const CoalesceKey &key : keys) {
+        if (key.op != op)
+            panic("planTransaction: mixed operations");
+        if (key.die >= kMaxDiesPerChip || key.plane >= kMaxPlanesPerDie)
+            panic("planTransaction: die or plane out of range");
+        const std::uint32_t plane_bit = 1u << key.plane;
+        std::uint8_t &slot = cell_of[key.die];
+        if (slot == 0) {
+            const Tick duration = op == FlashOp::Read ? timing.readLatency
+                                  : op == FlashOp::Program
+                                      ? timing.programLatency(key.page)
+                                      : timing.eraseLatency;
+            out.cells.push_back(
+                CellPhase{key.die, plane_bit, 1, 0, duration});
+            page_of.push_back(key.page);
+            slot = static_cast<std::uint8_t>(out.cells.size());
+            continue;
         }
+        CellPhase &cell = out.cells[slot - 1];
+        if (cell.planeMask & plane_bit)
+            panic("planTransaction: two requests on one plane");
+        if (page_of[slot - 1] != key.page)
+            panic("planTransaction: two page offsets on one die");
+        cell.planeMask |= plane_bit;
+        ++cell.requests;
     }
 
-    // Phase 1: one channel hold covering commands/addresses for every
-    // request, plus data-in for programs. Each die's cell phase starts
-    // as soon as its own commands finish (die interleaving).
+    const Tick per_request =
+        timing.commandOverhead +
+        (op == FlashOp::Program ? page_transfer : 0);
     Tick cursor = 0;
-    std::uint32_t planes_touched = 0;
-    for (const auto die : die_order) {
-        CellPhase cell;
-        cell.die = die;
-        Tick cell_duration = 0;
-        for (const auto *req : requests_) {
-            if (req->addr.die != die)
-                continue;
-            cursor += timing.commandOverhead;
-            if (op_ == FlashOp::Program) {
-                cursor += timing.transferTime(page_bytes);
-                cell_duration = std::max(
-                    cell_duration, timing.programLatency(req->addr.page));
-            }
-            cell.planeMask |= 1u << req->addr.plane;
-        }
+    out.cellEnd = 0;
+    for (CellPhase &cell : out.cells) {
+        cursor += cell.requests * per_request;
         cell.start = cursor;
-        planes_touched +=
-            static_cast<std::uint32_t>(std::popcount(cell.planeMask));
-
-        switch (op_) {
-          case FlashOp::Read:
-            cell.duration = timing.readLatency;
-            break;
-          case FlashOp::Program:
-            // Multiplane program completes when the slowest page does.
-            cell.duration = cell_duration;
-            break;
-          case FlashOp::Erase:
-            cell.duration = timing.eraseLatency;
-            break;
-        }
-        out.cells.push_back(cell);
-    }
-
-    out.cmdPhase = cursor;
-    out.planesTouched = planes_touched;
-    for (const auto &cell : out.cells)
         out.cellEnd = std::max(out.cellEnd, cell.start + cell.duration);
-
-    // Phase 2 (reads only): one channel hold streaming every page out.
-    if (op_ == FlashOp::Read) {
-        out.dataOutPhase = 0;
-        for (std::size_t i = 0; i < requests_.size(); ++i) {
-            out.dataOutPhase +=
-                timing.commandOverhead + timing.transferTime(page_bytes);
-        }
     }
+    const auto n = static_cast<std::uint32_t>(keys.size());
+    out.cmdPhase = cursor;
+    out.planesTouched = n;
+    out.dataOutPhase =
+        op == FlashOp::Read ? n * (timing.commandOverhead + page_transfer)
+                            : 0;
 
-    return out;
+    // A die's requests sit on distinct planes, so a die shares planes
+    // exactly when there are more requests than dies.
+    const bool multi_die = out.cells.size() > 1;
+    const bool multi_plane = n > out.cells.size();
+    if (multi_die && multi_plane)
+        return FlpClass::Pal3;
+    if (multi_die)
+        return FlpClass::Pal2;
+    if (multi_plane)
+        return FlpClass::Pal1;
+    return FlpClass::NonPal;
 }
 
 } // namespace spk

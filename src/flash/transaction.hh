@@ -29,13 +29,19 @@ namespace spk
 /** Flash-level parallelism classes (Figure 14 of the paper). */
 enum class FlpClass : std::uint8_t { NonPal, Pal1, Pal2, Pal3 };
 
-/** One cell (array) activity inside a transaction's timeline. */
+/**
+ * One cell (array) activity inside a transaction's timeline. The
+ * members have no default initializers, so the kMaxDiesPerChip cell
+ * slots of a TransactionPlan are left uninitialized: a launch would
+ * otherwise zero all of them (about 1 KB) to use one or two.
+ */
 struct CellPhase
 {
-    std::uint32_t die = 0;
-    std::uint32_t planeMask = 0; //!< bit i set => plane i active
-    Tick start = 0;              //!< relative to transaction start
-    Tick duration = 0;
+    std::uint32_t die;
+    std::uint32_t planeMask; //!< bit i set => plane i active
+    std::uint32_t requests;  //!< requests on the die, one per plane
+    Tick start;              //!< relative to transaction start
+    Tick duration;
 };
 
 /**
@@ -58,10 +64,12 @@ struct TransactionPlan
 /**
  * A set of memory requests coalesced for one chip.
  *
- * The transaction does not own its requests; the flash controller
- * does. All requests must target the same chip and carry the same
- * operation. Within a die, requests must address distinct planes and
- * (for plane sharing) the same page offset -- checked by valid().
+ * The transaction does not own its requests. All requests must
+ * target the same chip and carry the same operation, and any two must
+ * be coalescible(): canCoalesce() checks a request against the set
+ * before it joins. Sprinkler's FARO builds its candidate sets this
+ * way; a flash controller launch picks from its pending keys instead
+ * and plans with planTransaction().
  */
 class FlashTransaction
 {
@@ -82,23 +90,6 @@ class FlashTransaction
 
     std::size_t size() const { return requests_.size(); }
     bool empty() const { return requests_.empty(); }
-
-    /** FLP classification of the current request set. */
-    FlpClass classify() const;
-
-    /**
-     * Check structural validity: same op/chip everywhere, at most one
-     * request per (die, plane), and same page offset within any die
-     * that uses more than one plane (the ONFI multiplane constraint).
-     */
-    bool valid() const;
-
-    /**
-     * Compute the timing plan under @p timing for @p page_bytes pages.
-     * @pre valid()
-     */
-    TransactionPlan plan(const FlashTiming &timing,
-                         std::uint32_t page_bytes) const;
 
   private:
     FlashOp op_;
@@ -150,6 +141,28 @@ coalescible(const CoalesceKey &a, const CoalesceKey &b)
  * coalescible() with every request already in it.
  */
 bool canCoalesce(const FlashTransaction &txn, const MemoryRequest &req);
+
+/** The keys of one transaction's requests, in pick order. */
+using CoalesceKeys = StaticVec<CoalesceKey, kMaxTxnRequests>;
+
+/**
+ * Plan the transaction of the requests keyed @p keys into @p out,
+ * writing every member, and return its FLP class.
+ *
+ * One channel hold carries every request's command and address, plus
+ * its page for programs, die by die in the order of each die's first
+ * request; a die's cell phase starts once its own commands are out
+ * (die interleaving). A read then holds the channel again to stream
+ * every page out. @p page_transfer is timing.transferTime() of one
+ * page, which a flash controller computes once.
+ *
+ * Panics when the keys are empty, mix operations, address a die or
+ * plane past kMaxDiesPerChip or kMaxPlanesPerDie, or break the ONFI
+ * rule of coalescible().
+ */
+FlpClass planTransaction(const CoalesceKeys &keys,
+                         const FlashTiming &timing, Tick page_transfer,
+                         TransactionPlan &out);
 
 } // namespace spk
 

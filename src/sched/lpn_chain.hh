@@ -11,6 +11,10 @@
  * a linear-probing table. The table doubles on growth, so once it
  * reaches its high-water mark — bounded by the in-flight page count,
  * which the NCQ queue depth bounds — enqueue touches the heap never.
+ *
+ * Each chained request also carries its place on the chain
+ * (MemoryRequest::onLpnChain, ::lpnHead): the hazard check of a
+ * scheduler poll reads the request's head bit, not the table.
  */
 
 #ifndef SPK_SCHED_LPN_CHAIN_HH
@@ -30,7 +34,10 @@ namespace spk
  *
  * Linear probing with backward-shift deletion (no tombstones), so
  * lookup cost stays bounded at steady state. Chains are erased
- * automatically when their last request is popped.
+ * automatically when their last request is popped. A request's
+ * onLpnChain bit is set while it is chained and its lpnHead bit while
+ * it is its chain's front: pushBack onto an empty chain sets it, and
+ * popFront hands it to the next request.
  */
 class LpnChainMap
 {
@@ -50,10 +57,12 @@ class LpnChainMap
         if ((used_ + 1) * 2 > slots_.size())
             grow();
         req->lpnNext = nullptr;
+        req->onLpnChain = true;
         Slot &slot = findSlot(lpn);
         if (slot.head == nullptr) {
             slot.key = lpn;
             slot.head = req;
+            req->lpnHead = true;
             ++used_;
         } else {
             slot.tail->lpnNext = req;
@@ -62,7 +71,9 @@ class LpnChainMap
         ++chained_;
     }
 
-    /** Oldest pending request on @p lpn; nullptr when none. */
+    /** Oldest pending request on @p lpn; nullptr when none. A
+     *  request's lpnHead bit answers "is it the oldest?" without the
+     *  probe. */
     MemoryRequest *
     front(Lpn lpn) const
     {
@@ -91,11 +102,15 @@ class LpnChainMap
         MemoryRequest *req = slot.head;
         slot.head = req->lpnNext;
         req->lpnNext = nullptr;
+        req->onLpnChain = false;
+        req->lpnHead = false;
         --chained_;
         if (slot.head == nullptr) {
             slot.tail = nullptr;
             erase(i);
             --used_;
+        } else {
+            slot.head->lpnHead = true;
         }
         return req;
     }

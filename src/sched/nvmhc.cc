@@ -24,6 +24,13 @@ Nvmhc::Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
 {
     if (controllers_.size() != geo_.numChannels)
         fatal("Nvmhc: need one flash controller per channel");
+    if (cfg_.hostBwBytesPerSec == 0)
+        fatal("Nvmhc: hostBwBytesPerSec must be non-zero");
+    // A program also moves its page from the host to the device.
+    programComposeCost_ = cfg_.composeOverhead +
+                          (std::uint64_t{geo_.pageSizeBytes} * kSecond +
+                           cfg_.hostBwBytesPerSec - 1) /
+                              cfg_.hostBwBytesPerSec;
 
     ctx_.queue = &queue_;
     ctx_.view = this;
@@ -219,9 +226,10 @@ bool
 Nvmhc::hazardFree(const MemoryRequest &req) const
 {
     // Per-LPN ordering: only the oldest pending request on a logical
-    // page may proceed (covers RAW/WAW/WAR across queued I/Os).
-    const MemoryRequest *oldest = lpnChain_.front(req.lpn);
-    if (oldest == nullptr) {
+    // page, the head of its LPN chain, may proceed (covers RAW/WAW/WAR
+    // across queued I/Os). LpnChainMap marks a chained request, and a
+    // chain's head, on the request itself.
+    if (!req.onLpnChain) {
         panic("Nvmhc::hazardFree request missing from LPN chain: lpn=" +
               std::to_string(req.lpn) + " tag=" +
               std::to_string(req.tag) + " composed=" +
@@ -229,7 +237,7 @@ Nvmhc::hazardFree(const MemoryRequest &req) const
               std::to_string(req.isGc) + " id=" +
               std::to_string(req.id));
     }
-    if (oldest != &req)
+    if (!req.lpnHead)
         return false;
 
     // FUA barrier: an FUA I/O is served strictly in order -- nothing
@@ -260,13 +268,8 @@ Nvmhc::pump()
 
     req->composing = true;
     engineBusy_ = true;
-    Tick cost = cfg_.composeOverhead;
-    if (req->op == FlashOp::Program) {
-        // Host -> device data movement for the page contents.
-        cost += (std::uint64_t{geo_.pageSizeBytes} * kSecond +
-                 cfg_.hostBwBytesPerSec - 1) /
-                cfg_.hostBwBytesPerSec;
-    }
+    const Tick cost = req->op == FlashOp::Program ? programComposeCost_
+                                                  : cfg_.composeOverhead;
     events_.scheduleAfter(cost, [this, req] { composeDone(req); });
 }
 
@@ -380,10 +383,9 @@ Nvmhc::finishRequestTail(MemoryRequest *req, IoRequest *io)
 {
     const Tick now = events_.now();
 
-    // Retire the request from the hazard chain.
-    if (lpnChain_.front(req->lpn) != req)
+    // Retire the request from the hazard chain, which it must head.
+    if (!req->lpnHead || lpnChain_.popFront(req->lpn) != req)
         panic("Nvmhc: LPN chain corrupted at completion");
-    lpnChain_.popFront(req->lpn);
 
     if (!io->clearBit(req->idxInIo))
         panic("Nvmhc: completion bitmap bit already clear");

@@ -264,7 +264,8 @@ class Nvmhc : private SchedulerView
     /** Composition of @p req finished: commit it to its controller. */
     void composeDone(MemoryRequest *req);
 
-    /** Per-LPN ordering + FUA barrier check. */
+    /** Per-LPN ordering (the request heads its LPN chain, read from
+     *  its lpnHead bit) + FUA barrier check. */
     bool hazardFree(const MemoryRequest &req) const;
 
     FlashController &controllerFor(std::uint32_t chip);
@@ -278,6 +279,9 @@ class Nvmhc : private SchedulerView
     std::vector<FlashController *> controllers_;
     std::unique_ptr<IoScheduler> sched_;
     NvmhcConfig cfg_;
+    /** Composing a program: composeOverhead plus the page's host
+     *  transfer (a read moves no data in). */
+    Tick programComposeCost_ = 0;
     IoCompleteFn onIoComplete_;
     std::function<void()> afterEnqueue_;
     ReconstructFn reconstruct_;
@@ -316,7 +320,8 @@ class Nvmhc : private SchedulerView
     const ChipOccupancy &occupancy_;
 
     /** Per-LPN pending requests, oldest first (hazard ordering);
-     *  intrusive chains, allocation-free at steady state. */
+     *  intrusive chains, allocation-free at steady state, that mark
+     *  each chain's head on the request. */
     LpnChainMap lpnChain_;
 
     bool engineBusy_ = false;

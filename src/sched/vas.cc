@@ -1,5 +1,7 @@
 #include "sched/vas.hh"
 
+#include "sim/logging.hh"
+
 namespace spk
 {
 
@@ -11,21 +13,20 @@ VasScheduler::next(SchedulerContext &ctx)
         if (io->allComposed())
             continue;
 
-        // Next uncomposed page in virtual (page) order.
-        for (MemoryRequest *page : io->pages) {
-            MemoryRequest *req = page;
-            if (req->composed)
-                continue;
-            if (!ctx.view->schedulable(*req))
-                return nullptr; // ordering hazard: wait
-            // VAS commits blindly and the commitment pipeline blocks
-            // on the chip's R/B: model as head-of-line stall while the
-            // target chip has any load (loadLimit() is 1).
-            if (!ctx.view->occupancy().belowLimit(req->chip))
-                return nullptr;
-            return req;
-        }
-        return nullptr; // all composed but still finishing: in-order
+        // VAS composes each I/O in page order, so its next page in
+        // virtual order is the first one not yet composed.
+        MemoryRequest *req = io->pages[io->composedCount];
+        if (req->composed)
+            panic("VasScheduler: next page of tag " +
+                  std::to_string(io->tag) + " already composed");
+        if (!ctx.view->schedulable(*req))
+            return nullptr; // ordering hazard: wait
+        // VAS commits blindly and the commitment pipeline blocks on
+        // the chip's R/B: model as head-of-line stall while the target
+        // chip has any load (loadLimit() is 1).
+        if (!ctx.view->occupancy().belowLimit(req->chip))
+            return nullptr;
+        return req;
     }
     return nullptr;
 }

@@ -3,13 +3,14 @@
  * Lockstep oracle for the flash controller's transaction pick.
  *
  * PendingQueue::take() scans coalescing keys, stops after the last
- * entry of the seed's operation and closes the holes its picks leave.
- * The reference below is the pick as FlashController::tryLaunch made
- * it before that, unchanged: the oldest request seeds; a linear
- * canCoalesce scan skips retried reads and stops at the chip's plane
- * count; each pick leaves the queue by find plus erase. Both run over
- * random per-chip queues, and every transaction (its requests, in
- * order) and the queue left behind must match.
+ * entry of the seed's operation, closes the holes its picks leave and
+ * hands back the picks with their keys. The reference below is the
+ * pick as FlashController::tryLaunch made it before that, unchanged:
+ * the oldest request seeds; a linear canCoalesce scan skips retried
+ * reads and stops at the chip's plane count; each pick leaves the
+ * queue by find plus erase. Both run over random per-chip queues, and
+ * every transaction (its requests, in order, each beside its own key)
+ * and the queue left behind must match.
  */
 
 #include <gtest/gtest.h>
@@ -73,6 +74,18 @@ linearTake(RingDeque<MemoryRequest *> &pending, std::size_t max_size)
         pending.erase(it);
     }
     return txn;
+}
+
+/** @p key is @p req's CoalesceKey. */
+void
+expectKeyOf(const CoalesceKey &key, const MemoryRequest &req)
+{
+    const CoalesceKey want = CoalesceKey::of(req);
+    EXPECT_EQ(key.op, want.op);
+    EXPECT_EQ(key.retried, want.retried);
+    EXPECT_EQ(key.die, want.die);
+    EXPECT_EQ(key.plane, want.plane);
+    EXPECT_EQ(key.page, want.page);
 }
 
 /** One random chip: its geometry and the two queues in lockstep. */
@@ -152,19 +165,26 @@ struct Lockstep
     {
         const std::size_t max_size = std::size_t{dies} * planes;
         const FlashTransaction want = linearTake(reference, max_size);
-        const FlashTransaction got = queue.take(max_size);
-        ASSERT_EQ(got.op(), want.op());
-        ASSERT_EQ(got.chip(), want.chip());
-        ASSERT_TRUE(std::equal(got.requests().begin(),
-                               got.requests().end(),
+        std::vector<MemoryRequest *> got;
+        CoalesceKeys keys;
+        queue.take(max_size, got, keys);
+        ASSERT_TRUE(std::equal(got.begin(), got.end(),
                                want.requests().begin(),
                                want.requests().end()))
             << "transaction " << transactions;
-        ASSERT_TRUE(got.valid());
+        // Each pick's key is its own, of the seed's op, and coalescible
+        // with every other pick's.
+        ASSERT_EQ(keys.size(), got.size());
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            expectKeyOf(keys[i], *got[i]);
+            ASSERT_EQ(keys[i].op, keys[0].op);
+            for (std::size_t j = 0; j < i; ++j)
+                ASSERT_TRUE(coalescible(keys[j], keys[i])) << i << " " << j;
+        }
         ++transactions;
         coalesced += got.size() > 1;
         filled += got.size() > 1 && got.size() == max_size;
-        executing.assign(got.requests().begin(), got.requests().end());
+        executing = std::move(got);
     }
 
     /** The queue left behind: the same requests in the same order,
@@ -177,13 +197,8 @@ struct Lockstep
         for (std::size_t i = 0; i < reference.size(); ++i) {
             const auto &entry = queue.entries[i];
             ASSERT_EQ(entry.req, reference[i]) << "position " << i;
-            const CoalesceKey key = CoalesceKey::of(*entry.req);
-            EXPECT_EQ(entry.key.op, key.op);
-            EXPECT_EQ(entry.key.retried, key.retried);
-            EXPECT_EQ(entry.key.die, key.die);
-            EXPECT_EQ(entry.key.plane, key.plane);
-            EXPECT_EQ(entry.key.page, key.page);
-            ++ops[static_cast<std::size_t>(key.op)];
+            expectKeyOf(entry.key, *entry.req);
+            ++ops[static_cast<std::size_t>(entry.key.op)];
         }
         EXPECT_EQ(queue.opCount, ops);
     }

@@ -26,7 +26,7 @@ singlePlanePlan(Tick cell = 20000)
 {
     TransactionPlan plan;
     plan.cmdPhase = 200;
-    plan.cells.push_back(CellPhase{0, 0b0001, 200, cell});
+    plan.cells.push_back(CellPhase{0, 0b0001, 1, 200, cell});
     plan.cellEnd = 200 + cell;
     plan.planesTouched = 1;
     return plan;
@@ -69,8 +69,8 @@ TEST(FlashChip, PlaneActiveScalesWithMask)
     FlashChip chip(0, geo());
     TransactionPlan plan;
     plan.cmdPhase = 100;
-    plan.cells.push_back(CellPhase{0, 0b1111, 100, 1000}); // 4 planes
-    plan.cells.push_back(CellPhase{1, 0b0011, 200, 1000}); // 2 planes
+    plan.cells.push_back(CellPhase{0, 0b1111, 4, 100, 1000}); // 4 planes
+    plan.cells.push_back(CellPhase{1, 0b0011, 2, 200, 1000}); // 2 planes
     plan.cellEnd = 1200;
     plan.planesTouched = 6;
     chip.beginTransaction(0, 1300, plan, FlpClass::Pal3, 6);

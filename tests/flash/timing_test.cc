@@ -8,8 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
-#include <vector>
 
 #include "flash/transaction.hh"
 
@@ -28,26 +26,28 @@ struct PlanCase
 class PlanSweep : public ::testing::TestWithParam<PlanCase>
 {
   protected:
-    /** Build a valid transaction touching dies x planes slots. */
-    std::vector<std::unique_ptr<MemoryRequest>>
-    build(FlashTransaction &txn, const PlanCase &pc)
+    /** The keys of a valid transaction touching dies x planes slots. */
+    static CoalesceKeys
+    build(const PlanCase &pc)
     {
-        std::vector<std::unique_ptr<MemoryRequest>> pool;
+        CoalesceKeys keys;
         for (std::uint32_t d = 0; d < pc.dies; ++d) {
             for (std::uint32_t p = 0; p < pc.planesPerDie; ++p) {
-                auto req = std::make_unique<MemoryRequest>();
-                req->op = pc.op;
-                req->chip = 0;
-                req->addr.die = d;
-                req->addr.plane = p;
-                req->addr.block = p;
-                req->addr.page = d; // same page within each die
-                req->translated = true;
-                txn.add(req.get());
-                pool.push_back(std::move(req));
+                // Same page within each die.
+                keys.push_back(CoalesceKey{d, static_cast<std::uint8_t>(d),
+                                           static_cast<std::uint8_t>(p),
+                                           pc.op, false});
             }
         }
-        return pool;
+        return keys;
+    }
+
+    /** planTransaction() of @p keys under timing_ into @p out. */
+    FlpClass
+    plan(const CoalesceKeys &keys, TransactionPlan &out) const
+    {
+        return planTransaction(keys, timing_,
+                               timing_.transferTime(kPageBytes), out);
     }
 
     FlashTiming timing_{};
@@ -64,11 +64,8 @@ planLength(const TransactionPlan &plan)
 TEST_P(PlanSweep, ValidAndClassified)
 {
     const auto pc = GetParam();
-    FlashTransaction txn(pc.op, 0);
-    auto pool = build(txn, pc);
-    ASSERT_TRUE(txn.valid());
-
-    const FlpClass cls = txn.classify();
+    TransactionPlan out;
+    const FlpClass cls = plan(build(pc), out);
     if (pc.dies > 1 && pc.planesPerDie > 1)
         EXPECT_EQ(cls, FlpClass::Pal3);
     else if (pc.dies > 1)
@@ -82,35 +79,35 @@ TEST_P(PlanSweep, ValidAndClassified)
 TEST_P(PlanSweep, PlanConservation)
 {
     const auto pc = GetParam();
-    FlashTransaction txn(pc.op, 0);
-    auto pool = build(txn, pc);
-    const auto plan = txn.plan(timing_, kPageBytes);
+    const CoalesceKeys keys = build(pc);
+    TransactionPlan out;
+    plan(keys, out);
 
     // One cell phase per die; plane mask covers every request.
-    EXPECT_EQ(plan.cells.size(), pc.dies);
-    EXPECT_EQ(plan.planesTouched, pc.dies * pc.planesPerDie);
+    EXPECT_EQ(out.cells.size(), pc.dies);
+    EXPECT_EQ(out.planesTouched, pc.dies * pc.planesPerDie);
 
     // Command phase covers at least one command per request, plus
     // data-in for programs.
-    Tick floor = txn.size() * timing_.commandOverhead;
+    Tick floor = keys.size() * timing_.commandOverhead;
     if (pc.op == FlashOp::Program)
-        floor += txn.size() * timing_.transferTime(kPageBytes);
-    EXPECT_GE(plan.cmdPhase, floor);
+        floor += keys.size() * timing_.transferTime(kPageBytes);
+    EXPECT_GE(out.cmdPhase, floor);
 
     // Cells start only after their commands and end within the plan.
-    for (const auto &cell : plan.cells) {
-        EXPECT_LE(cell.start, plan.cmdPhase);
-        EXPECT_LE(cell.start + cell.duration, plan.cellEnd);
+    for (const auto &cell : out.cells) {
+        EXPECT_LE(cell.start, out.cmdPhase);
+        EXPECT_LE(cell.start + cell.duration, out.cellEnd);
         EXPECT_GT(cell.duration, 0u);
     }
-    EXPECT_GE(planLength(plan), plan.cellEnd);
+    EXPECT_GE(planLength(out), out.cellEnd);
 
     if (pc.op == FlashOp::Read) {
-        EXPECT_EQ(plan.dataOutPhase,
-                  txn.size() * (timing_.commandOverhead +
-                                timing_.transferTime(kPageBytes)));
+        EXPECT_EQ(out.dataOutPhase,
+                  keys.size() * (timing_.commandOverhead +
+                                 timing_.transferTime(kPageBytes)));
     } else {
-        EXPECT_EQ(plan.dataOutPhase, 0u);
+        EXPECT_EQ(out.dataOutPhase, 0u);
     }
 }
 
@@ -120,20 +117,20 @@ TEST_P(PlanSweep, CoalescingBeatsSerialExecution)
     if (pc.dies * pc.planesPerDie < 2)
         GTEST_SKIP() << "needs at least two requests";
 
-    FlashTransaction txn(pc.op, 0);
-    auto pool = build(txn, pc);
-    const auto plan = txn.plan(timing_, kPageBytes);
+    const CoalesceKeys keys = build(pc);
+    TransactionPlan out;
+    plan(keys, out);
 
     // Serial execution: each request as its own transaction.
     Tick serial = 0;
-    for (const auto *req : txn.requests()) {
-        FlashTransaction single(pc.op, 0);
-        // const_cast-free: rebuild a single-request transaction.
-        MemoryRequest copy = *req;
-        single.add(&copy);
-        serial += planLength(single.plan(timing_, kPageBytes));
+    for (const CoalesceKey &key : keys) {
+        CoalesceKeys single;
+        single.push_back(key);
+        TransactionPlan alone;
+        plan(single, alone);
+        serial += planLength(alone);
     }
-    EXPECT_LT(planLength(plan), serial)
+    EXPECT_LT(planLength(out), serial)
         << "coalesced transaction must beat serial execution";
 }
 
@@ -156,9 +153,10 @@ TEST(TimingProperties, ReadLatencyDominatedByCellForSmallPages)
     MemoryRequest req;
     req.op = FlashOp::Read;
     req.translated = true;
-    FlashTransaction txn(FlashOp::Read, 0);
-    txn.add(&req);
-    const auto plan = txn.plan(t, 2048);
+    CoalesceKeys keys;
+    keys.push_back(CoalesceKey::of(req));
+    TransactionPlan plan;
+    planTransaction(keys, t, t.transferTime(2048), plan);
     EXPECT_GT(t.readLatency, plan.cmdPhase);
 }
 

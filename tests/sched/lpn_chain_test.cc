@@ -2,7 +2,8 @@
  * @file
  * LpnChainMap: FIFO semantics per LPN, backward-shift deletion
  * correctness under churn (cross-checked against a std::unordered_map
- * reference), and steady-state allocation freedom.
+ * reference), the head and on-chain bits it marks on each request,
+ * and steady-state allocation freedom.
  */
 
 #include <gtest/gtest.h>
@@ -36,8 +37,12 @@ TEST(LpnChainMap, FifoPerLpn)
     EXPECT_EQ(map.front(8), nullptr);
     EXPECT_EQ(map.size(), 4u);
     EXPECT_EQ(map.chains(), 2u);
+    EXPECT_TRUE(a.lpnHead && other.lpnHead);
+    EXPECT_FALSE(b.lpnHead || c.lpnHead);
 
     EXPECT_EQ(map.popFront(7), &a);
+    EXPECT_FALSE(a.lpnHead || a.onLpnChain);
+    EXPECT_TRUE(b.lpnHead && b.onLpnChain);
     EXPECT_EQ(map.front(7), &b);
     EXPECT_EQ(map.popFront(7), &b);
     EXPECT_EQ(map.popFront(7), &c);
@@ -68,6 +73,7 @@ TEST(LpnChainMap, MatchesReferenceUnderChurn)
     std::unordered_map<Lpn, std::deque<MemoryRequest *>> ref;
     std::vector<std::unique_ptr<MemoryRequest>> storage;
     Rng rng(123);
+    std::uint64_t heads_seen = 0;
 
     for (int step = 0; step < 50'000; ++step) {
         const Lpn lpn = rng.nextBelow(97) * 64; // force hash clusters
@@ -82,9 +88,24 @@ TEST(LpnChainMap, MatchesReferenceUnderChurn)
                 ASSERT_EQ(got, nullptr);
             } else {
                 ASSERT_EQ(got, it->second.front());
+                // Off the chain, it holds neither bit.
+                ASSERT_FALSE(got->lpnHead || got->onLpnChain);
                 it->second.pop_front();
                 if (it->second.empty())
                     ref.erase(it);
+            }
+        }
+        // Every chained request is on its chain, and heads it exactly
+        // when it is the reference chain's front.
+        for (const auto &[k, chain] : ref) {
+            for (const MemoryRequest *req : chain) {
+                if (!req->onLpnChain ||
+                    req->lpnHead != (req == chain.front())) {
+                    FAIL() << "step " << step << ": on chain "
+                           << req->onLpnChain << ", head " << req->lpnHead
+                           << ", front " << (req == chain.front());
+                }
+                heads_seen += req->lpnHead;
             }
         }
         if (step % 1000 == 0) {
@@ -93,6 +114,7 @@ TEST(LpnChainMap, MatchesReferenceUnderChurn)
                 ASSERT_EQ(map.front(k), chain.front());
         }
     }
+    EXPECT_GT(heads_seen, 1'000'000u);
 }
 
 TEST(LpnChainMap, SteadyStateChurnIsAllocationFree)

@@ -89,6 +89,40 @@ TEST(Vas, HazardStallsPipeline)
 }
 
 /**
+ * A retired I/O's tag comes back on a new I/O, which VAS starts at its
+ * page 0: the next page is read from the I/O's own composed count, not
+ * from anything kept per tag.
+ */
+TEST(Vas, RecycledTagStartsAtPageZero)
+{
+    SchedHarness h;
+    VasScheduler vas;
+    h.attach(vas);
+    auto *first = h.addIo({0, 1, 2});
+    for (MemoryRequest *page : first->pages)
+        h.compose(page);
+    h.retire(first);
+
+    auto *second = h.addIo({3, 2});
+    ASSERT_EQ(second->tag, first->tag);
+    EXPECT_EQ(vas.next(h.ctx), second->pages[0]);
+    h.compose(second->pages[0]);
+    EXPECT_EQ(vas.next(h.ctx), second->pages[1]);
+}
+
+/** The page at the I/O's composed count is the first one not composed;
+ *  one composed there means something composed out of page order. */
+TEST(VasDeathTest, ComposedPageAtComposedCountDies)
+{
+    SchedHarness h;
+    VasScheduler vas;
+    h.attach(vas);
+    auto *io = h.addIo({0, 1});
+    io->pages[0]->composed = true; // composedCount stays 0
+    EXPECT_DEATH(vas.next(h.ctx), "already composed");
+}
+
+/**
  * A read in a soft decode keeps its chip from being idle but adds no
  * load: VAS still serves the chip, because it stalls on load, not on
  * idleness.
