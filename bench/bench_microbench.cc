@@ -6,13 +6,12 @@
  *
  * Self-contained harness (no external benchmark dependency): each
  * benchmark reports wall-clock throughput and the number of heap
- * allocations inside its measurement window (counting operator new
- * from bench_util.hh), prints a table, and emits machine-readable
+ * allocations inside its measurement window (the counting operator
+ * new of sim/alloc_counter.hh), prints a table, and emits machine-readable
  * BENCH_microbench.json so successive PRs can track the perf
  * trajectory.
  */
 
-#define SPK_BENCH_COUNT_ALLOCS
 #include "bench/bench_util.hh"
 
 #include <algorithm>
@@ -22,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/alloc_counter.hh"
 #include "sim/device_array.hh"
 #include "sim/estimator.hh"
 #include "sim/event_queue.hh"
@@ -109,7 +109,7 @@ benchEventLoopBatch()
     EventQueue q;
     run_once(q);
 
-    bench::AllocWindow window;
+    AllocWindow window;
     const LevelWindow levels(q);
     const auto t0 = Clock::now();
     for (int rep = 0; rep < kReps; ++rep)
@@ -156,7 +156,7 @@ benchEventLoopSteadyState()
         q.schedule(i % 13, Chain{&q, &count, i});
     q.run(20'000); // warm up pool + heap storage
 
-    bench::AllocWindow window;
+    AllocWindow window;
     const LevelWindow levels(q);
     const auto t0 = Clock::now();
     q.run();
@@ -206,7 +206,7 @@ benchEventLoopRunUntil()
         q.runUntil(q.now() + kSlice);
     const std::uint64_t count0 = count;
 
-    bench::AllocWindow window;
+    AllocWindow window;
     const LevelWindow levels(q);
     const auto t0 = Clock::now();
     while (!q.empty())
@@ -238,7 +238,7 @@ benchGeometryDecompose()
 
     constexpr int kReps = 20'000;
     std::uint64_t acc = 0;
-    bench::AllocWindow window;
+    AllocWindow window;
     const auto t0 = Clock::now();
     for (int rep = 0; rep < kReps; ++rep) {
         for (const auto ppn : ppns)
@@ -275,7 +275,7 @@ benchFullDeviceRun(SchedulerKind kind)
     std::uint64_t heapTransits = 0;
     std::size_t wheel2Peak = 0;
     std::size_t heapPeak = 0;
-    bench::AllocWindow window;
+    AllocWindow window;
     const auto t0 = Clock::now();
     for (int rep = 0; rep < kReps; ++rep) {
         SsdConfig cfg;
@@ -366,7 +366,7 @@ benchGcHeavySteadyState()
 
     const std::uint64_t events0 = ssd.events().dispatched();
     const LevelWindow levels(ssd.events()); // exclude warmup peaks
-    bench::AllocWindow window;
+    AllocWindow window;
     const auto t0 = Clock::now();
     ssd.run();
     const double sec = secondsSince(t0);
@@ -428,7 +428,7 @@ benchGcCampaign()
     }
 
     constexpr int kReps = 5;
-    bench::AllocWindow window;
+    AllocWindow window;
     const auto t0 = Clock::now();
     for (int rep = 0; rep < kReps; ++rep) {
         DeviceArray array(jobs);
@@ -471,7 +471,7 @@ benchFastModeCells()
 
     constexpr int kReps = 100;
     double acc = 0.0;
-    bench::AllocWindow window;
+    AllocWindow window;
     const auto t0 = Clock::now();
     for (int rep = 0; rep < kReps; ++rep)
         acc += estimateDevice(job).bandwidthKBps;

@@ -18,17 +18,10 @@
 #include "workload/paper_traces.hh"
 #include "workload/synthetic.hh"
 
-#ifdef SPK_BENCH_COUNT_ALLOCS
-#define SPK_COUNT_ALLOCS
-#endif
-#include "sim/alloc_counter.hh"
-
 namespace spk
 {
 namespace bench
 {
-
-using spk::AllocWindow;
 
 /** The five schedulers of the evaluation, in paper order. */
 inline const std::vector<SchedulerKind> &

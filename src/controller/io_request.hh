@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "flash/mem_request.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace spk
@@ -65,6 +66,11 @@ struct IoRequest
      */
     std::vector<std::uint64_t> bitmap;
 
+    /** Neighbours on the NVMHC's UncomposedIos list while this I/O
+     *  has pages left to compose; nullptr off the list. */
+    IoRequest *uncomposedPrev = nullptr;
+    IoRequest *uncomposedNext = nullptr;
+
     bool allComposed() const { return composedCount >= pageCount; }
     bool done() const { return finishedCount >= pageCount; }
 
@@ -94,6 +100,73 @@ IoRequest::clearBit(std::uint32_t idx)
     bitmap[word] &= ~bit;
     return true;
 }
+
+/**
+ * The queued I/Os that still have pages to compose, oldest first.
+ *
+ * An I/O joins at enqueue and leaves when its last page composes, so
+ * a scheduler walking the queue in arrival order never steps over a
+ * fully composed I/O. The list is threaded through the I/Os'
+ * uncomposedPrev / uncomposedNext links, so joining and leaving never
+ * touch the heap.
+ */
+class UncomposedIos
+{
+  public:
+    /** Forward iterator over the list, oldest first. */
+    class Iterator
+    {
+      public:
+        explicit Iterator(IoRequest *io) : io_(io) {}
+        IoRequest *operator*() const { return io_; }
+        Iterator &
+        operator++()
+        {
+            io_ = io_->uncomposedNext;
+            return *this;
+        }
+        bool operator!=(const Iterator &o) const { return io_ != o.io_; }
+
+      private:
+        IoRequest *io_;
+    };
+
+    bool empty() const { return head_ == nullptr; }
+
+    /** The oldest I/O with pages to compose, or nullptr. */
+    IoRequest *front() const { return head_; }
+
+    Iterator begin() const { return Iterator(head_); }
+    Iterator end() const { return Iterator(nullptr); }
+
+    /** Append @p io, the newest queued I/O. */
+    void
+    pushBack(IoRequest &io)
+    {
+        io.uncomposedPrev = tail_;
+        io.uncomposedNext = nullptr;
+        (tail_ != nullptr ? tail_->uncomposedNext : head_) = &io;
+        tail_ = &io;
+    }
+
+    /** Unlink @p io, which must be on the list. */
+    void
+    erase(IoRequest &io)
+    {
+        if (io.uncomposedPrev == nullptr && head_ != &io)
+            panic("UncomposedIos::erase I/O not on the list");
+        (io.uncomposedPrev != nullptr ? io.uncomposedPrev->uncomposedNext
+                                      : head_) = io.uncomposedNext;
+        (io.uncomposedNext != nullptr ? io.uncomposedNext->uncomposedPrev
+                                      : tail_) = io.uncomposedPrev;
+        io.uncomposedPrev = nullptr;
+        io.uncomposedNext = nullptr;
+    }
+
+  private:
+    IoRequest *head_ = nullptr;
+    IoRequest *tail_ = nullptr;
+};
 
 } // namespace spk
 

@@ -8,21 +8,6 @@
 namespace spk
 {
 
-bool
-canCoalesce(const FlashTransaction &txn, const MemoryRequest &req)
-{
-    if (txn.empty())
-        return true;
-    if (!req.translated || req.chip != txn.chip() || req.op != txn.op())
-        return false;
-    const CoalesceKey key = CoalesceKey::of(req);
-    for (const auto *existing : txn.requests()) {
-        if (!coalescible(CoalesceKey::of(*existing), key))
-            return false;
-    }
-    return true;
-}
-
 FlpClass
 planTransaction(const CoalesceKeys &keys, const FlashTiming &timing,
                 Tick page_transfer, TransactionPlan &out)

@@ -62,48 +62,16 @@ struct TransactionPlan
 };
 
 /**
- * A set of memory requests coalesced for one chip.
- *
- * The transaction does not own its requests. All requests must
- * target the same chip and carry the same operation, and any two must
- * be coalescible(): canCoalesce() checks a request against the set
- * before it joins. Sprinkler's FARO builds its candidate sets this
- * way; a flash controller launch picks from its pending keys instead
- * and plans with planTransaction().
- */
-class FlashTransaction
-{
-  public:
-    using RequestSet = StaticVec<MemoryRequest *, kMaxTxnRequests>;
-
-    FlashTransaction(FlashOp op, std::uint32_t chip)
-        : op_(op), chip_(chip)
-    {}
-
-    FlashOp op() const { return op_; }
-    std::uint32_t chip() const { return chip_; }
-
-    /** Append a request. Caller guarantees compatibility. */
-    void add(MemoryRequest *req) { requests_.push_back(req); }
-
-    const RequestSet &requests() const { return requests_; }
-
-    std::size_t size() const { return requests_.size(); }
-    bool empty() const { return requests_.empty(); }
-
-  private:
-    FlashOp op_;
-    std::uint32_t chip_;
-    RequestSet requests_;
-};
-
-/**
  * What coalescing reads of a memory request: its operation, whether
  * it is a read-retry re-issue, and its die, plane and page offset.
  * Die and plane indices fit a byte (kMaxDiesPerChip,
  * kMaxPlanesPerDie). A committed request's address never changes, so
  * a pending queue keeps the key beside the request and scans keys
- * without reading the requests it skips. The members have no default
+ * without reading the requests it skips. Sprinkler's FARO greedy
+ * reads the same fields from uncommitted requests, whose address a
+ * readdress can still move, and keeps per die only the planes its set
+ * has taken and the page offset they address: the rule below, without
+ * a scan over the set's members. The members have no default
  * initializers, so an array of keys is left uninitialized: a launch's
  * StaticVec of picked keys would otherwise zero all kMaxTxnRequests
  * slots (8 KB) every time.
@@ -135,12 +103,6 @@ coalescible(const CoalesceKey &a, const CoalesceKey &b)
 {
     return a.die != b.die || (a.plane != b.plane && a.page == b.page);
 }
-
-/**
- * Check whether @p req can join @p txn: same chip and op, and
- * coalescible() with every request already in it.
- */
-bool canCoalesce(const FlashTransaction &txn, const MemoryRequest &req);
 
 /** The keys of one transaction's requests, in pick order. */
 using CoalesceKeys = StaticVec<CoalesceKey, kMaxTxnRequests>;

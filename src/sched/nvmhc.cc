@@ -32,7 +32,7 @@ Nvmhc::Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
                            cfg_.hostBwBytesPerSec - 1) /
                               cfg_.hostBwBytesPerSec;
 
-    ctx_.queue = &queue_;
+    ctx_.uncomposed = &uncomposed_;
     ctx_.view = this;
 
     // Single default submission queue until configureStreams() says
@@ -194,11 +194,11 @@ Nvmhc::enqueue(const PendingSubmission &sub)
         io->pages.push_back(req);
     }
 
-    IoRequest *raw = io;
-    queue_.push_back(raw);
+    queue_.push_back(io);
+    uncomposed_.pushBack(*io);
     if (io->fua)
         ++fuaQueued_;
-    sched_->onEnqueue(*raw);
+    sched_->onEnqueue(*io);
     if (afterEnqueue_)
         afterEnqueue_();
     pump();
@@ -281,8 +281,10 @@ Nvmhc::composeDone(MemoryRequest *req)
 
     if (req->tag >= slots_.size() || !slots_[req->tag].active)
         panic("Nvmhc::composeDone orphan request");
-    ++streamStats_[slots_[req->tag].streamId].requestsComposed;
-    slots_[req->tag].composedCount++;
+    IoRequest &io = slots_[req->tag];
+    ++streamStats_[io.streamId].requestsComposed;
+    if (++io.composedCount == io.pageCount)
+        uncomposed_.erase(io);
     sched_->onComposed(*req);
 
     controllerFor(req->chip).commit(req);
@@ -383,9 +385,13 @@ Nvmhc::finishRequestTail(MemoryRequest *req, IoRequest *io)
 {
     const Tick now = events_.now();
 
-    // Retire the request from the hazard chain, which it must head.
+    // Retire the request from the hazard chain, which it must head;
+    // the next request on the page, if any, heads it now.
+    MemoryRequest *successor = req->lpnNext;
     if (!req->lpnHead || lpnChain_.popFront(req->lpn) != req)
         panic("Nvmhc: LPN chain corrupted at completion");
+    if (successor != nullptr)
+        sched_->onSchedulable(*successor);
 
     if (!io->clearBit(req->idxInIo))
         panic("Nvmhc: completion bitmap bit already clear");
@@ -409,9 +415,14 @@ Nvmhc::finishRequestTail(MemoryRequest *req, IoRequest *io)
         auto qit = std::find(queue_.begin(), queue_.end(), io);
         if (qit == queue_.end())
             panic("Nvmhc: completed I/O missing from queue");
+        // While an FUA barrier is up, the queue's shape decides what
+        // it holds back.
+        const bool barrier_up = fuaQueued_ != 0;
         queue_.erase(qit);
         if (io->fua)
             --fuaQueued_;
+        if (barrier_up)
+            sched_->onBarrierChanged();
         const TagId tag = io->tag;
         // Recycle the entry in place: pages return to the slab, the
         // slot keeps its vector/bitmap capacity for the next I/O.

@@ -25,6 +25,7 @@
 #include "sched/scheduler.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
+#include "sim/ring_deque.hh"
 #include "sim/slab.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -216,6 +217,10 @@ class Nvmhc : private SchedulerView
 
     const RingDeque<IoRequest *> &queue() const { return queue_; }
 
+    /** The queued I/Os with pages left to compose, oldest first (what
+     *  the scheduler walks). */
+    const UncomposedIos &uncomposed() const { return uncomposed_; }
+
     /** Hook run after every enqueue (the device's GC trigger check). */
     void setAfterEnqueueHook(std::function<void()> hook)
     {
@@ -295,6 +300,8 @@ class Nvmhc : private SchedulerView
     /** Recycled tag ids (LIFO); tags stay in [0, queueDepth). */
     std::vector<TagId> freeTags_;
     RingDeque<IoRequest *> queue_; //!< arrival order, live entries
+    /** The entries of queue_ with pages left to compose, in order. */
+    UncomposedIos uncomposed_;
     /** FUA I/Os in queue_; the barrier walk is skipped while 0. */
     std::uint32_t fuaQueued_ = 0;
 

@@ -38,9 +38,7 @@ PasScheduler::next(SchedulerContext &ctx)
 {
     const ChipOccupancy &occ = ctx.view->occupancy();
     const std::uint64_t *idle = occ.idleWords();
-    for (IoRequest *io : *ctx.queue) {
-        if (io->allComposed())
-            continue;
+    for (const IoRequest *io : *ctx.uncomposed) {
         const std::uint64_t *pending = runs_.pending(io->tag);
         const std::uint64_t *owned = occ.ownedWords(tagSlot(io->tag));
         MemoryRequest *best = nullptr;

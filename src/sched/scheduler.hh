@@ -14,7 +14,6 @@
 #define SPK_SCHED_SCHEDULER_HH
 
 #include <cstdint>
-#include "sim/ring_deque.hh"
 #include <memory>
 #include <string>
 
@@ -68,6 +67,14 @@ class SchedulerView
      * Hazard gate: false while an older request on the same logical
      * page is still pending, or while an FUA barrier holds the
      * request back (Section 4.4, hazard control).
+     *
+     * The contract a scheduler may cache against: for a queued,
+     * uncomposed request, schedulable() turns true only at the
+     * NVMHC's IoScheduler::onSchedulable(req) or onBarrierChanged()
+     * call, and once true it stays true until the request composes.
+     * A request held at enqueue (behind an older request on its page,
+     * or behind an FUA I/O) is released by the completion that clears
+     * its way; nothing holds a request that was free.
      */
     virtual bool schedulable(const MemoryRequest &req) const = 0;
 };
@@ -78,8 +85,9 @@ class SchedulerView
  */
 struct SchedulerContext
 {
-    /** Queue entries in arrival order (oldest first). */
-    const RingDeque<IoRequest *> *queue = nullptr;
+    /** The queued I/Os with pages left to compose, in arrival order
+     *  (oldest first). */
+    const UncomposedIos *uncomposed = nullptr;
 
     /** Device-state queries (owned by the NVMHC). */
     const SchedulerView *view = nullptr;
@@ -143,6 +151,19 @@ class IoScheduler
      * may retire (and be freed) any time after this point.
      */
     virtual void onComposed(const MemoryRequest &req) { (void)req; }
+
+    /**
+     * @p req now heads its logical page's hazard chain: the older
+     * request on the page completed, so schedulable(req) may have
+     * turned true (it stays false while an FUA barrier holds req).
+     */
+    virtual void onSchedulable(const MemoryRequest &req) { (void)req; }
+
+    /**
+     * An I/O left the queue while an FUA barrier was up, so any
+     * queued request's schedulable() may have turned true.
+     */
+    virtual void onBarrierChanged() {}
 
     /** Whether the FTL should deliver readdressing callbacks. */
     virtual bool wantsReaddressing() const { return false; }

@@ -26,15 +26,27 @@
  *  - RIOS (SPK2, SPK3) keeps a bitmap of chips whose bucket is
  *    non-empty and walks nonempty & belowLimit from the cursor with
  *    count-trailing-zeros, in the chip-by-chip visit order.
- *  - SPK1 keeps per-I/O chip runs (ChipRuns, as PAS does) and builds
- *    candidate lists only on chips in the union of the lookahead
- *    I/Os' pending masks, masked by belowLimit. A readdress rebuilds
- *    the moved page's I/O runs.
+ *  - SPK1 keeps per-I/O chip runs (ChipRuns, as PAS does) and looks
+ *    only at chips in the union of the lookahead I/Os' pending masks,
+ *    masked by belowLimit. A readdress rebuilds the moved page's I/O
+ *    runs.
  *
- * All decision state lives in flat per-chip / per-tag vectors reused
- * across next() calls and sized in prepare(); the inner loops are
- * allocation-free once the scratch buffers reach their steady-state
- * sizes.
+ * FARO's set on a chip is a function of the chip's candidates alone
+ * (their order, operations, addresses and owners), so both FARO
+ * variants keep, per chip, the set last chosen and a dirty bit, and a
+ * poll recomputes the set only on a dirty chip it looks at. A chip
+ * turns dirty exactly where its candidates can change: a compose on
+ * it, a retarget off or onto it, a hazard release (onSchedulable on
+ * its request; every chip at onBarrierChanged), and an enqueue onto
+ * it (SPK3) or an I/O with pages on it entering the lookahead (SPK1).
+ * Requests never turn unschedulable while queued (the contract of
+ * SchedulerView::schedulable), so no other event can change a set.
+ * The greedy that builds a set reads per-die plane masks and page
+ * offsets.
+ *
+ * All decision state lives in flat per-chip / per-tag vectors sized
+ * in prepare(), so next() never touches the heap once the buckets
+ * reach their steady-state sizes.
  */
 
 #ifndef SPK_SCHED_SPRINKLER_HH
@@ -45,6 +57,7 @@
 
 #include "sched/chip_runs.hh"
 #include "sched/scheduler.hh"
+#include "sim/ring_deque.hh"
 
 namespace spk
 {
@@ -75,6 +88,10 @@ class SprinklerScheduler : public IoScheduler
 
     void onComposed(const MemoryRequest &req) override;
 
+    void onSchedulable(const MemoryRequest &req) override;
+
+    void onBarrierChanged() override;
+
     /** Sprinkler registers the readdressing callback (Section 4.3). */
     bool wantsReaddressing() const override { return true; }
 
@@ -94,19 +111,30 @@ class SprinklerScheduler : public IoScheduler
     /** The load row of @p ctx's occupancy, checked against loadLimit(). */
     const std::uint64_t *loadRow(const SchedulerContext &ctx) const;
 
-    /**
-     * Largest coalescable set among @p candidates for @p chip (the
-     * highest-overlap-depth group), written into @p out. Ties between
-     * the read-seeded and write-seeded candidate sets break toward
-     * higher connectivity, then toward the older seed.
-     */
-    void bestSetFrom(const std::vector<MemoryRequest *> &candidates,
-                     std::uint32_t chip,
-                     std::vector<MemoryRequest *> &out) const;
+    /** FARO: @p chip's cached set is out of date. */
+    void markDirty(std::uint32_t chip);
 
-    /** bestSetFrom over the schedulable entries of a chip's bucket. */
-    void bestSet(SchedulerContext &ctx, std::uint32_t chip,
-                 std::vector<MemoryRequest *> &out) const;
+    bool
+    dirty(std::uint32_t chip) const
+    {
+        return (dirty_[chip / 64] >> (chip % 64)) & 1;
+    }
+
+    /** The first of @p chip's setCap_ cached-set slots. */
+    MemoryRequest **
+    setOf(std::uint32_t chip)
+    {
+        return &sets_[std::size_t{chip} * setCap_];
+    }
+
+    /**
+     * Recompute @p chip's FARO set from the candidates @p for_each
+     * visits, oldest first: the largest coalescable set (the highest
+     * overlap depth), ties broken toward higher connectivity, then
+     * toward the older seed. Caches it, with its summary, clean.
+     */
+    template <typename ForEach>
+    void chooseSet(std::uint32_t chip, ForEach &&for_each);
 
     /** Oldest schedulable, uncomposed request in a bucket. */
     MemoryRequest *oldest(SchedulerContext &ctx, std::uint32_t chip) const;
@@ -120,8 +148,12 @@ class SprinklerScheduler : public IoScheduler
     /** SPK1: depth-first chip selection without traversal. */
     MemoryRequest *nextFaroOnly(SchedulerContext &ctx);
 
-    /** Adopt @p set: head is returned, the rest becomes the batch. */
-    MemoryRequest *takeSet(const std::vector<MemoryRequest *> &set);
+    /**
+     * Adopt @p chip's cached set: its head is returned, the rest
+     * becomes the batch. Panics if the set holds a composed request
+     * (a change the dirty bits missed).
+     */
+    MemoryRequest *takeSet(std::uint32_t chip);
 
     bool rios_;
     bool faro_;
@@ -140,22 +172,48 @@ class SprinklerScheduler : public IoScheduler
     /** SPK1: each queued I/O's pages grouped by chip. */
     ChipRuns runs_;
 
-    /** SPK1: the queued I/O of each tag, to rebuild its runs. */
-    std::vector<const IoRequest *> ioByTag_;
+    /** SPK1, per tag: the queued I/O, to rebuild its runs, and
+     *  whether a poll has seen it in the lookahead. */
+    struct TagEntry
+    {
+        const IoRequest *io = nullptr;
+        bool inLookahead = false;
+    };
+    std::vector<TagEntry> tags_;
 
-    /** FARO batch being committed; batchPos_ is the next entry. */
-    std::vector<MemoryRequest *> batch_;
-    std::size_t batchPos_ = 0;
+    /** FARO: slots per cached set, min(window, kMaxTxnRequests). */
+    std::uint32_t setCap_ = 0;
 
-    // Scratch buffers reused across next() calls (mutable: decision
-    // helpers are const). Their contents never outlive one call.
-    mutable std::vector<MemoryRequest *> candScratch_;
-    mutable std::vector<MemoryRequest *> readSet_;
-    mutable std::vector<MemoryRequest *> writeSet_;
-    mutable std::vector<std::uint32_t> tagCount_;   //!< by tag slot
-    mutable std::vector<std::uint32_t> touchedTags_;
-    std::vector<MemoryRequest *> setScratch_;
-    std::vector<MemoryRequest *> bestScratch_;
+    /**
+     * FARO: each chip's cached set in setCap_ slots, chip by chip,
+     * then one more setCap_ slots of scratch for the greedy's second
+     * set. A clean set holds only uncomposed, schedulable requests.
+     */
+    std::vector<MemoryRequest *> sets_;
+
+    /** What a cached set holds, read without touching its requests. */
+    struct SetSummary
+    {
+        std::uint64_t seed = 0; //!< id of its first (oldest) request
+        std::uint32_t size = 0; //!< 0: the chip has no set
+    };
+
+    /** FARO: each chip's cached set summary. */
+    std::vector<SetSummary> summary_;
+
+    /** FARO: chips whose cached set is out of date, one bit each. */
+    std::vector<std::uint64_t> dirty_;
+
+    /** The FARO set being committed: batchChip_'s cached set, from
+     *  entry batchPos_ up to batchEnd_. chooseSet never runs while
+     *  entries remain, so the slots stay put. */
+    std::uint32_t batchChip_ = 0;
+    std::uint32_t batchPos_ = 0;
+    std::uint32_t batchEnd_ = 0;
+
+    /** Connectivity counters, by tag slot, and the slots touched. */
+    std::vector<std::uint32_t> tagCount_;
+    std::vector<std::uint32_t> touchedTags_;
 };
 
 } // namespace spk

@@ -1,17 +1,18 @@
 /**
  * @file
- * Opt-in global allocation counter for benchmarks and tests.
+ * Global allocation counter for benchmarks and tests.
  *
- * Define SPK_COUNT_ALLOCS before including this header in EXACTLY ONE
- * translation unit per executable: it replaces the global operator
- * new/delete (external linkage -- two definitions collide at link
- * time) with versions that bump a counter. Without the macro the
- * header only declares the counter accessors, so shared headers can
- * reference AllocWindow unconditionally.
+ * The counting operator new/delete live in their own translation unit,
+ * sim/alloc_counter.cc, which is not part of the library: CMake links
+ * it into each executable whose main source includes this header (the
+ * allocation-counting tests and bench_microbench), so they all measure
+ * allocations with identical instrumentation. The counter itself is
+ * defined there too, so a program that reads an AllocWindow without
+ * the counting operators fails to link instead of reading zero.
  *
- * Used by bench_microbench (allocs column in BENCH_microbench.json)
- * and tests/sim/event_pool_test.cc (zero-allocation assertion), so
- * both measure allocations with identical instrumentation.
+ * Sanitizer builds interpose their own allocator, so under ASan the
+ * counting operators compile out and every AllocWindow reads zero.
+ * Zero-allocation assertions are covered by the regular CI legs.
  */
 
 #ifndef SPK_SIM_ALLOC_COUNTER_HH
@@ -19,29 +20,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
-
-// Sanitizer builds interpose their own allocator; replacing global
-// operator new/delete on top of it would bypass ASan's bookkeeping
-// (and its malloc/free poisoning), so the counting hooks compile out
-// and every AllocWindow reads zero. Zero-allocation assertions are
-// covered by the regular CI legs.
-#if defined(__SANITIZE_ADDRESS__)
-#define SPK_ALLOC_COUNTER_DISABLED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define SPK_ALLOC_COUNTER_DISABLED 1
-#endif
-#endif
 
 namespace spk
 {
 
-/** Heap allocations observed by the counting operator new. Stays at
- *  zero unless some TU in the executable defines SPK_COUNT_ALLOCS.
- *  Atomic (relaxed) so sharded multi-device runs can count too. */
-inline std::atomic<std::uint64_t> g_allocCount{0};
+/** Heap allocations observed by the counting operator new. Atomic
+ *  (relaxed) so sharded multi-device runs can count too. */
+extern std::atomic<std::uint64_t> g_allocCount;
 
 /** Allocation delta across a window of interest. */
 class AllocWindow
@@ -62,51 +47,5 @@ class AllocWindow
 };
 
 } // namespace spk
-
-#if defined(SPK_COUNT_ALLOCS) && !defined(SPK_ALLOC_COUNTER_DISABLED)
-
-void *
-operator new(std::size_t size)
-{
-    spk::g_allocCount.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc{};
-}
-
-void *
-operator new[](std::size_t size)
-{
-    spk::g_allocCount.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc{};
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-#endif // SPK_COUNT_ALLOCS && !SPK_ALLOC_COUNTER_DISABLED
 
 #endif // SPK_SIM_ALLOC_COUNTER_HH

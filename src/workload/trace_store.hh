@@ -29,6 +29,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 
@@ -90,11 +91,12 @@ class TraceRef
     const TraceRecord &front() const { return get().front(); }
     const TraceRecord &back() const { return get().back(); }
 
-    /** Content digest (computed once per unique trace, at wrap
-     *  time); the trace component of persistent cell-cache keys. */
+    /** Content digest (computed once per unique trace, at the first
+     *  call from any thread); the trace component of persistent
+     *  cell-cache keys. Runs that use no cache never hash. */
     std::uint64_t digest() const
     {
-        return node_ ? node_->digest : traceDigest(emptyTrace());
+        return node_ ? node_->digest() : traceDigest(emptyTrace());
     }
 
     /**
@@ -107,12 +109,19 @@ class TraceRef
   private:
     struct Node
     {
-        explicit Node(Trace &&t)
-            : trace(std::move(t)), digest(traceDigest(trace))
+        explicit Node(Trace &&t) : trace(std::move(t)) {}
+
+        std::uint64_t
+        digest() const
         {
+            std::call_once(digestOnce,
+                           [this] { digestValue = traceDigest(trace); });
+            return digestValue;
         }
+
         Trace trace;
-        std::uint64_t digest = 0;
+        mutable std::once_flag digestOnce;
+        mutable std::uint64_t digestValue = 0;
     };
 
     static const Trace &emptyTrace();

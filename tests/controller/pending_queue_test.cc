@@ -22,11 +22,15 @@
 
 #include "controller/flash_controller.hh"
 #include "sim/rng.hh"
+#include "tests/flash/transaction_oracle.hh"
 
 namespace spk
 {
 namespace
 {
+
+using test::canCoalesce;
+using test::FlashTransaction;
 
 /** canCoalesce as it was written before the ONFI rule was shared
  *  with the key scan. */

@@ -16,11 +16,15 @@
 #include "flash/fault_model.hh"
 #include "flash/transaction.hh"
 #include "sim/rng.hh"
+#include "tests/flash/transaction_oracle.hh"
 
 namespace spk
 {
 namespace
 {
+
+using test::canCoalesce;
+using test::FlashTransaction;
 
 MemoryRequest
 makeReq(std::uint32_t die, std::uint32_t plane, std::uint32_t page,

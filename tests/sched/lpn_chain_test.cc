@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#define SPK_COUNT_ALLOCS
 #include "sim/alloc_counter.hh"
 
 #include "sched/lpn_chain.hh"
@@ -99,12 +98,9 @@ TEST(LpnChainMap, MatchesReferenceUnderChurn)
         // when it is the reference chain's front.
         for (const auto &[k, chain] : ref) {
             for (const MemoryRequest *req : chain) {
-                if (!req->onLpnChain ||
-                    req->lpnHead != (req == chain.front())) {
-                    FAIL() << "step " << step << ": on chain "
-                           << req->onLpnChain << ", head " << req->lpnHead
-                           << ", front " << (req == chain.front());
-                }
+                ASSERT_TRUE(req->onLpnChain) << "step " << step;
+                ASSERT_EQ(req->lpnHead, req == chain.front())
+                    << "step " << step;
                 heads_seen += req->lpnHead;
             }
         }

@@ -1,11 +1,18 @@
 /**
  * @file
  * Integration-style unit tests for the NVMHC against a small real
- * device built from chips/channels/controllers/FTL.
+ * device built from chips/channels/controllers/FTL, and the calls it
+ * owes its scheduler: the hazard-release hooks and the uncomposed-I/O
+ * list it hands to next().
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "flash/chip.hh"
+#include "sched/nvmhc.hh"
 #include "ssd/ssd.hh"
 
 namespace spk
@@ -144,6 +151,220 @@ TEST(Nvmhc, DeviceActiveTimeBounded)
     const Tick active = ssd.nvmhc().deviceActiveTime(now);
     EXPECT_GT(active, 0u);
     EXPECT_LE(active, now);
+}
+
+/**
+ * Forwards every call to a real scheduler and records the hazard
+ * hooks the NVMHC delivers, by request id.
+ */
+class RecordingScheduler : public IoScheduler
+{
+  public:
+    explicit RecordingScheduler(std::unique_ptr<IoScheduler> inner)
+        : inner_(std::move(inner))
+    {}
+
+    MemoryRequest *
+    next(SchedulerContext &ctx) override
+    {
+        return inner_->next(ctx);
+    }
+
+    void
+    prepare(std::uint32_t num_chips, std::uint32_t queue_depth) override
+    {
+        inner_->prepare(num_chips, queue_depth);
+    }
+
+    std::uint32_t loadLimit() const override { return inner_->loadLimit(); }
+    void onEnqueue(IoRequest &io) override { inner_->onEnqueue(io); }
+
+    void
+    onRetarget(MemoryRequest &req, std::uint32_t old_chip) override
+    {
+        inner_->onRetarget(req, old_chip);
+    }
+
+    void
+    onComposed(const MemoryRequest &req) override
+    {
+        inner_->onComposed(req);
+    }
+
+    void
+    onSchedulable(const MemoryRequest &req) override
+    {
+        schedulable.push_back(req.id);
+        inner_->onSchedulable(req);
+    }
+
+    void
+    onBarrierChanged() override
+    {
+        ++barrierChanges;
+        inner_->onBarrierChanged();
+    }
+
+    bool
+    wantsReaddressing() const override
+    {
+        return inner_->wantsReaddressing();
+    }
+
+    std::vector<std::uint64_t> schedulable;
+    std::uint32_t barrierChanges = 0;
+
+  private:
+    std::unique_ptr<IoScheduler> inner_;
+};
+
+/**
+ * A 2-channel x 2-chip device wired by hand around an Nvmhc, so the
+ * test holds its scheduler: a RecordingScheduler around @p kind. No
+ * GC, parity or faults.
+ */
+struct WiredDevice
+{
+    static constexpr std::uint32_t kQueueDepth = 8;
+
+    FlashGeometry geo;
+    EventQueue events;
+    std::vector<std::unique_ptr<FlashChip>> chips;
+    std::vector<std::unique_ptr<Channel>> channels;
+    ChipOccupancy occ;
+    std::vector<std::unique_ptr<FlashController>> controllers;
+    Slab<MemoryRequest> arena;
+    std::unique_ptr<Ftl> ftl;
+    RecordingScheduler *recorder = nullptr;
+    std::unique_ptr<Nvmhc> nvmhc;
+    std::uint32_t completed = 0;
+
+    explicit WiredDevice(SchedulerKind kind)
+    {
+        geo.numChannels = 2;
+        geo.chipsPerChannel = 2;
+        geo.blocksPerPlane = 16;
+        geo.pagesPerBlock = 16;
+        occ = ChipOccupancy(geo.numChips(), kQueueDepth + 1);
+        for (std::uint32_t i = 0; i < geo.numChips(); ++i)
+            chips.push_back(std::make_unique<FlashChip>(i, geo));
+        std::vector<FlashController *> raw;
+        for (std::uint32_t c = 0; c < geo.numChannels; ++c) {
+            channels.push_back(std::make_unique<Channel>(c));
+            std::vector<FlashChip *> mine;
+            for (std::uint32_t off = 0; off < geo.chipsPerChannel; ++off)
+                mine.push_back(chips[geo.chipIndex(c, off)].get());
+            controllers.push_back(std::make_unique<FlashController>(
+                events, *channels.back(), std::move(mine), occ,
+                FlashTiming{}, geo.pageSizeBytes, 0,
+                [this](MemoryRequest *req) { nvmhc->onRequestFinished(req); }));
+            raw.push_back(controllers.back().get());
+        }
+        ftl = std::make_unique<Ftl>(geo, FtlConfig{});
+        auto sched = std::make_unique<RecordingScheduler>(
+            makeScheduler(kind, 8));
+        recorder = sched.get();
+        occ.setLoadLimit(sched->loadLimit());
+        NvmhcConfig cfg;
+        cfg.queueDepth = kQueueDepth;
+        nvmhc = std::make_unique<Nvmhc>(
+            events, geo, *ftl, raw, arena, occ, std::move(sched), cfg,
+            [this](const IoRequest &) { ++completed; });
+    }
+
+    /** The first page of the queued I/O @p i places from the front. */
+    std::uint64_t
+    pageId(std::size_t i, std::size_t page = 0) const
+    {
+        return nvmhc->queue()[i]->pages[page]->id;
+    }
+};
+
+const SchedulerKind kAllKinds[] = {SchedulerKind::VAS, SchedulerKind::PAS,
+                                   SchedulerKind::SPK1, SchedulerKind::SPK2,
+                                   SchedulerKind::SPK3};
+
+/**
+ * Two one-page writes to one page: the second waits behind the first
+ * on the page's hazard chain, and the first's completion reports the
+ * second to the scheduler, once.
+ */
+TEST(NvmhcHooks, ChainSuccessorIsReportedSchedulable)
+{
+    for (const SchedulerKind kind : kAllKinds) {
+        WiredDevice dev(kind);
+        dev.nvmhc->submit(true, 5, 1, false, 0);
+        dev.nvmhc->submit(true, 5, 1, false, 0);
+        const std::uint64_t second = dev.pageId(1);
+        dev.events.run();
+        EXPECT_EQ(dev.completed, 2u) << schedulerKindName(kind);
+        EXPECT_EQ(dev.recorder->schedulable,
+                  std::vector<std::uint64_t>{second})
+            << schedulerKindName(kind);
+        EXPECT_EQ(dev.recorder->barrierChanges, 0u);
+    }
+}
+
+/**
+ * An I/O leaving the queue while an FUA barrier is up reports a
+ * barrier change: the read older than the FUA write and the FUA write
+ * itself. The younger read leaves with the barrier down.
+ */
+TEST(NvmhcHooks, LeavingUnderAnFuaBarrierIsReported)
+{
+    for (const SchedulerKind kind : kAllKinds) {
+        WiredDevice dev(kind);
+        dev.nvmhc->submit(false, 64, 2, false, 0);
+        dev.nvmhc->submit(true, 128, 2, true, 0);
+        dev.nvmhc->submit(false, 192, 2, false, 0);
+        dev.events.run();
+        EXPECT_EQ(dev.completed, 3u) << schedulerKindName(kind);
+        EXPECT_EQ(dev.recorder->barrierChanges, 2u)
+            << schedulerKindName(kind);
+        EXPECT_TRUE(dev.recorder->schedulable.empty());
+
+        WiredDevice plain(kind);
+        plain.nvmhc->submit(false, 64, 2, false, 0);
+        plain.nvmhc->submit(true, 128, 2, false, 0);
+        plain.events.run();
+        EXPECT_EQ(plain.recorder->barrierChanges, 0u)
+            << schedulerKindName(kind);
+    }
+}
+
+/**
+ * After every event, the uncomposed list is exactly the queued I/Os
+ * with a page left to compose, in arrival order: an I/O leaves it when
+ * its last page composes, not before and not later.
+ */
+TEST(NvmhcHooks, UncomposedListIsTheQueueLessComposedIos)
+{
+    for (const SchedulerKind kind : kAllKinds) {
+        WiredDevice dev(kind);
+        // Ten multi-page I/Os through an eight-deep queue, with
+        // overlapping pages so hazards hold some back.
+        for (std::uint32_t i = 0; i < 10; ++i)
+            dev.nvmhc->submit(i % 3 == 0, (i * 5) % 24, 1 + i % 6, false, 0);
+        std::uint64_t steps = 0;
+        std::uint64_t partly_composed = 0;
+        while (dev.events.step()) {
+            std::vector<const IoRequest *> want;
+            for (const IoRequest *io : dev.nvmhc->queue()) {
+                if (!io->allComposed())
+                    want.push_back(io);
+                partly_composed += io->composedCount > 0 && !io->allComposed();
+            }
+            std::vector<const IoRequest *> got;
+            for (const IoRequest *io : dev.nvmhc->uncomposed())
+                got.push_back(io);
+            ASSERT_EQ(got, want) << schedulerKindName(kind) << " step "
+                                 << steps;
+            ++steps;
+        }
+        EXPECT_EQ(dev.completed, 10u) << schedulerKindName(kind);
+        EXPECT_TRUE(dev.nvmhc->uncomposed().empty());
+        EXPECT_GT(partly_composed, 0u) << schedulerKindName(kind);
+    }
 }
 
 } // namespace

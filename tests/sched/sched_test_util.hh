@@ -17,6 +17,7 @@
 
 #include "flash/geometry.hh"
 #include "sched/scheduler.hh"
+#include "sim/ring_deque.hh"
 
 namespace spk
 {
@@ -113,7 +114,10 @@ struct TestSchedulerView : SchedulerView
  * a scheduler attached, the harness drives its lifecycle the way the
  * device and the NVMHC do: the occupancy takes the scheduler's load
  * limit and prepare() runs once, then onEnqueue() per added I/O,
- * onComposed() per composed page and onRetarget() per retarget().
+ * onComposed() per composed page and onRetarget() per retarget(). Like
+ * the NVMHC, it keeps the I/Os with pages left to compose on the
+ * uncomposed list the context hands out: an I/O joins when added and
+ * leaves when its last page composes.
  */
 struct SchedHarness
 {
@@ -122,6 +126,7 @@ struct SchedHarness
 
     FlashGeometry geo;
     RingDeque<IoRequest *> queue;
+    UncomposedIos uncomposed;
     std::vector<std::unique_ptr<IoRequest>> storage;
     std::vector<std::unique_ptr<MemoryRequest>> reqStorage;
     TestSchedulerView view;
@@ -139,7 +144,7 @@ struct SchedHarness
         geo.diesPerChip = 2;
         geo.planesPerDie = 2;
         view.occ = ChipOccupancy(geo.numChips(), kQueueDepth + 1);
-        ctx.queue = &queue;
+        ctx.uncomposed = &uncomposed;
         ctx.view = &view;
     }
 
@@ -194,6 +199,7 @@ struct SchedHarness
         storage.push_back(std::move(io));
         IoRequest *raw = storage.back().get();
         queue.push_back(raw);
+        uncomposed.pushBack(*raw);
         if (sched)
             sched->onEnqueue(*raw);
         return raw;
@@ -205,8 +211,8 @@ struct SchedHarness
     {
         req->composed = true;
         for (IoRequest *io : queue) {
-            if (io->tag == req->tag)
-                io->composedCount++;
+            if (io->tag == req->tag && ++io->composedCount == io->pageCount)
+                uncomposed.erase(*io);
         }
         if (sched)
             sched->onComposed(*req);
@@ -228,6 +234,8 @@ struct SchedHarness
     void
     retire(IoRequest *io)
     {
+        if (!io->allComposed())
+            uncomposed.erase(*io);
         queue.erase(std::find(queue.begin(), queue.end(), io));
         freeTags.push_back(io->tag);
     }

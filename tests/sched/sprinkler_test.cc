@@ -3,19 +3,22 @@
  * Unit tests for the Sprinkler scheduler: RIOS traversal order, FARO
  * batch selection (overlap depth + connectivity), over-commitment
  * windows and readdressing, plus a randomized cross-check of the
- * indexed walks against the chip-by-chip scans they replace.
+ * indexed walks and the per-chip FARO set cache against the
+ * chip-by-chip rescans they replace.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
 
-#include "flash/transaction.hh"
 #include "sched/sprinkler.hh"
 #include "sim/rng.hh"
+#include "tests/flash/transaction_oracle.hh"
 #include "tests/sched/sched_test_util.hh"
 
 namespace spk
@@ -23,6 +26,8 @@ namespace spk
 namespace
 {
 
+using test::canCoalesce;
+using test::FlashTransaction;
 using test::SchedHarness;
 
 TEST(Sprinkler, NamesAndFlags)
@@ -269,11 +274,36 @@ TEST(Sprinkler, LoadLimitMismatchPanics)
 }
 
 /**
+ * A cached FARO set stays clean until a hook marks its chip. A request
+ * composed behind the scheduler's back (no onComposed) leaves a clean
+ * set holding it, and adopting that set panics instead of handing the
+ * NVMHC a composed request.
+ */
+TEST(Sprinkler, CleanSetHoldingAComposedRequestPanics)
+{
+    for (const bool rios : {false, true}) {
+        SchedHarness h;
+        SprinklerScheduler spk(rios, true, 8);
+        h.attach(spk);
+        auto *io = h.addIo({0, 0});
+        MemoryRequest *head = spk.next(h.ctx);
+        ASSERT_EQ(head, io->pages[0]);
+        head->composed = true;         // no onComposed: chip 0 stays clean
+        io->pages[1]->composed = true; // the batch skips it
+        EXPECT_DEATH(spk.next(h.ctx), "holds a composed request")
+            << "rios " << rios;
+    }
+}
+
+/**
  * The definition of the Sprinkler picks: the bucket, RIOS and SPK1
- * code as it was before the walks were indexed, unchanged. RIOS visits
- * every chip from the cursor and asks the test view's outstanding()
- * per chip; SPK1 re-collects the candidates from every page of the
- * lookahead I/Os.
+ * code as it was before the walks were indexed and the FARO sets
+ * cached, unchanged but for reading the context's uncomposed list.
+ * RIOS visits every chip from the cursor and asks the test view's
+ * outstanding() per chip; SPK1 re-collects the candidates from every
+ * page of the lookahead I/Os; every poll builds every set it looks at
+ * afresh, with the request-pointer canCoalesce() greedy, and ignores
+ * the hazard-release hooks.
  */
 class LinearSprinkler : public IoScheduler
 {
@@ -493,7 +523,7 @@ class LinearSprinkler : public IoScheduler
         faroTouched_.clear();
 
         std::size_t seen = 0;
-        for (IoRequest *io : *ctx.queue) {
+        for (IoRequest *io : *ctx.uncomposed) {
             if (io->allComposed())
                 continue;
             for (MemoryRequest *page : io->pages) {
@@ -594,20 +624,38 @@ class Lockstep : public IoScheduler
         b_.onComposed(req);
     }
 
+    void
+    onSchedulable(const MemoryRequest &req) override
+    {
+        a_.onSchedulable(req);
+        b_.onSchedulable(req);
+    }
+
+    void
+    onBarrierChanged() override
+    {
+        a_.onBarrierChanged();
+        b_.onBarrierChanged();
+    }
+
   private:
     IoScheduler &a_;
     IoScheduler &b_;
 };
 
 /**
- * Randomized cross-check of the indexed walks against LinearSprinkler
- * for SPK1, SPK2 and SPK3: random geometries (up to three mask words,
- * so the rotated RIOS walk crosses word boundaries and wraps), windows
- * 1-8, clustered I/Os with random die/plane/page placement, loads set
- * through the occupancy, held reads that own a chip without adding
- * load (a soft decode), hazards, retargets, out-of-order composes and
- * recycled tags. Every next() must return the same pointer, batch
- * continuations included.
+ * Randomized cross-check of the indexed walks and the per-chip FARO
+ * memo against LinearSprinkler, which recomputes everything on every
+ * poll, for SPK1, SPK2 and SPK3: random geometries (up to three mask
+ * words, so the rotated RIOS walk crosses word boundaries and wraps),
+ * windows 1-8, clustered I/Os with random die/plane/page placement,
+ * loads set through the occupancy, held reads that own a chip without
+ * adding load (a soft decode), retargets, out-of-order composes and
+ * recycled tags. Hazards change as the NVMHC changes them: a page is
+ * born held (behind an older request on its page) and released once,
+ * with onSchedulable; an FUA barrier holds every I/O that arrives
+ * while it is up and drops with onBarrierChanged. Every next() must
+ * return the same pointer, batch continuations included.
  */
 TEST(Sprinkler, MatchesLinearScansOnRandomQueues)
 {
@@ -624,9 +672,13 @@ TEST(Sprinkler, MatchesLinearScansOnRandomQueues)
         h.attach(both);
         const auto chips = h.geo.numChips();
 
-        std::set<std::uint64_t> held; // request ids behind a hazard
+        // Requests behind a hazard, by id; requests from barrier_from
+        // on arrived behind the FUA barrier.
+        std::map<std::uint64_t, MemoryRequest *> held;
+        constexpr auto kNoBarrier = ~std::uint64_t{0};
+        std::uint64_t barrier_from = kNoBarrier;
         h.view.schedulableOverride = [&](const MemoryRequest &req) {
-            return held.count(req.id) == 0;
+            return held.count(req.id) == 0 && req.id < barrier_from;
         };
         std::vector<std::pair<std::uint32_t, TagId>> decoding;
 
@@ -648,6 +700,8 @@ TEST(Sprinkler, MatchesLinearScansOnRandomQueues)
                 req->addr.plane =
                     static_cast<std::uint32_t>(rng.nextBelow(2));
                 req->addr.page = static_cast<std::uint32_t>(rng.nextBelow(2));
+                if (rng.nextBool(0.2))
+                    held.emplace(req->id, req);
             }
         };
         const auto random_io = [&] {
@@ -672,7 +726,7 @@ TEST(Sprinkler, MatchesLinearScansOnRandomQueues)
                 << window << " seed " << seed
                 << " step " << step;
 
-            switch (rng.nextBelow(10)) {
+            switch (rng.nextBelow(11)) {
               case 0:
               case 1:
               case 2:
@@ -710,10 +764,13 @@ TEST(Sprinkler, MatchesLinearScansOnRandomQueues)
                 }
                 break;
               case 6:
-                if (!h.queue.empty()) {
-                    const std::uint64_t id = random_page()->id;
-                    if (!held.erase(id))
-                        held.insert(id);
+                // The older request on a held page completed.
+                if (!held.empty()) {
+                    auto it = held.begin();
+                    std::advance(it, rng.nextBelow(held.size()));
+                    MemoryRequest *req = it->second;
+                    held.erase(it);
+                    both.onSchedulable(*req);
                 }
                 break;
               case 7:
@@ -741,6 +798,16 @@ TEST(Sprinkler, MatchesLinearScansOnRandomQueues)
                         h.retire(io);
                 } else if (h.queue.size() < 32) {
                     add_io();
+                }
+                break;
+              case 10:
+                // An FUA barrier goes up (holding what arrives from now
+                // on) or comes down as its I/O leaves the queue.
+                if (barrier_from == kNoBarrier) {
+                    barrier_from = h.nextReqId;
+                } else {
+                    barrier_from = kNoBarrier;
+                    both.onBarrierChanged();
                 }
                 break;
             }

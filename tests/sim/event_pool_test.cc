@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#define SPK_COUNT_ALLOCS
 #include "sim/alloc_counter.hh"
 #include "sim/event_queue.hh"
 #include "ssd/ssd.hh"

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <deque>
 
-#define SPK_COUNT_ALLOCS
 #include "sim/alloc_counter.hh"
 #include "sim/ring_deque.hh"
 #include "sim/rng.hh"

@@ -12,7 +12,6 @@
  * execution must not allocate at all.
  */
 
-#define SPK_COUNT_ALLOCS
 #include "sim/alloc_counter.hh"
 
 #include <gtest/gtest.h>

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "sim/sweep.hh"
 #include "workload/synthetic.hh"
@@ -59,6 +61,27 @@ TEST(TraceRef, ExplicitLvalueConstructionDeepCopies)
     EXPECT_NE(a.identity(), b.identity());
     EXPECT_EQ(a.digest(), b.digest());
     EXPECT_EQ(a.size(), b.size());
+}
+
+/**
+ * The digest is hashed at the first digest() call, not when the ref is
+ * built: refs first asked from several threads at once (sweep workers
+ * keying the cell cache) all read the one value traceDigest() gives.
+ */
+TEST(TraceRef, DigestIsHashedOnceOnFirstUseAcrossThreads)
+{
+    const Trace trace = smallTrace(5, 400);
+    const std::uint64_t want = traceDigest(trace);
+    const TraceRef ref(trace);
+    std::vector<std::uint64_t> seen(4, 0);
+    std::vector<std::thread> readers;
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        readers.emplace_back([&, i] { seen[i] = TraceRef(ref).digest(); });
+    for (std::thread &t : readers)
+        t.join();
+    for (const std::uint64_t digest : seen)
+        EXPECT_EQ(digest, want);
+    EXPECT_EQ(ref.digest(), want);
 }
 
 TEST(TraceRef, BehavesLikeAConstTraceAtCallSites)
