@@ -114,7 +114,6 @@ FlashController::commit(MemoryRequest *req, bool front)
     if (req->chip != chips_[offset]->index())
         panic("FlashController::commit request for another chip");
 
-    req->committedAt = events_.now();
     occupancy_.hold(chips_[offset]->index(), tagSlot(req->tag));
     state_[offset].pending.push(req, front);
     syncLoad(offset);
@@ -199,9 +198,6 @@ FlashController::tryLaunch(std::uint32_t chip_offset)
 
     cs.inFlight += static_cast<std::uint32_t>(keys.size());
 
-    for (auto *req : cs.executing)
-        req->startedAt = start;
-
     if (plan.dataOutPhase > 0) {
         // Reads: the data-out grant is already known, so the chip's
         // busy window extends now and the transaction completes in a
@@ -231,7 +227,7 @@ FlashController::finishTransaction(std::uint32_t chip_offset, Tick end)
     for (auto *req : cs.executing) {
         if (faulty && applyFaults(chip_offset, req, end))
             continue; // retrying or decoding; still holds the chip
-        completeRequest(chip_offset, req, end);
+        completeRequest(chip_offset, req);
     }
     cs.executing.clear();
     // More pending work? Start the next decision window.
@@ -240,10 +236,9 @@ FlashController::finishTransaction(std::uint32_t chip_offset, Tick end)
 
 void
 FlashController::completeRequest(std::uint32_t chip_offset,
-                                 MemoryRequest *req, Tick end)
+                                 MemoryRequest *req)
 {
     occupancy_.release(chips_[chip_offset]->index(), tagSlot(req->tag));
-    req->finishedAt = end;
     onComplete_(req);
 }
 
@@ -318,14 +313,14 @@ FlashController::startSoftDecode(std::uint32_t chip_offset,
     decoder_->stats.invocations++;
     decoder_->stats.busyTime += cost;
     decoder_->stats.stallTime += start - end;
-    events_.schedule(done, [this, chip_offset, req, done] {
-        finishSoftDecode(chip_offset, req, done);
+    events_.schedule(done, [this, chip_offset, req] {
+        finishSoftDecode(chip_offset, req);
     });
 }
 
 void
 FlashController::finishSoftDecode(std::uint32_t chip_offset,
-                                  MemoryRequest *req, Tick done)
+                                  MemoryRequest *req)
 {
     // A readdress while decoding makes the verdict moot: the NVMHC
     // discards the result and re-executes at the fresh location.
@@ -334,7 +329,7 @@ FlashController::finishSoftDecode(std::uint32_t chip_offset,
         ++stats_.uncorrectableReads;
         req->faultFailed = true;
     }
-    completeRequest(chip_offset, req, done);
+    completeRequest(chip_offset, req);
 }
 
 } // namespace spk

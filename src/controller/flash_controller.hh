@@ -198,13 +198,11 @@ class FlashController
                          Tick end);
 
     /** Decode finished: decide the verdict and complete the request. */
-    void finishSoftDecode(std::uint32_t chip_offset, MemoryRequest *req,
-                          Tick done);
+    void finishSoftDecode(std::uint32_t chip_offset, MemoryRequest *req);
 
     /** Shared completion tail: release the request's hold on its
      *  chip and hand the request back to its owner. */
-    void completeRequest(std::uint32_t chip_offset, MemoryRequest *req,
-                         Tick end);
+    void completeRequest(std::uint32_t chip_offset, MemoryRequest *req);
 
     EventQueue &events_;
     Channel &channel_;

@@ -4,8 +4,11 @@
  *
  * An I/O request enters the NVMHC device-level queue as a tag, is
  * split into page-sized memory requests (composition), and completes
- * when the per-entry memory-request bitmap is fully cleared
- * (Section 4.4, "The Order of Output Data").
+ * when all of them have finished. The paper keeps an eight-byte
+ * completion bitmap per queue entry (Section 4.4, "The Order of Output
+ * Data"); a count of finished requests does that job here, and a
+ * second completion of one request trips the NVMHC's hazard-chain
+ * check.
  */
 
 #ifndef SPK_CONTROLLER_IO_REQUEST_HH
@@ -25,10 +28,10 @@ namespace spk
  * One host I/O request (queue entry).
  *
  * Entries live in a flat slab indexed by the recycled NCQ tag, and
- * their memory requests come from a slab owned by the NVMHC: pointers
+ * their memory requests come from the FlashBackend's arena: pointers
  * into both stay valid until the entry retires, and retiring recycles
- * the storage (pages vector, bitmap words) instead of freeing it, so
- * enqueue is allocation-free at steady state.
+ * the storage (the pages vector) instead of freeing it, so enqueue is
+ * allocation-free at steady state.
  */
 struct IoRequest
 {
@@ -47,7 +50,7 @@ struct IoRequest
     Tick completed = 0;  //!< all memory requests finished
 
     /** Page-sized children; filled at enqueue (preprocess). Backed
-     *  by the NVMHC's memory-request slab (not owned). */
+     *  by the FlashBackend's memory-request arena (not owned). */
     std::vector<MemoryRequest *> pages;
 
     /** Requests composed (data movement initiated) so far. */
@@ -60,12 +63,6 @@ struct IoRequest
      *  read); non-zero marks the whole I/O as failed in IoResult. */
     std::uint32_t failedPages = 0;
 
-    /**
-     * Memory-request completion bitmap (one bit per page, mirroring
-     * the paper's eight-byte bitmap per queue entry).
-     */
-    std::vector<std::uint64_t> bitmap;
-
     /** Neighbours on the NVMHC's UncomposedIos list while this I/O
      *  has pages left to compose; nullptr off the list. */
     IoRequest *uncomposedPrev = nullptr;
@@ -73,33 +70,7 @@ struct IoRequest
 
     bool allComposed() const { return composedCount >= pageCount; }
     bool done() const { return finishedCount >= pageCount; }
-
-    /** Initialize the bitmap with pageCount set bits. */
-    void initBitmap();
-
-    /** Clear the bitmap bit for page @p idx; returns true if was set. */
-    bool clearBit(std::uint32_t idx);
 };
-
-inline void
-IoRequest::initBitmap()
-{
-    bitmap.assign((pageCount + 63) / 64, ~std::uint64_t{0});
-    const std::uint32_t rem = pageCount % 64;
-    if (rem != 0 && !bitmap.empty())
-        bitmap.back() = (std::uint64_t{1} << rem) - 1;
-}
-
-inline bool
-IoRequest::clearBit(std::uint32_t idx)
-{
-    const std::uint32_t word = idx / 64;
-    const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
-    if (word >= bitmap.size() || !(bitmap[word] & bit))
-        return false;
-    bitmap[word] &= ~bit;
-    return true;
-}
 
 /**
  * The queued I/Os that still have pages to compose, oldest first.

@@ -47,12 +47,6 @@ FlashGeometry::compose(const PhysAddr &addr) const
     return ppn;
 }
 
-std::uint32_t
-FlashGeometry::chipOf(Ppn ppn) const
-{
-    return static_cast<std::uint32_t>(ppn / pagesPerChip());
-}
-
 void
 FlashGeometry::validate() const
 {

@@ -119,9 +119,6 @@ struct FlashGeometry
     /** Recompose a physical address into a dense page number. */
     Ppn compose(const PhysAddr &addr) const;
 
-    /** Global chip index a physical page lives on. */
-    std::uint32_t chipOf(Ppn ppn) const;
-
     /** Abort via fatal() if any field is zero or inconsistent. */
     void validate() const;
 

@@ -27,8 +27,12 @@ enum class FlashOp : std::uint8_t { Read, Program, Erase };
 /** Number of FlashOp values. */
 inline constexpr std::size_t kFlashOps = 3;
 
-/** Sentinel for "not owned by any GC batch". */
-inline constexpr std::uint32_t kInvalidGcBatch =
+/** Who issued a memory request, and so whose completion upcall it
+ *  takes (Ssd::onRequestFinished switches on it). */
+enum class RequestOwner : std::uint8_t { Host, Gc, Parity };
+
+/** MemoryRequest::job of a request no GC batch or parity job owns. */
+inline constexpr std::uint32_t kNoJob =
     std::numeric_limits<std::uint32_t>::max();
 
 /** Sentinel ending a per-chip run (MemoryRequest::chipNext). */
@@ -38,14 +42,16 @@ inline constexpr std::uint32_t kEndOfRun =
 /**
  * One page-sized flash memory request.
  *
- * Life cycle ticks are recorded for latency and idleness accounting:
- * composed (NVMHC built it and initiated host data movement),
- * committed (handed to a flash controller), started (entered an
- * executing transaction), finished (transaction completed).
+ * Its owner acquires it from the FlashBackend, which places it
+ * (translated) and commits it to the controller of its chip's
+ * channel; a host request is composed (the NVMHC initiated its data
+ * movement) before it is committed. The controller hands it back
+ * through the completion upcall, and its owner releases it to the
+ * backend.
  */
 struct MemoryRequest
 {
-    std::uint64_t id = 0;       //!< globally unique, assigned by NVMHC
+    std::uint64_t id = 0;       //!< unique; from its owner's id space
     TagId tag = kInvalidTag;    //!< owning host I/O; kInvalidTag for GC
     std::uint32_t idxInIo = 0;  //!< page index within the owning I/O
 
@@ -63,8 +69,7 @@ struct MemoryRequest
     bool composing = false;     //!< composition in flight this instant
     bool composed = false;      //!< NVMHC initiated data movement
     bool stale = false;         //!< target migrated; re-execute after
-    bool isGc = false;          //!< internal request issued by the FTL
-    bool isParity = false;      //!< issued by the die-parity engine
+    RequestOwner owner = RequestOwner::Host; //!< who issued it
 
     /** Read-retry ladder step; 0 = first sense (FaultModel). */
     std::uint8_t retryAttempt = 0;
@@ -78,10 +83,6 @@ struct MemoryRequest
     /** Heads that chain: the oldest pending request on the page. */
     bool lpnHead = false;
 
-    Tick committedAt = 0;
-    Tick startedAt = 0;
-    Tick finishedAt = 0;
-
     /** Intrusive link for the NVMHC's per-LPN hazard chain. */
     MemoryRequest *lpnNext = nullptr;
 
@@ -89,21 +90,17 @@ struct MemoryRequest
     MemoryRequest *slabNext = nullptr;
 
     /**
-     * Owning GC batch slot in the GcManager's flat batch table;
-     * kInvalidGcBatch for host requests. Replaces the old
-     * request -> batch unordered_map.
+     * The owner's job slot: the GC batch slot in the GcManager's flat
+     * batch table, or the job slot in the ParityEngine's; kNoJob for
+     * host requests.
      */
-    std::uint32_t gcBatch = kInvalidGcBatch;
+    std::uint32_t job = kNoJob;
 
     /**
      * Destination PPN of the paired migration program (GC migration
      * reads only). Replaces the old read -> program unordered_map.
      */
     Ppn gcPairPpn = kInvalidPage;
-
-    /** Owning parity-engine job slot; kInvalidGcBatch when not a
-     *  parity request. */
-    std::uint32_t parityJob = kInvalidGcBatch;
 };
 
 } // namespace spk

@@ -7,30 +7,25 @@
 namespace spk
 {
 
-Nvmhc::Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
-             std::vector<FlashController *> controllers,
-             Slab<MemoryRequest> &arena, const ChipOccupancy &occupancy,
+Nvmhc::Nvmhc(EventQueue &events, FlashBackend &backend, Ftl &ftl,
              std::unique_ptr<IoScheduler> sched, const NvmhcConfig &cfg,
              IoCompleteFn on_io_complete)
     : events_(events),
-      geo_(geo),
+      backend_(backend),
       ftl_(ftl),
-      controllers_(std::move(controllers)),
       sched_(std::move(sched)),
       cfg_(cfg),
-      onIoComplete_(std::move(on_io_complete)),
-      arena_(arena),
-      occupancy_(occupancy)
+      onIoComplete_(std::move(on_io_complete))
 {
-    if (controllers_.size() != geo_.numChannels)
-        fatal("Nvmhc: need one flash controller per channel");
     if (cfg_.hostBwBytesPerSec == 0)
         fatal("Nvmhc: hostBwBytesPerSec must be non-zero");
+    const FlashGeometry &geo = backend_.geometry();
     // A program also moves its page from the host to the device.
     programComposeCost_ = cfg_.composeOverhead +
-                          (std::uint64_t{geo_.pageSizeBytes} * kSecond +
+                          (std::uint64_t{geo.pageSizeBytes} * kSecond +
                            cfg_.hostBwBytesPerSec - 1) /
                               cfg_.hostBwBytesPerSec;
+    backend_.occupancy().setLoadLimit(sched_->loadLimit());
 
     ctx_.uncomposed = &uncomposed_;
     ctx_.view = this;
@@ -53,13 +48,7 @@ Nvmhc::Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
     queue_.reserve(cfg_.queueDepth);
 
     // Let the strategy pre-size its per-chip state (warm start).
-    sched_->prepare(geo_.numChips(), cfg_.queueDepth);
-}
-
-void
-Nvmhc::releaseRequest(MemoryRequest *req)
-{
-    arena_.releaseScrubbed(req); // the arena is shared with GC
+    sched_->prepare(geo.numChips(), cfg_.queueDepth);
 }
 
 void
@@ -92,40 +81,33 @@ Nvmhc::stats() const
     return sum;
 }
 
-FlashController &
-Nvmhc::controllerFor(std::uint32_t chip)
-{
-    return *controllers_[geo_.channelOfChip(chip)];
-}
-
 void
 Nvmhc::translate(MemoryRequest &req)
 {
+    Ppn ppn;
     if (req.op == FlashOp::Program) {
-        req.ppn = ftl_.allocateWriteReclaiming(req.lpn);
-        if (req.ppn == kInvalidPage)
+        ppn = ftl_.allocateWriteReclaiming(req.lpn);
+        if (ppn == kInvalidPage)
             fatal("Nvmhc: device out of space");
     } else {
-        req.ppn = ftl_.translateRead(req.lpn);
-        if (req.ppn == kInvalidPage) {
+        ppn = ftl_.translateRead(req.lpn);
+        if (ppn == kInvalidPage) {
             // Reading a never-written page: backfill a mapping, as if
             // the data existed before the trace started.
-            req.ppn = ftl_.allocateWriteReclaiming(req.lpn);
-            if (req.ppn == kInvalidPage)
+            ppn = ftl_.allocateWriteReclaiming(req.lpn);
+            if (ppn == kInvalidPage)
                 fatal("Nvmhc: cannot backfill read mapping");
             if (StripeParityMap *pm = ftl_.parityMap()) {
                 // The fiction extends to parity: data that "already
                 // existed" was already protected, untimed like a
                 // precondition (otherwise a later die failure would
                 // leave backfilled pages unreconstructable).
-                pm->markDataWritten(req.ppn);
-                pm->markParityWritten(pm->stripeOf(req.ppn));
+                pm->markDataWritten(ppn);
+                pm->markParityWritten(pm->stripeOf(ppn));
             }
         }
     }
-    req.addr = geo_.decompose(req.ppn);
-    req.chip = geo_.chipOf(req.ppn);
-    req.translated = true;
+    backend_.place(req, ppn);
 }
 
 void
@@ -177,14 +159,12 @@ Nvmhc::enqueue(const PendingSubmission &sub)
     io->failedPages = 0;
     streamStats_[sub.stream].queueStallTime += now - sub.arrival;
     ++streamStates_[sub.stream].inDevice;
-    io->initBitmap(); // reuses the recycled slot's bitmap capacity
 
     const std::uint64_t logical = ftl_.logicalPages();
     io->pages.clear();
     io->pages.reserve(sub.pageCount);
     for (std::uint32_t i = 0; i < sub.pageCount; ++i) {
-        MemoryRequest *req = arena_.acquire();
-        req->id = nextReqId_++;
+        MemoryRequest *req = backend_.acquire(RequestOwner::Host);
         req->tag = tag;
         req->idxInIo = i;
         req->op = sub.isWrite ? FlashOp::Program : FlashOp::Read;
@@ -233,8 +213,8 @@ Nvmhc::hazardFree(const MemoryRequest &req) const
         panic("Nvmhc::hazardFree request missing from LPN chain: lpn=" +
               std::to_string(req.lpn) + " tag=" +
               std::to_string(req.tag) + " composed=" +
-              std::to_string(req.composed) + " isGc=" +
-              std::to_string(req.isGc) + " id=" +
+              std::to_string(req.composed) + " owner=" +
+              std::to_string(static_cast<int>(req.owner)) + " id=" +
               std::to_string(req.id));
     }
     if (!req.lpnHead)
@@ -287,7 +267,7 @@ Nvmhc::composeDone(MemoryRequest *req)
         uncomposed_.erase(io);
     sched_->onComposed(*req);
 
-    controllerFor(req->chip).commit(req);
+    backend_.commit(req);
     engineBusy_ = false;
     pump();
 }
@@ -304,10 +284,8 @@ Nvmhc::retryStale(MemoryRequest *req, IoRequest *io)
     const Ppn fresh = ftl_.translateRead(req->lpn);
     if (fresh == kInvalidPage)
         panic("Nvmhc: mapping lost for pending read");
-    req->ppn = fresh;
-    req->addr = geo_.decompose(fresh);
-    req->chip = geo_.chipOf(fresh);
-    controllerFor(req->chip).commit(req);
+    backend_.place(*req, fresh);
+    backend_.commit(req);
 }
 
 void
@@ -334,10 +312,8 @@ Nvmhc::onRequestFinished(MemoryRequest *req)
         req->faultFailed = false;
         const Ppn fresh = ftl_.onProgramFail(req->ppn);
         if (fresh != kInvalidPage) {
-            req->ppn = fresh;
-            req->addr = geo_.decompose(fresh);
-            req->chip = geo_.chipOf(fresh);
-            controllerFor(req->chip).commit(req);
+            backend_.place(*req, fresh);
+            backend_.commit(req);
             return;
         }
     }
@@ -393,8 +369,6 @@ Nvmhc::finishRequestTail(MemoryRequest *req, IoRequest *io)
     if (successor != nullptr)
         sched_->onSchedulable(*successor);
 
-    if (!io->clearBit(req->idxInIo))
-        panic("Nvmhc: completion bitmap bit already clear");
     io->finishedCount++;
 
     if (io->done()) {
@@ -403,8 +377,8 @@ Nvmhc::finishRequestTail(MemoryRequest *req, IoRequest *io)
         ++ss.iosCompleted;
         if (io->failedPages != 0)
             ++ss.failedIos;
-        const std::uint64_t bytes =
-            std::uint64_t{io->pageCount} * geo_.pageSizeBytes;
+        const std::uint64_t bytes = std::uint64_t{io->pageCount} *
+                                    backend_.geometry().pageSizeBytes;
         if (io->isWrite)
             ss.bytesWritten += bytes;
         else
@@ -424,10 +398,10 @@ Nvmhc::finishRequestTail(MemoryRequest *req, IoRequest *io)
         if (barrier_up)
             sched_->onBarrierChanged();
         const TagId tag = io->tag;
-        // Recycle the entry in place: pages return to the slab, the
-        // slot keeps its vector/bitmap capacity for the next I/O.
+        // Recycle the entry in place: pages return to the arena, the
+        // slot keeps its vector's capacity for the next I/O.
         for (MemoryRequest *page : io->pages)
-            releaseRequest(page);
+            backend_.release(page);
         io->pages.clear();
         io->active = false;
         freeTags_.push_back(tag);
@@ -450,9 +424,7 @@ Nvmhc::readdress(Lpn lpn, Ppn from, Ppn to)
             // Sprinkler's readdressing callback: retarget before the
             // request is composed, at no extra flash cost.
             const std::uint32_t old_chip = req->chip;
-            req->ppn = to;
-            req->addr = geo_.decompose(to);
-            req->chip = geo_.chipOf(to);
+            backend_.place(*req, to);
             sched_->onRetarget(*req, old_chip);
         } else {
             // Either already executing, or the scheduler has no

@@ -17,7 +17,7 @@
 #include <memory>
 #include <vector>
 
-#include "controller/flash_controller.hh"
+#include "controller/flash_backend.hh"
 #include "controller/io_request.hh"
 #include "ftl/ftl.hh"
 #include "sched/lpn_chain.hh"
@@ -26,7 +26,6 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/ring_deque.hh"
-#include "sim/slab.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -108,7 +107,8 @@ struct NvmhcStats
  *
  * The NVMHC is the SchedulerView: it hands its scheduler the chip
  * occupancy the flash controllers keep current, so a scheduler poll
- * never allocates or walks a map.
+ * never allocates or walks a map. It sets the occupancy's load limit
+ * to its scheduler's.
  */
 class Nvmhc : private SchedulerView
 {
@@ -117,21 +117,16 @@ class Nvmhc : private SchedulerView
 
     /**
      * @param events shared event queue
-     * @param geo device geometry
+     * @param backend the flash side: places, commits and recycles the
+     *        host memory requests, and keeps the chip occupancy the
+     *        scheduler reads (must outlive the NVMHC)
      * @param ftl translation layer (translation happens at enqueue --
      *        the paper's core.preprocess step)
-     * @param controllers one per channel, indexed by channel
-     * @param arena device-wide MemoryRequest arena (shared with the
-     *        GC engine; must outlive the NVMHC)
-     * @param occupancy device-wide chip occupancy the controllers
-     *        maintain (must outlive the NVMHC)
      * @param sched scheduling strategy
      * @param cfg tuning knobs
      * @param on_io_complete invoked once per completed host I/O
      */
-    Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
-          std::vector<FlashController *> controllers,
-          Slab<MemoryRequest> &arena, const ChipOccupancy &occupancy,
+    Nvmhc(EventQueue &events, FlashBackend &backend, Ftl &ftl,
           std::unique_ptr<IoScheduler> sched, const NvmhcConfig &cfg,
           IoCompleteFn on_io_complete);
 
@@ -229,7 +224,10 @@ class Nvmhc : private SchedulerView
 
   private:
     // SchedulerView: flat-indexed, allocation-free device queries.
-    const ChipOccupancy &occupancy() const override { return occupancy_; }
+    const ChipOccupancy &occupancy() const override
+    {
+        return backend_.occupancy();
+    }
     bool schedulable(const MemoryRequest &req) const override
     {
         return hazardFree(req);
@@ -248,9 +246,6 @@ class Nvmhc : private SchedulerView
     /** Secure a tag and preprocess (translate + bucket) an I/O. */
     void enqueue(const PendingSubmission &sub);
 
-    /** Scrub and return a retired memory request to the arena. */
-    void releaseRequest(MemoryRequest *req);
-
     /** Admit waiting submissions into freed tags. */
     void admitWaiting();
 
@@ -262,8 +257,8 @@ class Nvmhc : private SchedulerView
     void retryStale(MemoryRequest *req, IoRequest *io);
 
     /** Completion tail shared by onRequestFinished and
-     *  finishReconstructed: hazard-chain retirement, I/O bitmap,
-     *  done handling, tag recycling, pump. */
+     *  finishReconstructed: hazard-chain retirement, the I/O's
+     *  finished count, done handling, tag recycling, pump. */
     void finishRequestTail(MemoryRequest *req, IoRequest *io);
 
     /** Composition of @p req finished: commit it to its controller. */
@@ -273,15 +268,12 @@ class Nvmhc : private SchedulerView
      *  its lpnHead bit) + FUA barrier check. */
     bool hazardFree(const MemoryRequest &req) const;
 
-    FlashController &controllerFor(std::uint32_t chip);
-
     /** Translate @p req at enqueue time; backfills unwritten reads. */
     void translate(MemoryRequest &req);
 
     EventQueue &events_;
-    FlashGeometry geo_;
+    FlashBackend &backend_;
     Ftl &ftl_;
-    std::vector<FlashController *> controllers_;
     std::unique_ptr<IoScheduler> sched_;
     NvmhcConfig cfg_;
     /** Composing a program: composeOverhead plus the page's host
@@ -294,7 +286,7 @@ class Nvmhc : private SchedulerView
     /**
      * Flat NCQ slot slab indexed by tag; size == queueDepth, fixed at
      * construction (entries are recycled in place, their pages vector
-     * and bitmap keep their capacity across I/Os).
+     * keeps its capacity across I/Os).
      */
     std::vector<IoRequest> slots_;
     /** Recycled tag ids (LIFO); tags stay in [0, queueDepth). */
@@ -316,15 +308,6 @@ class Nvmhc : private SchedulerView
     std::vector<QueueArbiter::StreamState> streamStates_;
     /** Every counter, one slice per stream (see stats()). */
     std::vector<NvmhcStats> streamStats_;
-
-    std::uint64_t nextReqId_ = 0;
-
-    /** Device-wide MemoryRequest arena (owned by the Ssd, shared with
-     *  the GC engine). The host-side high-water mark is bounded by
-     *  queueDepth x pages-per-I/O. */
-    Slab<MemoryRequest> &arena_;
-
-    const ChipOccupancy &occupancy_;
 
     /** Per-LPN pending requests, oldest first (hazard ordering);
      *  intrusive chains, allocation-free at steady state, that mark

@@ -5,23 +5,18 @@
 namespace spk
 {
 
-GcManager::GcManager(const FlashGeometry &geo, Ftl &ftl,
-                     std::vector<FlashController *> controllers,
-                     Slab<MemoryRequest> &arena,
+GcManager::GcManager(FlashBackend &backend, Ftl &ftl,
                      std::uint32_t max_live_per_plane)
-    : geo_(geo),
-      ftl_(ftl),
-      controllers_(std::move(controllers)),
-      arena_(arena),
-      maxLivePerPlane_(max_live_per_plane)
+    : backend_(backend), ftl_(ftl), maxLivePerPlane_(max_live_per_plane)
 {
     if (maxLivePerPlane_ == 0)
         fatal("GcManager: live-batch bound must be >= 1");
     // The admission bound makes the table statically sizable: at most
     // planes x bound batches are ever live outside urgent
     // (emergency-reclaim) launches, which may still grow it.
-    const std::size_t planes = std::size_t{geo_.numChips()} *
-                               geo_.diesPerChip * geo_.planesPerDie;
+    const FlashGeometry &geo = backend_.geometry();
+    const std::size_t planes = std::size_t{geo.numChips()} *
+                               geo.diesPerChip * geo.planesPerDie;
     batches_.reserve(planes * maxLivePerPlane_);
     freeSlots_.reserve(planes * maxLivePerPlane_);
     livePerPlane_.assign(planes, 0);
@@ -49,12 +44,6 @@ GcManager::collect()
     }
 }
 
-FlashController &
-GcManager::controllerFor(std::uint32_t chip)
-{
-    return *controllers_[geo_.channelOfChip(chip)];
-}
-
 std::uint32_t
 GcManager::acquireBatchSlot()
 {
@@ -65,26 +54,6 @@ GcManager::acquireBatchSlot()
     const std::uint32_t slot = freeSlots_.back();
     freeSlots_.pop_back();
     return slot;
-}
-
-MemoryRequest *
-GcManager::issue(FlashOp op, Ppn ppn, std::uint32_t slot)
-{
-    MemoryRequest *req = arena_.acquire();
-    req->id = nextReqId_++;
-    req->tag = kInvalidTag;
-    req->op = op;
-    req->lpn = kInvalidPage;
-    req->ppn = ppn;
-    req->addr = geo_.decompose(ppn);
-    req->chip = geo_.chipOf(ppn);
-    req->translated = true;
-    req->composed = true;
-    req->isGc = true;
-    req->gcBatch = slot;
-
-    controllerFor(req->chip).commit(req, /*front=*/true);
-    return req;
 }
 
 void
@@ -122,11 +91,13 @@ GcManager::launch(const GcBatchList &batches, bool urgent)
             // Nothing live to move: erase right away.
             active.eraseIssued = true;
             ++stats_.erases;
-            issue(FlashOp::Erase, batch.victimBasePpn, slot);
+            backend_.issue(RequestOwner::Gc, slot, FlashOp::Erase,
+                           batch.victimBasePpn);
             continue;
         }
         for (const auto &mig : batch.migrations) {
-            MemoryRequest *read = issue(FlashOp::Read, mig.from, slot);
+            MemoryRequest *read = backend_.issue(
+                RequestOwner::Gc, slot, FlashOp::Read, mig.from);
             read->gcPairPpn = mig.to;
             ++stats_.migrationReads;
         }
@@ -156,8 +127,8 @@ GcManager::retireSlot(std::uint32_t slot)
 void
 GcManager::onRequestFinished(MemoryRequest *req)
 {
-    const std::uint32_t slot = req->gcBatch;
-    if (slot == kInvalidGcBatch || slot >= batches_.size() ||
+    const std::uint32_t slot = req->job;
+    if (slot == kNoJob || slot >= batches_.size() ||
         !batches_[slot].live) {
         panic("GcManager: completion for unknown GC request");
     }
@@ -168,7 +139,7 @@ GcManager::onRequestFinished(MemoryRequest *req)
 
     // Reclaim the request before issuing follow-up work so the arena
     // can hand the hot object straight back.
-    arena_.releaseScrubbed(req);
+    backend_.release(req);
 
     // Re-homing a failed program and retiring a slot can re-enter
     // launch() and grow the batch table, so batches_[slot] must be
@@ -184,7 +155,7 @@ GcManager::onRequestFinished(MemoryRequest *req)
             ++stats_.migrationReadFailures;
         }
         ++stats_.migrationPrograms;
-        issue(FlashOp::Program, pair, slot);
+        backend_.issue(RequestOwner::Gc, slot, FlashOp::Program, pair);
         break;
       }
       case FlashOp::Program: {
@@ -193,7 +164,8 @@ GcManager::onRequestFinished(MemoryRequest *req)
             if (fresh != kInvalidPage) {
                 // Re-home the migration onto the replacement page; the
                 // batch completes when the re-issue finishes.
-                issue(FlashOp::Program, fresh, slot);
+                backend_.issue(RequestOwner::Gc, slot, FlashOp::Program,
+                               fresh);
                 break;
             }
             // Superseded meanwhile: nothing to re-program.
@@ -206,7 +178,8 @@ GcManager::onRequestFinished(MemoryRequest *req)
             if (batch.eraseAfter) {
                 batch.eraseIssued = true;
                 ++stats_.erases;
-                issue(FlashOp::Erase, batch.victimBasePpn, slot);
+                backend_.issue(RequestOwner::Gc, slot, FlashOp::Erase,
+                               batch.victimBasePpn);
             } else {
                 // Retirement batch (the victim is Bad, never erased)
                 // or a victim GC could not finish (it keeps live data).

@@ -9,11 +9,11 @@
  * committed ahead of host requests (they hold the chip hostage
  * exactly as the paper's Section 5.9 stress test intends).
  *
- * Steady-state execution is allocation-free: requests come from the
- * device-wide MemoryRequest arena and carry their batch membership
- * and paired-program destination as intrusive fields, and batches
- * live in a flat table of recycled slots — there are no per-request
- * maps and no per-batch heap nodes.
+ * Steady-state execution is allocation-free: the FlashBackend issues
+ * each request from the device-wide arena with its batch slot in
+ * MemoryRequest::job, a migration read carries its paired program's
+ * destination, and batches live in a flat table of recycled slots —
+ * there are no per-request maps and no per-batch heap nodes.
  */
 
 #ifndef SPK_SSD_GC_MANAGER_HH
@@ -22,11 +22,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "controller/flash_controller.hh"
-#include "flash/geometry.hh"
+#include "controller/flash_backend.hh"
 #include "flash/mem_request.hh"
 #include "ftl/ftl.hh"
-#include "sim/slab.hh"
 
 namespace spk
 {
@@ -61,22 +59,18 @@ class GcManager
 {
   public:
     /**
-     * @param geo device geometry
+     * @param backend the flash side GC requests are issued to and
+     *        released back to (must outlive the manager)
      * @param ftl translation layer: collects the batches collect()
      *        launches and re-homes failed migration programs (must
      *        outlive the manager)
-     * @param controllers per-channel controllers
-     * @param arena device-wide MemoryRequest arena (shared with the
-     *        host path; must outlive the manager)
      * @param max_live_per_plane admission bound: at most this many
      *        batches of one plane may be live at once, which makes
      *        the flat batch table statically sizable (planes x bound)
      *        instead of growing with the GC backlog under overload.
      *        Must be >= 1.
      */
-    GcManager(const FlashGeometry &geo, Ftl &ftl,
-              std::vector<FlashController *> controllers,
-              Slab<MemoryRequest> &arena,
+    GcManager(FlashBackend &backend, Ftl &ftl,
               std::uint32_t max_live_per_plane =
                   kDefaultGcBatchesPerPlane);
 
@@ -130,7 +124,7 @@ class GcManager
   private:
     /**
      * In-flight batch state, indexed by the recycled slot id that
-     * every member request carries in MemoryRequest::gcBatch.
+     * every member request carries in MemoryRequest::job.
      */
     struct BatchSlot
     {
@@ -150,15 +144,8 @@ class GcManager
     /** Recycle a finished batch slot; retry deferred collection. */
     void retireSlot(std::uint32_t slot);
 
-    /** Arena-acquire + commit a GC memory request for @p slot. */
-    MemoryRequest *issue(FlashOp op, Ppn ppn, std::uint32_t slot);
-
-    FlashController &controllerFor(std::uint32_t chip);
-
-    FlashGeometry geo_;
+    FlashBackend &backend_;
     Ftl &ftl_;
-    std::vector<FlashController *> controllers_;
-    Slab<MemoryRequest> &arena_;
 
     std::vector<BatchSlot> batches_;       //!< flat recycled-slot table
     std::vector<std::uint32_t> freeSlots_; //!< recycled slot ids (LIFO)
@@ -166,7 +153,6 @@ class GcManager
     std::vector<std::uint32_t> livePerPlane_;
     std::uint32_t maxLivePerPlane_;
     std::uint32_t liveBatches_ = 0;
-    std::uint64_t nextReqId_ = 1ull << 60; //!< distinct from host ids
     /** FTL deferral count at the last admission-bound retry. */
     std::uint64_t deferralsSeen_ = 0;
     GcManagerStats stats_;

@@ -8,27 +8,17 @@
 namespace spk
 {
 
-ParityEngine::ParityEngine(EventQueue &events, const FlashGeometry &geo,
-                           Ftl &ftl,
-                           std::vector<FlashController *> controllers,
-                           Slab<MemoryRequest> &arena,
-                           const ParityConfig &cfg)
+ParityEngine::ParityEngine(EventQueue &events, FlashBackend &backend,
+                           Ftl &ftl, const ParityConfig &cfg)
     : events_(events),
-      geo_(geo),
+      backend_(backend),
+      geo_(backend.geometry()),
       ftl_(ftl),
       map_(*ftl.parityMap()),
-      controllers_(std::move(controllers)),
-      arena_(arena),
       cfg_(cfg)
 {
     if (!ftl.parityMap())
         panic("ParityEngine: FTL has no stripe map (parity off)");
-}
-
-FlashController &
-ParityEngine::controllerFor(std::uint32_t chip)
-{
-    return *controllers_[geo_.channelOfChip(chip)];
 }
 
 std::uint32_t
@@ -55,26 +45,6 @@ ParityEngine::retireSlot(std::uint32_t slot)
     jobs_[slot].origin = nullptr;
     freeSlots_.push_back(slot);
     --liveJobs_;
-}
-
-MemoryRequest *
-ParityEngine::issue(FlashOp op, Ppn ppn, std::uint32_t slot)
-{
-    MemoryRequest *req = arena_.acquire();
-    req->id = nextReqId_++;
-    req->tag = kInvalidTag;
-    req->op = op;
-    req->lpn = kInvalidPage;
-    req->ppn = ppn;
-    req->addr = geo_.decompose(ppn);
-    req->chip = geo_.chipOf(ppn);
-    req->translated = true;
-    req->composed = true;
-    req->isParity = true;
-    req->parityJob = slot;
-
-    controllerFor(req->chip).commit(req, /*front=*/true);
-    return req;
 }
 
 void
@@ -167,14 +137,16 @@ ParityEngine::closeStripe(StripeId stripe, const OpenStripe &os)
         // parity program logically read the controller's RAM copy.
         map_.markParityWritten(stripe);
         ++stats_.parityUpdates;
-        issue(FlashOp::Program, parity_ppn, slot);
+        backend_.issue(RequestOwner::Parity, slot, FlashOp::Program,
+                       parity_ppn);
         return;
     }
     job.remainingReads = static_cast<std::uint32_t>(
         std::popcount(need));
     for (std::uint32_t d = 0; d < map_.dies(); ++d) {
         if ((need & (1u << d)) != 0)
-            issue(FlashOp::Read, map_.memberPpn(stripe, d), slot);
+            backend_.issue(RequestOwner::Parity, slot, FlashOp::Read,
+                           map_.memberPpn(stripe, d));
     }
 }
 
@@ -187,7 +159,8 @@ ParityEngine::startRmw(StripeId stripe)
     job.stripe = stripe;
     job.remainingReads = 1;
     ++stats_.rmwReads;
-    issue(FlashOp::Read, map_.parityPpn(stripe), slot);
+    backend_.issue(RequestOwner::Parity, slot, FlashOp::Read,
+                   map_.parityPpn(stripe));
 }
 
 bool
@@ -223,7 +196,8 @@ ParityEngine::tryReconstruct(MemoryRequest *req)
         std::popcount(survivors));
     for (std::uint32_t d = 0; d < map_.dies(); ++d) {
         if ((survivors & (1u << d)) != 0) {
-            issue(FlashOp::Read, map_.memberPpn(stripe, d), slot);
+            backend_.issue(RequestOwner::Parity, slot, FlashOp::Read,
+                           map_.memberPpn(stripe, d));
             ++stats_.reconstructionReads;
         }
     }
@@ -323,26 +297,27 @@ ParityEngine::rebuildStep()
         // failure with a pre-populated dead-die member): the page is
         // re-homed without survivor reads so the mapping heals, though
         // its content was not reconstructable.
-        issue(FlashOp::Program, to, slot);
+        backend_.issue(RequestOwner::Parity, slot, FlashOp::Program, to);
         return;
     }
     job.remainingReads = static_cast<std::uint32_t>(
         std::popcount(survivors));
     for (std::uint32_t d = 0; d < map_.dies(); ++d) {
         if ((survivors & (1u << d)) != 0)
-            issue(FlashOp::Read, map_.memberPpn(stripe, d), slot);
+            backend_.issue(RequestOwner::Parity, slot, FlashOp::Read,
+                           map_.memberPpn(stripe, d));
     }
 }
 
 void
 ParityEngine::onRequestFinished(MemoryRequest *req)
 {
-    const std::uint32_t slot = req->parityJob;
+    const std::uint32_t slot = req->job;
     if (slot >= jobs_.size() || !jobs_[slot].live)
         panic("ParityEngine::onRequestFinished: unknown job slot");
     const FlashOp op = req->op;
     const bool failed = req->faultFailed;
-    arena_.releaseScrubbed(req);
+    backend_.release(req);
 
     JobSlot &job = jobs_[slot];
     switch (job.kind) {
@@ -360,8 +335,9 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
                 } else {
                     map_.markParityWritten(job.stripe);
                     ++stats_.parityUpdates;
-                    issue(FlashOp::Program,
-                          map_.parityPpn(job.stripe), slot);
+                    backend_.issue(RequestOwner::Parity, slot,
+                                   FlashOp::Program,
+                                   map_.parityPpn(job.stripe));
                 }
             }
         } else {
@@ -393,13 +369,15 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
             // Survivor read failures do not stop the relocation: the
             // mapping must leave the dead die either way.
             if (--job.remainingReads == 0)
-                issue(FlashOp::Program, job.rebuildTo, slot);
+                backend_.issue(RequestOwner::Parity, slot,
+                               FlashOp::Program, job.rebuildTo);
         } else {
             if (failed) {
                 const Ppn fresh = ftl_.onProgramFail(job.rebuildTo);
                 if (fresh != kInvalidPage) {
                     job.rebuildTo = fresh;
-                    issue(FlashOp::Program, fresh, slot);
+                    backend_.issue(RequestOwner::Parity, slot,
+                                   FlashOp::Program, fresh);
                     break;
                 }
                 // Superseded while re-homing: nothing left to write.

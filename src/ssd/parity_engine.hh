@@ -26,8 +26,10 @@
  *    from its survivors onto spare capacity, and finally revives the
  *    die — restoring full redundancy without stopping host service.
  *
- * Requests mirror the GC engine's idiom: arena-allocated, flat
- * recycled job slots, ids from a distinct space (1 << 61).
+ * The FlashBackend issues the engine's requests, as it does the GC
+ * manager's: from the device-wide arena, with ids from the parity
+ * space (1 << 61) and the job's slot in MemoryRequest::job; jobs live
+ * in a flat table of recycled slots.
  */
 
 #ifndef SPK_SSD_PARITY_ENGINE_HH
@@ -38,12 +40,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "controller/flash_controller.hh"
+#include "controller/flash_backend.hh"
 #include "flash/geometry.hh"
 #include "flash/mem_request.hh"
 #include "ftl/ftl.hh"
 #include "sim/event_queue.hh"
-#include "sim/slab.hh"
 #include "ssd/config.hh"
 
 namespace spk
@@ -72,16 +73,14 @@ class ParityEngine
   public:
     /**
      * @param events shared event queue
-     * @param geo device geometry
+     * @param backend the flash side parity requests are issued to and
+     *        released back to (must outlive the engine)
      * @param ftl translation layer; must have die parity enabled (the
      *        engine uses its stripe map and rebuild relocation)
-     * @param controllers per-channel controllers
-     * @param arena device-wide MemoryRequest arena
      * @param cfg parity knobs (flush window, rebuild pacing)
      */
-    ParityEngine(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
-                 std::vector<FlashController *> controllers,
-                 Slab<MemoryRequest> &arena, const ParityConfig &cfg);
+    ParityEngine(EventQueue &events, FlashBackend &backend, Ftl &ftl,
+                 const ParityConfig &cfg);
 
     /**
      * A data-page program completed successfully (host write, GC
@@ -133,7 +132,7 @@ class ParityEngine
     enum class JobKind : std::uint8_t { Close, Reconstruct, Rebuild };
 
     /** In-flight job state, indexed by the recycled slot id every
-     *  member request carries in MemoryRequest::parityJob. */
+     *  member request carries in MemoryRequest::job. */
     struct JobSlot
     {
         JobKind kind = JobKind::Close;
@@ -154,11 +153,6 @@ class ParityEngine
 
     std::uint32_t acquireSlot();
     void retireSlot(std::uint32_t slot);
-
-    /** Arena-acquire + front-commit a parity memory request. */
-    MemoryRequest *issue(FlashOp op, Ppn ppn, std::uint32_t slot);
-
-    FlashController &controllerFor(std::uint32_t chip);
 
     /** Close an open stripe: re-read pre-populated members the
      *  accumulator never saw, then program the parity page. */
@@ -183,11 +177,10 @@ class ParityEngine
     }
 
     EventQueue &events_;
-    FlashGeometry geo_;
+    FlashBackend &backend_;
+    const FlashGeometry &geo_;
     Ftl &ftl_;
     StripeParityMap &map_;
-    std::vector<FlashController *> controllers_;
-    Slab<MemoryRequest> &arena_;
     ParityConfig cfg_;
     FinishReconstructFn finishReconstruct_;
     std::function<void()> onRebuildComplete_;
@@ -198,7 +191,6 @@ class ParityEngine
     std::vector<JobSlot> jobs_;            //!< flat recycled-slot table
     std::vector<std::uint32_t> freeSlots_; //!< recycled slot ids
     std::uint32_t liveJobs_ = 0;
-    std::uint64_t nextReqId_ = 1ull << 61; //!< distinct id space
 
     bool deadActive_ = false;
     std::uint32_t deadChip_ = 0;

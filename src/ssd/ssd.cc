@@ -7,54 +7,35 @@
 
 namespace spk
 {
+namespace
+{
+
+/** @p cfg, after validate() accepts it: no member is built from an
+ *  invalid config. */
+const SsdConfig &
+validated(const SsdConfig &cfg)
+{
+    cfg.validate();
+    return cfg;
+}
+
+} // namespace
 
 Ssd::Ssd(const SsdConfig &cfg)
-    : cfg_(cfg), rng_(cfg.seed),
+    : cfg_(validated(cfg)), rng_(cfg.seed),
       faults_(cfg.fault, cfg.seed, cfg.geometry),
-      occupancy_(cfg.geometry.numChips(), cfg.nvmhc.queueDepth + 1)
+      backend_(events_, cfg.geometry, cfg.timing, cfg.decisionWindow,
+               cfg.nvmhc.queueDepth,
+               [this](MemoryRequest *req) { onRequestFinished(req); },
+               &faults_)
 {
-    cfg_.validate();
-    const FlashGeometry &geo = cfg_.geometry;
-
-    chips_.reserve(geo.numChips());
-    for (std::uint32_t i = 0; i < geo.numChips(); ++i)
-        chips_.push_back(std::make_unique<FlashChip>(i, geo));
-
-    channels_.reserve(geo.numChannels);
-    controllers_.reserve(geo.numChannels);
-    for (std::uint32_t c = 0; c < geo.numChannels; ++c) {
-        channels_.push_back(std::make_unique<Channel>(c));
-        std::vector<FlashChip *> channel_chips;
-        channel_chips.reserve(geo.chipsPerChannel);
-        for (std::uint32_t off = 0; off < geo.chipsPerChannel; ++off)
-            channel_chips.push_back(
-                chips_[geo.chipIndex(c, off)].get());
-        controllers_.push_back(std::make_unique<FlashController>(
-            events_, *channels_[c], std::move(channel_chips), occupancy_,
-            cfg_.timing, geo.pageSizeBytes, cfg_.decisionWindow,
-            [this](MemoryRequest *req) { onRequestFinished(req); },
-            &faults_, &decoder_));
-        controllers_.back()->reserveSteadyState(cfg_.nvmhc.queueDepth);
-    }
-
-    ftl_ = std::make_unique<Ftl>(geo, cfg_.ftl, &faults_,
+    ftl_ = std::make_unique<Ftl>(cfg_.geometry, cfg_.ftl, &faults_,
                                  cfg_.parity.enabled);
-
-    std::vector<FlashController *> raw_controllers;
-    raw_controllers.reserve(controllers_.size());
-    for (auto &ctrl : controllers_)
-        raw_controllers.push_back(ctrl.get());
-
-    gc_ = std::make_unique<GcManager>(geo, *ftl_, raw_controllers,
-                                      requestArena_,
+    gc_ = std::make_unique<GcManager>(backend_, *ftl_,
                                       cfg_.gcMaxLiveBatchesPerPlane);
-
-    std::unique_ptr<IoScheduler> sched =
-        makeScheduler(cfg_.scheduler, cfg_.faroWindow);
-    occupancy_.setLoadLimit(sched->loadLimit());
     nvmhc_ = std::make_unique<Nvmhc>(
-        events_, geo, *ftl_, raw_controllers, requestArena_, occupancy_,
-        std::move(sched), cfg_.nvmhc,
+        events_, backend_, *ftl_,
+        makeScheduler(cfg_.scheduler, cfg_.faroWindow), cfg_.nvmhc,
         [this](const IoRequest &io) {
             results_.push_back(IoResult{io.arrival, io.completed,
                                         io.isWrite, io.pageCount,
@@ -84,9 +65,8 @@ Ssd::Ssd(const SsdConfig &cfg)
     // serves degraded reads by reconstruction and rebuilds a failed
     // die onto spare capacity in the background.
     if (cfg_.parity.enabled) {
-        parity_ = std::make_unique<ParityEngine>(
-            events_, geo, *ftl_, raw_controllers, requestArena_,
-            cfg_.parity);
+        parity_ = std::make_unique<ParityEngine>(events_, backend_, *ftl_,
+                                                 cfg_.parity);
         parity_->setFinishReconstructHook(
             [this](MemoryRequest *req, bool ok) {
                 nvmhc_->finishReconstructed(req, ok);
@@ -124,16 +104,21 @@ Ssd::onRequestFinished(MemoryRequest *req)
     const FlashOp op = req->op;
     const Ppn ppn = req->ppn;
     const bool failed = req->faultFailed;
-    const bool internal = req->isParity || req->isGc;
-    if (req->isParity)
-        parity_->onRequestFinished(req);
-    else if (req->isGc)
-        gc_->onRequestFinished(req);
-    else
+    const RequestOwner owner = req->owner;
+    switch (owner) {
+      case RequestOwner::Host:
         nvmhc_->onRequestFinished(req);
+        break;
+      case RequestOwner::Gc:
+        gc_->onRequestFinished(req);
+        break;
+      case RequestOwner::Parity:
+        parity_->onRequestFinished(req);
+        break;
+    }
     // A GC or parity request just freed its chip: let the host
     // scheduler re-poll (a host completion re-polls by itself).
-    if (internal)
+    if (owner != RequestOwner::Host)
         nvmhc_->kick();
     // Every successful data-page program (host, GC migration, rebuild
     // relocation) is a stripe member the parity engine must track;
@@ -404,7 +389,7 @@ Ssd::metrics() const
     std::array<std::uint64_t, 4> req_per_class{};
     std::uint64_t txns = 0;
     std::uint64_t reqs = 0;
-    for (const auto &chip : chips_) {
+    for (const auto &chip : backend_.chips()) {
         const auto &cs = chip->stats();
         busy_sum += cs.busyTime;
         cell_sum += cs.cellTime;
@@ -417,7 +402,7 @@ Ssd::metrics() const
     m.transactions = txns;
     m.requestsServed = reqs;
 
-    const auto n_chips = static_cast<double>(chips_.size());
+    const auto n_chips = static_cast<double>(backend_.chips().size());
     const double planes_per_chip =
         static_cast<double>(cfg_.geometry.diesPerChip *
                             cfg_.geometry.planesPerDie);
@@ -453,7 +438,7 @@ Ssd::metrics() const
     // Execution-time breakdown over chip-time capacity.
     Tick bus_held = 0;
     Tick contention = 0;
-    for (const auto &channel : channels_) {
+    for (const auto &channel : backend_.channels()) {
         bus_held += channel->stats().busHeldTime;
         contention += channel->stats().contentionTime;
     }
@@ -471,7 +456,7 @@ Ssd::metrics() const
     m.pagesMigrated = ftl_->stats().pagesMigrated;
 
     // Reliability counters (all zero when the fault model is inert).
-    for (const auto &ctrl : controllers_) {
+    for (const auto &ctrl : backend_.controllers()) {
         const ControllerStats &fs = ctrl->stats();
         m.readRetries += fs.readRetries;
         for (std::size_t i = 0; i < m.readRetriesByStep.size(); ++i)
@@ -492,10 +477,11 @@ Ssd::metrics() const
     // Parity / rebuild / soft-decode counters.
     m.reconstructedReads = ns.reconstructedReads;
     m.gcReadFailures = gc_->stats().migrationReadFailures;
-    m.softDecodeInvocations = decoder_.stats.invocations;
-    m.softDecodeFailures = decoder_.stats.failures;
-    m.softDecodeBusyTime = decoder_.stats.busyTime;
-    m.softDecodeStallTime = decoder_.stats.stallTime;
+    const SoftDecoderStats &ds = backend_.decoder().stats;
+    m.softDecodeInvocations = ds.invocations;
+    m.softDecodeFailures = ds.failures;
+    m.softDecodeBusyTime = ds.busyTime;
+    m.softDecodeStallTime = ds.stallTime;
     if (parity_) {
         const ParityEngineStats &ps = parity_->stats();
         m.parityUpdates = ps.parityUpdates;

@@ -3,10 +3,12 @@
  * The assembled many-chip SSD device -- the library's main entry
  * point.
  *
- * Construction wires the full Figure 2 stack: event kernel, NAND
- * chips, channels, per-channel flash controllers, FTL, garbage
- * collection, and the NVMHC with the configured scheduler. Drive it
- * with submitAt()/replay() and run(); read results with metrics().
+ * Construction wires the full Figure 2 stack: the event kernel, the
+ * flash side (a FlashBackend: NAND chips, channels and one flash
+ * controller per channel), the FTL, garbage collection, die parity
+ * when configured, and the NVMHC with the configured scheduler. Drive
+ * it with submitAt()/replay() and run(); read results with
+ * metrics().
  */
 
 #ifndef SPK_SSD_SSD_HH
@@ -17,18 +19,13 @@
 #include <utility>
 #include <vector>
 
-#include "controller/channel.hh"
-#include "controller/chip_occupancy.hh"
-#include "controller/flash_controller.hh"
-#include "controller/soft_decoder.hh"
-#include "flash/chip.hh"
+#include "controller/flash_backend.hh"
 #include "flash/fault_model.hh"
 #include "flash/mem_request.hh"
 #include "ftl/ftl.hh"
 #include "sched/nvmhc.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "sim/slab.hh"
 #include "ssd/config.hh"
 #include "ssd/gc_manager.hh"
 #include "ssd/metrics.hh"
@@ -151,17 +148,18 @@ class Ssd
     const SsdConfig &config() const { return cfg_; }
     const std::vector<std::unique_ptr<FlashChip>> &chips() const
     {
-        return chips_;
+        return backend_.chips();
     }
     const std::vector<std::unique_ptr<Channel>> &channels() const
     {
-        return channels_;
+        return backend_.channels();
     }
 
   private:
     /** Route flash completions to their owner (NVMHC, GC manager or
-     *  parity engine), then re-poll the host scheduler after GC and
-     *  parity work, since a chip may just have freed up. */
+     *  parity engine, by MemoryRequest::owner), then re-poll the host
+     *  scheduler after GC and parity work, since a chip may just have
+     *  freed up. */
     void onRequestFinished(MemoryRequest *req);
 
     /** Arrival event of stream @p sid's next record fired. */
@@ -194,24 +192,10 @@ class Ssd
      *  declared before the controllers and FTL that hold pointers. */
     FaultModel faults_;
 
-    /** Device-shared (serialized) LDPC soft decoder; declared before
-     *  the controllers that hold a pointer to it. */
-    SoftDecoder decoder_;
+    /** The flash side; declared before the NVMHC, GC manager and
+     *  parity engine that issue requests to it, so it outlives them. */
+    FlashBackend backend_;
 
-    /** What holds each chip, and each chip's load; kept by the
-     *  controllers, read by the scheduler. */
-    ChipOccupancy occupancy_;
-
-    /**
-     * Device-wide MemoryRequest arena: host-composed requests and GC
-     * migration requests share one recycled pool (declared before its
-     * users so it outlives them).
-     */
-    Slab<MemoryRequest> requestArena_;
-
-    std::vector<std::unique_ptr<FlashChip>> chips_;
-    std::vector<std::unique_ptr<Channel>> channels_;
-    std::vector<std::unique_ptr<FlashController>> controllers_;
     std::unique_ptr<Ftl> ftl_;
     std::unique_ptr<GcManager> gc_;
     std::unique_ptr<Nvmhc> nvmhc_;

@@ -101,15 +101,6 @@ struct TraceMix
             readPages += pages;
         return pages;
     }
-
-    double
-    writePageFraction() const
-    {
-        const auto total = readPages + writePages;
-        return total == 0 ? 0.0
-                          : static_cast<double>(writePages) /
-                                static_cast<double>(total);
-    }
 };
 
 /** Summarize @p trace as the page-level mix at @p page_size. */

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -25,7 +26,10 @@ struct Fixture
     EventQueue events;
     Channel channel{0};
     std::vector<std::unique_ptr<FlashChip>> chips;
+    /** Completed requests in completion order, each beside the tick
+     *  it completed at. */
     std::vector<MemoryRequest *> completed;
+    std::vector<Tick> completedAt;
     ChipOccupancy occ;
     std::unique_ptr<FlashController> ctrl;
     std::vector<std::unique_ptr<MemoryRequest>> pool;
@@ -45,7 +49,10 @@ struct Fixture
         ctrl = std::make_unique<FlashController>(
             events, channel, raw, occ, FlashTiming{}, geo.pageSizeBytes,
             window,
-            [this](MemoryRequest *r) { completed.push_back(r); });
+            [this](MemoryRequest *r) {
+                completed.push_back(r);
+                completedAt.push_back(events.now());
+            });
     }
 
     MemoryRequest *
@@ -68,6 +75,18 @@ struct Fixture
         return pool.back().get();
     }
 
+    /** The tick @p req completed at. */
+    Tick
+    doneAt(const MemoryRequest *req) const
+    {
+        for (std::size_t i = 0; i < completed.size(); ++i) {
+            if (completed[i] == req)
+                return completedAt[i];
+        }
+        ADD_FAILURE() << "request " << req->id << " never completed";
+        return 0;
+    }
+
     /** Transactions launched, as the chips counted them. */
     std::uint64_t
     transactions() const
@@ -88,7 +107,8 @@ TEST(FlashController, SingleRequestCompletes)
     f.events.run();
     ASSERT_EQ(f.completed.size(), 1u);
     EXPECT_EQ(f.completed[0], req);
-    EXPECT_GT(req->finishedAt, req->startedAt);
+    // Committed at 0: the decision window, then at least a sense.
+    EXPECT_GE(f.completedAt[0], 1000 + FlashTiming{}.readLatency);
     EXPECT_EQ(f.ctrl->outstanding(0), 0u);
     EXPECT_EQ(f.transactions(), 1u);
 }
@@ -138,8 +158,8 @@ TEST(FlashController, RbExclusivityPerChip)
     EXPECT_TRUE(f.chips[0]->busy());
     f.events.run();
     EXPECT_EQ(f.completed.size(), 2u);
-    // Second transaction started only after the first finished.
-    EXPECT_GE(b->startedAt, a->finishedAt);
+    // The second read's sense started only after the first finished.
+    EXPECT_GE(f.doneAt(b), f.doneAt(a) + FlashTiming{}.readLatency);
 }
 
 TEST(FlashController, IndependentChipsRunConcurrently)
@@ -150,10 +170,12 @@ TEST(FlashController, IndependentChipsRunConcurrently)
     f.ctrl->commit(a);
     f.ctrl->commit(b);
     f.events.run();
-    // Both chips execute concurrently: chip 1's transaction begins
-    // while chip 0's is still in flight.
-    EXPECT_LT(b->startedAt, a->finishedAt);
-    EXPECT_LT(a->startedAt, b->finishedAt);
+    // Both chips execute concurrently: run one after the other, the
+    // reads would finish at least one sense apart.
+    const Tick ta = f.doneAt(a);
+    const Tick tb = f.doneAt(b);
+    EXPECT_LT(std::max(ta, tb) - std::min(ta, tb),
+              FlashTiming{}.readLatency);
 }
 
 TEST(FlashController, ChannelSerializesBusPhases)
@@ -168,7 +190,10 @@ TEST(FlashController, ChannelSerializesBusPhases)
     // two transfers and there was some contention or offset.
     const Tick xfer = FlashTiming{}.transferTime(f.geo.pageSizeBytes);
     EXPECT_GE(f.channel.stats().busHeldTime, 2 * xfer);
-    EXPECT_NE(a->startedAt, b->startedAt);
+    // The second program's data-in waited for the first's.
+    const Tick ta = f.doneAt(a);
+    const Tick tb = f.doneAt(b);
+    EXPECT_GE(std::max(ta, tb) - std::min(ta, tb), xfer);
 }
 
 TEST(FlashController, FrontCommitJumpsQueue)
@@ -179,11 +204,10 @@ TEST(FlashController, FrontCommitJumpsQueue)
     f.events.step(); // chip 0 now busy
     auto *host = f.make(FlashOp::Read, 0, 0, 0, 2);
     auto *gc = f.make(FlashOp::Read, 0, 0, 0, 3);
-    gc->isGc = true;
     f.ctrl->commit(host);
     f.ctrl->commit(gc, /*front=*/true);
     f.events.run();
-    EXPECT_LT(gc->startedAt, host->startedAt);
+    EXPECT_EQ(f.completed, (std::vector<MemoryRequest *>{busy, gc, host}));
 }
 
 TEST(FlashController, EraseNeverCoalesces)
@@ -310,12 +334,12 @@ TEST(FlashController, OccupancyMirrorsPerTagCounts)
             req->chip = geo.chipIndex(0, req->addr.chipInChannel);
             const auto t = rng.nextBelow(kTags + 1);
             req->tag = t == kTags ? kInvalidTag : static_cast<TagId>(t);
-            req->isGc = req->tag == kInvalidTag;
             req->translated = true;
             req->composed = true;
             pool.push_back(std::move(req));
             ++held_by(*pool.back());
-            ctrl->commit(pool.back().get(), pool.back()->isGc);
+            // GC work commits at the front, as the backend issues it.
+            ctrl->commit(pool.back().get(), t == kTags);
         };
         // Saturated: chips queue work from several tags at once.
         for (int step = 0; step < 3000; ++step) {

@@ -55,11 +55,16 @@ TEST_P(ControllerStress, InvariantsHold)
     }
 
     std::map<const MemoryRequest *, int> completions;
+    // Commit and completion tick of each request, by id.
+    std::vector<Tick> committedAt(sc.numRequests);
+    std::vector<Tick> completedAt(sc.numRequests);
     ChipOccupancy occ(geo.numChips(), 9); // GC + tags 0..7
     FlashController ctrl(
         events, channel, raw, occ, FlashTiming{}, geo.pageSizeBytes,
-        sc.decisionWindow,
-        [&](MemoryRequest *req) { completions[req]++; });
+        sc.decisionWindow, [&](MemoryRequest *req) {
+            completions[req]++;
+            completedAt[req->id] = events.now();
+        });
 
     Rng rng(sc.seed);
     std::vector<std::unique_ptr<MemoryRequest>> pool;
@@ -90,8 +95,10 @@ TEST_P(ControllerStress, InvariantsHold)
         const std::size_t burst =
             std::min<std::size_t>(1 + rng.nextBelow(8),
                                   pool.size() - next);
-        for (std::size_t i = 0; i < burst; ++i)
+        for (std::size_t i = 0; i < burst; ++i) {
+            committedAt[next] = events.now();
             ctrl.commit(pool[next++].get());
+        }
         events.run(rng.nextBelow(12));
     }
     events.run();
@@ -107,10 +114,14 @@ TEST_P(ControllerStress, InvariantsHold)
         EXPECT_TRUE(occ.idle(c));
     }
 
-    // 3. Per-request timestamps are ordered.
+    // 3. Each request completes at least its cell operation after
+    //    its commit.
+    const FlashTiming timing;
     for (const auto &req : pool) {
-        EXPECT_GE(req->startedAt, req->committedAt);
-        EXPECT_GT(req->finishedAt, req->startedAt);
+        const Tick cell = req->op == FlashOp::Read
+                              ? timing.readLatency
+                              : timing.programLatency(req->addr.page);
+        EXPECT_GE(completedAt[req->id], committedAt[req->id] + cell);
     }
 
     // 4. Served counts match; transactions never exceed requests.

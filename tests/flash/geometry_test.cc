@@ -80,18 +80,6 @@ TEST(Geometry, ConsecutivePagesShareBlock)
     EXPECT_EQ(b.page, a.page + 1);
 }
 
-TEST(Geometry, ChipOfMatchesDecompose)
-{
-    const auto g = smallGeo();
-    Rng rng(7);
-    for (int i = 0; i < 500; ++i) {
-        const Ppn ppn = rng.nextBelow(g.totalPages());
-        const PhysAddr addr = g.decompose(ppn);
-        EXPECT_EQ(g.chipOf(ppn),
-                  g.chipIndex(addr.channel, addr.chipInChannel));
-    }
-}
-
 TEST(Geometry, ValidateRejectsZeroDimension)
 {
     auto g = smallGeo();
@@ -128,8 +116,10 @@ TEST_P(GeometrySweep, RoundTripAndBounds)
     Rng rng(42);
     for (int i = 0; i < 300; ++i) {
         const Ppn ppn = rng.nextBelow(g.totalPages());
-        EXPECT_EQ(g.compose(g.decompose(ppn)), ppn);
-        EXPECT_LT(g.chipOf(ppn), g.numChips());
+        const PhysAddr addr = g.decompose(ppn);
+        EXPECT_EQ(g.compose(addr), ppn);
+        EXPECT_LT(g.chipIndex(addr.channel, addr.chipInChannel),
+                  g.numChips());
     }
 }
 

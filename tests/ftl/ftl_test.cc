@@ -68,7 +68,7 @@ TEST(Ftl, ConsecutiveWritesStripeAcrossChips)
     std::set<std::uint32_t> chips;
     for (Lpn lpn = 0; lpn < g.numChips(); ++lpn) {
         const Ppn ppn = ftl.allocateWrite(lpn);
-        chips.insert(g.chipOf(ppn));
+        chips.insert(static_cast<std::uint32_t>(ppn / g.pagesPerChip()));
     }
     // The first numChips writes must land on numChips distinct chips:
     // this is what gives RIOS its system-level parallelism.

@@ -1,9 +1,9 @@
 /**
  * @file
  * Integration-style unit tests for the NVMHC against a small real
- * device built from chips/channels/controllers/FTL, and the calls it
- * owes its scheduler: the hazard-release hooks and the uncomposed-I/O
- * list it hands to next().
+ * device built from a FlashBackend and an FTL, and the calls it owes
+ * its scheduler: the hazard-release hooks and the uncomposed-I/O list
+ * it hands to next().
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 #include <memory>
 #include <vector>
 
-#include "flash/chip.hh"
+#include "controller/flash_backend.hh"
 #include "sched/nvmhc.hh"
 #include "ssd/ssd.hh"
 
@@ -219,56 +219,45 @@ class RecordingScheduler : public IoScheduler
 };
 
 /**
- * A 2-channel x 2-chip device wired by hand around an Nvmhc, so the
- * test holds its scheduler: a RecordingScheduler around @p kind. No
- * GC, parity or faults.
+ * A 2-channel x 2-chip device built around an Nvmhc from a
+ * FlashBackend and an FTL, so the test holds its scheduler: a
+ * RecordingScheduler around @p kind. No GC, parity or faults, and no
+ * decision window: a launch fires at the tick of its commit.
  */
 struct WiredDevice
 {
     static constexpr std::uint32_t kQueueDepth = 8;
 
-    FlashGeometry geo;
+    static FlashGeometry
+    geometry()
+    {
+        FlashGeometry geo;
+        geo.numChannels = 2;
+        geo.chipsPerChannel = 2;
+        geo.blocksPerPlane = 16;
+        geo.pagesPerBlock = 16;
+        return geo;
+    }
+
     EventQueue events;
-    std::vector<std::unique_ptr<FlashChip>> chips;
-    std::vector<std::unique_ptr<Channel>> channels;
-    ChipOccupancy occ;
-    std::vector<std::unique_ptr<FlashController>> controllers;
-    Slab<MemoryRequest> arena;
-    std::unique_ptr<Ftl> ftl;
+    FlashBackend backend{events, geometry(), FlashTiming{}, 0, kQueueDepth,
+                         [this](MemoryRequest *req) {
+                             nvmhc->onRequestFinished(req);
+                         }};
+    Ftl ftl{geometry(), FtlConfig{}};
     RecordingScheduler *recorder = nullptr;
     std::unique_ptr<Nvmhc> nvmhc;
     std::uint32_t completed = 0;
 
     explicit WiredDevice(SchedulerKind kind)
     {
-        geo.numChannels = 2;
-        geo.chipsPerChannel = 2;
-        geo.blocksPerPlane = 16;
-        geo.pagesPerBlock = 16;
-        occ = ChipOccupancy(geo.numChips(), kQueueDepth + 1);
-        for (std::uint32_t i = 0; i < geo.numChips(); ++i)
-            chips.push_back(std::make_unique<FlashChip>(i, geo));
-        std::vector<FlashController *> raw;
-        for (std::uint32_t c = 0; c < geo.numChannels; ++c) {
-            channels.push_back(std::make_unique<Channel>(c));
-            std::vector<FlashChip *> mine;
-            for (std::uint32_t off = 0; off < geo.chipsPerChannel; ++off)
-                mine.push_back(chips[geo.chipIndex(c, off)].get());
-            controllers.push_back(std::make_unique<FlashController>(
-                events, *channels.back(), std::move(mine), occ,
-                FlashTiming{}, geo.pageSizeBytes, 0,
-                [this](MemoryRequest *req) { nvmhc->onRequestFinished(req); }));
-            raw.push_back(controllers.back().get());
-        }
-        ftl = std::make_unique<Ftl>(geo, FtlConfig{});
         auto sched = std::make_unique<RecordingScheduler>(
             makeScheduler(kind, 8));
         recorder = sched.get();
-        occ.setLoadLimit(sched->loadLimit());
         NvmhcConfig cfg;
         cfg.queueDepth = kQueueDepth;
         nvmhc = std::make_unique<Nvmhc>(
-            events, geo, *ftl, raw, arena, occ, std::move(sched), cfg,
+            events, backend, ftl, std::move(sched), cfg,
             [this](const IoRequest &) { ++completed; });
     }
 
@@ -365,6 +354,29 @@ TEST(NvmhcHooks, UncomposedListIsTheQueueLessComposedIos)
         EXPECT_TRUE(dev.nvmhc->uncomposed().empty());
         EXPECT_GT(partly_composed, 0u) << schedulerKindName(kind);
     }
+}
+
+/**
+ * A request that completes twice dies on the LPN hazard chain: its
+ * first completion retired it from the chain it headed. The I/O only
+ * counts finished pages, so this check is what catches the double
+ * completion.
+ */
+TEST(Nvmhc, SecondCompletionOfARequestDies)
+{
+    WiredDevice dev(SchedulerKind::VAS);
+    dev.nvmhc->submit(false, 0, 2, false, 0);
+    const IoRequest *io = dev.nvmhc->queue().front();
+    // Each page launches alone at its commit, so they finish in two
+    // different events.
+    while (io->finishedCount == 0)
+        ASSERT_TRUE(dev.events.step());
+    ASSERT_EQ(io->finishedCount, 1u);
+    MemoryRequest *done =
+        io->pages[0]->onLpnChain ? io->pages[1] : io->pages[0];
+    ASSERT_FALSE(done->onLpnChain);
+    EXPECT_DEATH(dev.nvmhc->onRequestFinished(done),
+                 "LPN chain corrupted at completion");
 }
 
 } // namespace

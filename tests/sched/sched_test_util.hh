@@ -174,7 +174,6 @@ struct SchedHarness
         }
         io->isWrite = is_write;
         io->pageCount = static_cast<std::uint32_t>(chips.size());
-        io->initBitmap();
         std::map<std::uint32_t, std::uint32_t> per_chip;
         for (std::uint32_t i = 0; i < chips.size(); ++i) {
             auto req = std::make_unique<MemoryRequest>();

@@ -175,35 +175,18 @@ TEST(SlabGcCrossCheck, RandomBatchStormMatchesMapModel)
     geo.pagesPerBlock = 8;
 
     EventQueue events;
-    Slab<MemoryRequest> arena;
-    std::vector<std::unique_ptr<FlashChip>> chips;
-    std::vector<std::unique_ptr<Channel>> channels;
-    ChipOccupancy occ(geo.numChips(), 1); // GC slot only
-    std::vector<std::unique_ptr<FlashController>> controllers;
-    std::vector<FlashController *> raw;
-    Ftl ftl(geo, FtlConfig{});
-    std::unique_ptr<GcManager> gc;
-
     MapModel model;
     std::uint64_t completions = 0;
-
-    for (std::uint32_t i = 0; i < geo.numChips(); ++i)
-        chips.push_back(std::make_unique<FlashChip>(i, geo));
-    for (std::uint32_t c = 0; c < geo.numChannels; ++c) {
-        channels.push_back(std::make_unique<Channel>(c));
-        std::vector<FlashChip *> channel_chips;
-        for (std::uint32_t off = 0; off < geo.chipsPerChannel; ++off)
-            channel_chips.push_back(chips[geo.chipIndex(c, off)].get());
-        controllers.push_back(std::make_unique<FlashController>(
-            events, *channels[c], channel_chips, occ, FlashTiming{},
-            geo.pageSizeBytes, 0, [&](MemoryRequest *req) {
-                ++completions;
-                model.observe(req->op, req->gcBatch);
-                gc->onRequestFinished(req);
-            }));
-        raw.push_back(controllers.back().get());
-    }
-    gc = std::make_unique<GcManager>(geo, ftl, raw, arena);
+    std::unique_ptr<GcManager> gc;
+    // Queue depth 0: the occupancy has the GC slot only.
+    FlashBackend backend(events, geo, FlashTiming{}, 0, 0,
+                         [&](MemoryRequest *req) {
+                             ++completions;
+                             model.observe(req->op, req->job);
+                             gc->onRequestFinished(req);
+                         });
+    Ftl ftl(geo, FtlConfig{});
+    gc = std::make_unique<GcManager>(backend, ftl);
 
     Rng rng(99);
     std::uint64_t launched = 0;
@@ -247,7 +230,7 @@ TEST(SlabGcCrossCheck, RandomBatchStormMatchesMapModel)
         events.run();
         EXPECT_TRUE(gc->idle());
         EXPECT_TRUE(model.idle());
-        EXPECT_EQ(arena.liveCount(), 0u) << "GC requests leaked";
+        EXPECT_EQ(backend.arena().liveCount(), 0u) << "GC requests leaked";
     }
 
     EXPECT_EQ(gc->stats().batches, launched);
@@ -259,7 +242,7 @@ TEST(SlabGcCrossCheck, RandomBatchStormMatchesMapModel)
 
     // Steady state: every request recycled; the arena's high-water
     // capacity is bounded by the largest in-flight round.
-    EXPECT_EQ(arena.freeCount(), arena.capacity());
+    EXPECT_EQ(backend.arena().freeCount(), backend.arena().capacity());
 }
 
 } // namespace

@@ -21,46 +21,36 @@ namespace
 
 struct Fixture
 {
-    FlashGeometry geo;
-    EventQueue events;
-    std::vector<std::unique_ptr<Channel>> channels;
-    std::vector<std::unique_ptr<FlashChip>> chips;
-    ChipOccupancy occ;
-    std::vector<std::unique_ptr<FlashController>> controllers;
-    std::vector<FlashController *> raw;
-    Slab<MemoryRequest> arena;
-    std::unique_ptr<Ftl> ftl;
-    std::unique_ptr<GcManager> gc;
-
-    /** Every completed request in completion order (op recorded). */
-    std::vector<FlashOp> completedOps;
-
-    explicit Fixture(std::uint32_t cap = kDefaultGcBatchesPerPlane)
+    static FlashGeometry
+    geometry()
     {
+        FlashGeometry geo;
         geo.numChannels = 2;
         geo.chipsPerChannel = 1;
         geo.diesPerChip = 2;
         geo.planesPerDie = 2;
         geo.blocksPerPlane = 8;
         geo.pagesPerBlock = 4;
+        return geo;
+    }
 
-        for (std::uint32_t i = 0; i < geo.numChips(); ++i)
-            chips.push_back(std::make_unique<FlashChip>(i, geo));
-        occ = ChipOccupancy(geo.numChips(), 1); // GC slot only
-        for (std::uint32_t c = 0; c < geo.numChannels; ++c) {
-            channels.push_back(std::make_unique<Channel>(c));
-            std::vector<FlashChip *> channel_chips{
-                chips[geo.chipIndex(c, 0)].get()};
-            controllers.push_back(std::make_unique<FlashController>(
-                events, *channels[c], channel_chips, occ, FlashTiming{},
-                geo.pageSizeBytes, 0, [this](MemoryRequest *req) {
-                    completedOps.push_back(req->op);
-                    gc->onRequestFinished(req);
-                }));
-            raw.push_back(controllers.back().get());
-        }
-        ftl = std::make_unique<Ftl>(geo, FtlConfig{});
-        gc = std::make_unique<GcManager>(geo, *ftl, raw, arena, cap);
+    const FlashGeometry geo = geometry();
+    EventQueue events;
+    /** Queue depth 0: the occupancy has the GC slot only. */
+    FlashBackend backend{events, geo, FlashTiming{}, 0, 0,
+                         [this](MemoryRequest *req) {
+                             completedOps.push_back(req->op);
+                             gc->onRequestFinished(req);
+                         }};
+    std::unique_ptr<Ftl> ftl = std::make_unique<Ftl>(geo, FtlConfig{});
+    std::unique_ptr<GcManager> gc;
+
+    /** Every completed request in completion order (op recorded). */
+    std::vector<FlashOp> completedOps;
+
+    explicit Fixture(std::uint32_t cap = kDefaultGcBatchesPerPlane)
+        : gc(std::make_unique<GcManager>(backend, *ftl, cap))
+    {
     }
 
     /** Rewrite a few hot pages until some plane needs collection; the
